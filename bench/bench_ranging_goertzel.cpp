@@ -13,10 +13,15 @@
 //      records the honest number); the scratch's real payoff is stage 4;
 //   4. the same pair loop in software-detector mode (Section 3.7), where a
 //      fresh scratch per pair also rebuilds the tone table and the Goertzel
-//      detector that the reused scratch caches across pairs.
+//      detector that the reused scratch caches across pairs;
+//   5. the sampled-audio noise fill: ns per standard normal from
+//      Rng::fill_gaussian_block (ziggurat over the lane-split uniform block)
+//      against scalar Rng::gaussian() (Box-Muller).
 //
 // Results are printed and written as JSON (default BENCH_ranging.json, or
-// argv[1]) so CI can archive the perf trajectory.
+// argv[1]) so CI can archive the perf trajectory. The exit code gates the
+// machine-independent ratios: Goertzel >= 5x the direct DFT within 1e-9, and
+// the block noise fill >= 3x scalar gaussian().
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -27,6 +32,7 @@
 #include "bench_util.hpp"
 #include "eval/aggregate.hpp"
 #include "ranging/dft_detector.hpp"
+#include "math/rng.hpp"
 #include "ranging/ranging_service.hpp"
 #include "sim/scenarios.hpp"
 
@@ -189,6 +195,35 @@ int main(int argc, char** argv) {
   std::printf("  reused scratch      %8.2f us/pair\n", sw_scratch_s / kSwPairs * 1e6);
   std::printf("  speedup             %8.2fx\n", sw_speedup);
 
+  // --- Stage 5: sampled-audio noise fill (block ziggurat vs scalar) ---
+  constexpr std::size_t kNoiseBlock = 1163;  // one sampled-audio chirp window
+  constexpr int kNoiseBlocks = 512;
+  constexpr double kNormals = static_cast<double>(kNoiseBlock) * kNoiseBlocks;
+  std::vector<double> noise(kNoiseBlock);
+  const double noise_block_s = best_of(5, [&] {
+    math::Rng r(11);
+    double sum = 0.0;
+    for (int b = 0; b < kNoiseBlocks; ++b) {
+      r.fill_gaussian_block(noise.data(), kNoiseBlock);
+      sum += noise[b % kNoiseBlock];
+    }
+    g_sink = sum;
+  });
+  const double noise_scalar_s = best_of(5, [&] {
+    math::Rng r(11);
+    double sum = 0.0;
+    for (int b = 0; b < kNoiseBlocks; ++b) {
+      for (std::size_t i = 0; i < kNoiseBlock; ++i) noise[i] = r.gaussian();
+      sum += noise[b % kNoiseBlock];
+    }
+    g_sink = sum;
+  });
+  const double noise_speedup = noise_scalar_s / noise_block_s;
+  std::printf("\nnoise fill, %d blocks of %zu standard normals\n", kNoiseBlocks, kNoiseBlock);
+  std::printf("  scalar gaussian()   %8.2f ns/normal\n", noise_scalar_s / kNormals * 1e9);
+  std::printf("  fill_gaussian_block %8.2f ns/normal\n", noise_block_s / kNormals * 1e9);
+  std::printf("  speedup             %8.2fx   (target >= 3x)\n", noise_speedup);
+
   // --- JSON record ---
   const auto v = [](double x) { return resloc::eval::format_value(x); };
   std::string json = "{\n";
@@ -208,12 +243,15 @@ int main(int argc, char** argv) {
   json += "  \"measure_speedup\": " + v(measure_speedup) + ",\n";
   json += "  \"software_alloc_us_per_pair\": " + v(sw_alloc_s / kSwPairs * 1e6) + ",\n";
   json += "  \"software_scratch_us_per_pair\": " + v(sw_scratch_s / kSwPairs * 1e6) + ",\n";
-  json += "  \"software_speedup\": " + v(sw_speedup) + "\n";
+  json += "  \"software_speedup\": " + v(sw_speedup) + ",\n";
+  json += "  \"noise_scalar_ns_per_normal\": " + v(noise_scalar_s / kNormals * 1e9) + ",\n";
+  json += "  \"noise_block_ns_per_normal\": " + v(noise_block_s / kNormals * 1e9) + ",\n";
+  json += "  \"noise_speedup\": " + v(noise_speedup) + "\n";
   json += "}\n";
   if (!resloc::eval::write_text_file(json_path, json)) {
     std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
     return 1;
   }
   std::printf("\nbench record: %s\n", json_path.c_str());
-  return filter_speedup >= 5.0 && max_delta < 1e-9 ? 0 : 1;
+  return filter_speedup >= 5.0 && max_delta < 1e-9 && noise_speedup >= 3.0 ? 0 : 1;
 }

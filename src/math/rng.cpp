@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
+
 #include "math/constants.hpp"
 #include "math/simd_dispatch.hpp"
 
@@ -237,13 +239,78 @@ void Rng::fill_uniform_bits_block(std::uint64_t* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = uniform_bits();
 }
 
+const NormalZiggurat& NormalZiggurat::get() {
+  static const NormalZiggurat tables = [] {
+    NormalZiggurat z{};
+    const auto f = [](double x) { return std::exp(-0.5 * x * x); };
+    constexpr double r = kTailStart;
+    // Common layer area: the base rectangle out to R plus the tail beyond it.
+    const double v = r * f(r) + std::sqrt(0.5 * kPi) * std::erfc(r / std::sqrt(2.0));
+    z.x[0] = v / f(r);
+    z.x[1] = r;
+    for (int i = 1; i < kLayers - 1; ++i) {
+      z.x[i + 1] = std::sqrt(-2.0 * std::log(v / z.x[i] + f(z.x[i])));
+    }
+    z.x[kLayers] = 0.0;  // the top layer's box reaches the peak f(0) = 1
+    for (int i = 0; i < kLayers; ++i) z.ratio[i] = z.x[i + 1] / z.x[i];
+    for (int i = 0; i <= kLayers; ++i) z.f[i] = f(z.x[i]);
+    return z;
+  }();
+  return tables;
+}
+
+namespace {
+
+/// Step 2 of the block normal stream: bits 8..52 of a uniform_bits() word as
+/// the odd lattice point (2j + 1 - 2^45) * 2^-45, symmetric about 0 and exact.
+inline double ziggurat_signed_unit(std::uint64_t word) {
+  const auto odd = static_cast<std::int64_t>(((word >> 8) << 1) | 1u);
+  return static_cast<double>(odd - (std::int64_t{1} << 45)) * 0x1.0p-45;
+}
+
+/// Step 4 of the block normal stream: a word that missed the fast accept
+/// (wedge or tail), resolved with sequential draws from `rng`.
+double ziggurat_slow(Rng& rng, const NormalZiggurat& z, std::uint64_t word) {
+  constexpr double r = NormalZiggurat::kTailStart;
+  for (;;) {
+    const std::size_t layer = word & 0xffu;
+    const double u = ziggurat_signed_unit(word);
+    if (std::abs(u) < z.ratio[layer]) return u * z.x[layer];
+    if (layer == 0) {
+      // Tail beyond R (Marsaglia 1964); 1 - uniform() lies in (0, 1].
+      double t;
+      double y;
+      do {
+        t = -std::log(1.0 - rng.uniform()) / r;
+        y = -std::log(1.0 - rng.uniform());
+      } while (y + y < t * t);
+      return u < 0.0 ? -(r + t) : r + t;
+    }
+    // Wedge: a uniform height in the layer's box against the density.
+    const double x = u * z.x[layer];
+    const double height = z.f[layer] + rng.uniform() * (z.f[layer + 1] - z.f[layer]);
+    if (height < std::exp(-0.5 * x * x)) return x;
+    word = rng.uniform_bits();
+  }
+}
+
+}  // namespace
+
 void Rng::fill_gaussian_block(double* out, std::size_t n) {
-  // Box-Muller is libm-bound (log/sqrt/sincos per pair), so the block form is
-  // the sequential draw order verbatim; the win for callers is separating the
-  // standard-normal stream from the per-sample scaling/mixing, which then
-  // vectorizes. gaussian(0, 1) returns the raw normal (0 + 1 * z == z except
-  // for a harmless -0 -> +0 normalization), including the cached second half.
-  for (std::size_t i = 0; i < n; ++i) out[i] = gaussian(0.0, 1.0);
+  // The words land in the output slots themselves and are overwritten in
+  // place by their normals, so the block needs no buffer of its own.
+  static_assert(sizeof(double) == sizeof(std::uint64_t), "in-place word slots");
+  const NormalZiggurat& z = NormalZiggurat::get();
+  fill_uniform_bits_block(reinterpret_cast<std::uint64_t*>(out), n);
+  for (std::size_t k = 0; k < n; ++k) {
+    std::uint64_t word;
+    std::memcpy(&word, out + k, sizeof word);
+    const std::size_t layer = word & 0xffu;
+    const double u = ziggurat_signed_unit(word);
+    const double normal =
+        std::abs(u) < z.ratio[layer] ? u * z.x[layer] : ziggurat_slow(*this, z, word);
+    std::memcpy(out + k, &normal, sizeof normal);
+  }
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }

@@ -6,14 +6,36 @@
 // bit-reproducible. We implement PCG32 (O'Neill, 2014) from scratch: it is
 // tiny, fast, statistically solid, and has well-defined cross-platform output,
 // unlike std::default_random_engine. Distribution sampling is also hand-rolled
-// (Box-Muller for Gaussians) because libstdc++'s std::normal_distribution is
-// not guaranteed to produce identical streams across versions.
+// because libstdc++'s std::normal_distribution is not guaranteed to produce
+// identical streams across versions. Gaussians come from two declared streams:
+// scalar gaussian() is Box-Muller (every per-draw consumer: channel, hardware
+// detector, synthetic measurements, faults, solver restarts), and
+// fill_gaussian_block() is a 256-layer ziggurat over the lane-split uniform
+// block (the sampled-audio noise of the Goertzel and NCC detector modes).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace resloc::math {
+
+/// Tables of the 256-layer normal ziggurat behind Rng::fill_gaussian_block
+/// (Marsaglia & Tsang, J. Stat. Software 5(8), 2000), over the unnormalized
+/// density f(x) = exp(-x^2 / 2). Every layer has the same area V: layer 0 is
+/// the base strip [0, x[0]) x [0, f(R)) whose part beyond R stands in for the
+/// tail, and layer i >= 1 is the box [0, x[i]) x [f(x[i]), f(x[i + 1])).
+struct NormalZiggurat {
+  static constexpr int kLayers = 256;
+  /// Right edge of the base rectangle, where the tail begins.
+  static constexpr double kTailStart = 3.6541528853610088;
+
+  double x[kLayers + 1];   ///< layer half-widths: x[0] = V / f(R), x[1] = R, x[256] = 0
+  double ratio[kLayers];   ///< x[i + 1] / x[i], the fast-accept bound on |u|
+  double f[kLayers + 1];   ///< f(x[i])
+
+  /// The tables, built once on first use.
+  static const NormalZiggurat& get();
+};
 
 /// PCG32 pseudo-random generator (XSH-RR variant), 64-bit state.
 class Rng {
@@ -64,11 +86,24 @@ class Rng {
   /// path's floor, and this is how it is broken without changing one output.
   void fill_uniform_bits_block(std::uint64_t* out, std::size_t n);
 
-  /// Writes exactly the next `n` gaussian(0, 1) draws to `out`, including the
-  /// Box-Muller cached-second-normal behaviour (a cached half pending before
-  /// the call is consumed first; one may be left pending after). Standard
-  /// normals only: gaussian(0, sigma) == sigma * gaussian(0, 1) bit for bit,
-  /// so callers scale in their own vectorizable pass.
+  /// Writes `n` standard normals to `out`: the versioned block noise stream
+  /// (ziggurat v1) of the sampled-audio detector modes. The stream is defined
+  /// as follows:
+  ///   1. the block's `n` 53-bit words are drawn by one
+  ///      fill_uniform_bits_block(n) call, i.e. exactly the next n
+  ///      uniform_bits() draws;
+  ///   2. for word w, layer = w & 0xff and the remaining 45 bits j = w >> 8
+  ///      give the signed uniform u = (2j + 1 - 2^45) * 2^-45 in (-1, 1);
+  ///   3. the sample is u * x[layer] when |u| < ratio[layer] (~98.5% of
+  ///      words; tables in NormalZiggurat);
+  ///   4. otherwise it resolves in index order with further sequential draws
+  ///      from this generator, after the block: a wedge test against one
+  ///      uniform() (on rejection a fresh uniform_bits() word restarts at
+  ///      step 2), or for layer 0 the tail beyond R by Marsaglia's method on
+  ///      uniform() pairs.
+  /// This is a different stream from n gaussian() calls: a Box-Muller half
+  /// cached by gaussian() is neither consumed nor cleared by the block.
+  /// Standard normals only; callers scale in their own vectorizable pass.
   void fill_gaussian_block(double* out, std::size_t n);
 
   /// Fisher-Yates shuffle of a vector.

@@ -153,7 +153,7 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
       link != nullptr ? *link : acoustics::link_response(true_distance_m, config_.environment);
 
   const bool block = config_.block_dsp;
-  if (block) scratch.dsp.resize(window_samples_);
+  scratch.dsp.resize(window_samples_);
 
   // Accumulate the binary detector output over all chirps, each window
   // aligned by the radio sync of that chirp. Echoes from *earlier* chirps
@@ -314,23 +314,24 @@ void RangingService::software_sample_window(const acoustics::MicUnit& mic,
     rasterize_window_envelope(mic, scratch);
   }
 
-  // Synthesize and filter in one pass: each sample is the tone envelope on
-  // the cached table plus Gaussian noise, and the binary series is the sign
-  // of the noise-subtracted Goertzel metric. The metric at step i covers
-  // samples (i - kWindow, i], so it is shifted left by the half-window group
-  // delay to line onsets up with the hardware detector's per-sample
-  // convention; the residual latency is within the actuation-jitter budget.
-  // Synthesis and filtering are one fused per-sample loop on this path (the
-  // RNG draw order pins them together), so the span charges the pair to the
-  // detection stage -- the Goertzel recurrence dominates the loop body.
+  // The window's noise is the block normal stream, the same draws the block
+  // path makes. Then synthesize and filter in one pass: each sample is the
+  // tone envelope on the cached table plus scaled noise, and the binary
+  // series is the sign of the noise-subtracted Goertzel metric. The metric at
+  // step i covers samples (i - kWindow, i], so it is shifted left by the
+  // half-window group delay to line onsets up with the hardware detector's
+  // per-sample convention; the residual latency is within the
+  // actuation-jitter budget. The span charges the pair to the detection
+  // stage -- the Goertzel recurrence dominates the loop body.
   RESLOC_SPAN("ranging/detection");
+  rng.fill_gaussian_block(scratch.dsp.noise.data(), n);
   GoertzelToneDetector& detector = *scratch.goertzel;
   constexpr std::size_t kGroupDelay = SlidingDftFilter::kWindow / 2;
   scratch.detector_output.assign(n, false);
   for (std::size_t i = 0; i < n; ++i) {
     const double sigma = scratch.detector.burst[i] != 0 ? kBurstNoiseSigma : 1.0;
     const double sample =
-        scratch.amplitude[i] * scratch.tone_table[i] + rng.gaussian(0.0, sigma);
+        scratch.amplitude[i] * scratch.tone_table[i] + sigma * scratch.dsp.noise[i];
     const bool fired = detector.step(sample) > 0.0;
     if (fired && i >= kGroupDelay) scratch.detector_output[i - kGroupDelay] = true;
   }
@@ -345,9 +346,9 @@ void RangingService::software_sample_window_block(const acoustics::MicUnit& mic,
   // The reference path's fused synthesize-and-filter loop, decomposed into
   // staged block kernels over contiguous buffers: envelope rasterization,
   // standard-normal noise fill, tone + noise mix, Goertzel metric, group-
-  // delay-compensated thresholding. The RNG stream is identical because the
-  // fused loop drew its gaussians in sample order too, and
-  // gaussian(0, sigma) == sigma * gaussian(0, 1) bit for bit.
+  // delay-compensated thresholding. Both paths draw the window's noise with
+  // one fill_gaussian_block call (the versioned ziggurat stream of the
+  // sampled-audio modes) and scale it per sample the same way.
   {
     RESLOC_SPAN("ranging/synthesis/envelope");
     rasterize_window_envelope(mic, scratch);
@@ -392,15 +393,17 @@ void RangingService::ncc_sample_window(const acoustics::MicUnit& mic, resloc::ma
   // touches the synthesizer again, so the view stays valid.
   const acoustics::ToneTemplateView tpl = scratch.synth.tone_template_view(fs, frequency_hz, n);
 
-  // Synthesize the sampled audio. Same per-sample arithmetic and RNG draw
-  // order as the Goertzel path's fused loop (one gaussian per sample), so
-  // switching detector modes never shifts any other draw in the campaign.
+  // Synthesize the sampled audio. Same noise draws (one block normal per
+  // sample) and per-sample arithmetic as the Goertzel path, so switching
+  // between the sampled-audio modes never shifts any other draw in the
+  // campaign.
   {
     RESLOC_SPAN("ranging/synthesis");
+    rng.fill_gaussian_block(scratch.dsp.noise.data(), n);
     scratch.audio.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       const double sigma = scratch.detector.burst[i] != 0 ? kBurstNoiseSigma : 1.0;
-      scratch.audio[i] = scratch.amplitude[i] * tpl.sin_t[i] + rng.gaussian(0.0, sigma);
+      scratch.audio[i] = scratch.amplitude[i] * tpl.sin_t[i] + sigma * scratch.dsp.noise[i];
     }
   }
 
@@ -430,8 +433,8 @@ void RangingService::ncc_sample_window_block(const acoustics::MicUnit& mic,
   const acoustics::ToneTemplateView tpl = scratch.synth.tone_template_view(fs, frequency_hz, n);
 
   // Same decomposition as the block Goertzel path: noise fill then tone mix,
-  // drawing the identical one-gaussian-per-sample stream the reference
-  // path's fused synthesis loop draws.
+  // drawing the same block normal stream as the reference path's synthesis
+  // loop.
   {
     RESLOC_SPAN("ranging/synthesis/noise");
     rng.fill_gaussian_block(scratch.dsp.noise.data(), n);

@@ -117,8 +117,11 @@ struct RangingConfig {
   /// kernels over contiguous DspScratch buffers -- threshold rasterization +
   /// lane-split Bernoulli draws (hardware), or envelope/noise/tone synthesis
   /// blocks feeding a block Goertzel or NCC scan (sampled-audio modes) --
-  /// instead of the detector-owned per-sample loops. Draws the identical RNG
-  /// stream in the identical order and produces bit-equal estimates; set to
+  /// instead of the detector-owned per-sample loops. Both settings draw the
+  /// identical RNG stream in the identical order and produce bit-equal
+  /// estimates: the hardware paths draw one uniform per sample, and both
+  /// sampled-audio paths draw each window's noise with one
+  /// Rng::fill_gaussian_block call (the versioned ziggurat stream). Set to
   /// false to run the retained per-sample reference path (the equivalence
   /// tests in test_dsp_kernels.cpp diff the two).
   bool block_dsp = true;

@@ -132,6 +132,58 @@ TEST(DetectorAccuracy, NccHoldsSampleAccuracyOnCleanFixtures) {
   EXPECT_LE(ncc.median_abs, 2.0);
 }
 
+// --- Known-position fixtures: offset = detected - actual ---
+//
+// In the shape of a chirp-detection test suite: the direct arrival is placed
+// at a list of known sample positions spread over the window, and every
+// trial's offset is detected minus actual. The median pins above say where
+// NCC's offsets sit; these pin how far its worst 5% stray.
+
+struct PositionOffsets {
+  std::vector<double> abs_offsets;  ///< |detected - actual| per detected trial
+  int attempts = 0;
+};
+
+/// Runs `trials` fixed-seed exchanges with the direct-path onset at each of
+/// `positions` (in samples), placing the source mid-sample so the true onset
+/// index is exactly the position.
+PositionOffsets offsets_at_positions(const resloc::ranging::RangingConfig& config,
+                                     const std::vector<int>& positions, int trials,
+                                     std::uint64_t seed) {
+  const resloc::ranging::RangingService service(config);
+  PositionOffsets out;
+  for (const int actual : positions) {
+    const double d = config.tdoa.speed_of_sound_mps * (actual + 0.5) / config.tdoa.sample_rate_hz;
+    EXPECT_EQ(resloc::ranging::detection_index_for_distance(d, config.tdoa), actual);
+    resloc::math::Rng rng(seed);
+    for (int t = 0; t < trials; ++t) {
+      resloc::math::Rng stream = rng.fork(t);
+      ++out.attempts;
+      const auto attempt = service.measure_with_diagnostics(d, {}, {}, stream);
+      if (attempt.distance_m) out.abs_offsets.push_back(std::abs(attempt.detection_index - actual));
+    }
+  }
+  return out;
+}
+
+TEST(DetectorAccuracy, NccKnownPositionOffsetP95OnCleanScene) {
+  const auto ncc = offsets_at_positions(fixture_config(DetectorMode::kMatchedFilter, false),
+                                        {100, 250, 400, 550, 700, 850}, kTrials, kCleanSeed);
+  EXPECT_EQ(static_cast<int>(ncc.abs_offsets.size()), ncc.attempts);
+  ASSERT_FALSE(ncc.abs_offsets.empty());
+  EXPECT_LE(*resloc::math::percentile(ncc.abs_offsets, 95.0), 2.0);
+}
+
+TEST(DetectorAccuracy, NccKnownPositionOffsetP95OnEchoScene) {
+  // 14-20 m: the band where the louder echo 160 samples behind is the
+  // adversary (see NccMedianOffsetStrictlyBelowGoertzelOnEchoFixtures).
+  const auto ncc = offsets_at_positions(fixture_config(DetectorMode::kMatchedFilter, true),
+                                        {660, 710, 760, 810, 860, 910}, kTrials, kEchoSeed);
+  EXPECT_EQ(static_cast<int>(ncc.abs_offsets.size()), ncc.attempts);
+  ASSERT_FALSE(ncc.abs_offsets.empty());
+  EXPECT_LE(*resloc::math::percentile(ncc.abs_offsets, 95.0), 2.0);
+}
+
 // --- Echo-injection properties ---
 
 TEST(DetectorAccuracy, HardwareDetectorLatchesLouderEchoByExpectedLag) {

@@ -1,15 +1,17 @@
 // Bit-equality tests for the block-DSP kernels of the measure path.
 //
 // Every block kernel has a retained per-sample reference (the pre-refactor
-// loop); these tests drive both over the same inputs and the same RNG stream
-// and require last-ulp identical outputs AND identical post-call generator
-// state, at odd block sizes, partial tails, and window-boundary offsets. The
-// capstone test diffs RangingService end to end with block_dsp on vs off for
-// all three detector front ends.
+// loop, or for the block normal stream a test-local scalar oracle written
+// from its definition); these tests drive both over the same inputs and the
+// same RNG stream and require last-ulp identical outputs AND identical
+// post-call generator state, at odd block sizes, partial tails, and
+// window-boundary offsets. The capstone test diffs RangingService end to end
+// with block_dsp on vs off for all three detector front ends.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "acoustics/channel.hpp"
@@ -49,27 +51,101 @@ TEST(RngBlocks, UniformBitsBlockMatchesSequential) {
   }
 }
 
-TEST(RngBlocks, GaussianBlockMatchesSequentialIncludingCachedHalf) {
-  for (std::size_t n : kBlockSizes) {
+/// Slow-path tallies of the oracle below.
+struct ZigguratPaths {
+  int wedge = 0;          ///< wedge tests made (retries included)
+  int wedge_rejects = 0;  ///< wedge tests that drew a fresh word
+  int tail = 0;           ///< layer-0 words resolved in the tail beyond R
+  int tail_rejects = 0;   ///< rejected tail (t, y) pairs
+};
+
+/// Test-local scalar oracle of the block normal stream, written from its
+/// definition in rng.hpp: n sequential uniform_bits() words, each decoded
+/// into (layer, u) and accepted against the shared tables, then the wedge
+/// and tail samples resolved in index order with further sequential draws.
+std::vector<double> ziggurat_oracle(Rng& rng, std::size_t n, ZigguratPaths& paths) {
+  const auto& z = resloc::math::NormalZiggurat::get();
+  const double r = resloc::math::NormalZiggurat::kTailStart;
+  std::vector<std::uint64_t> words(n);
+  for (std::uint64_t& w : words) w = rng.uniform_bits();
+  std::vector<double> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    std::uint64_t w = words[k];
+    for (;;) {
+      const auto layer = static_cast<std::size_t>(w % 256);
+      const double j = static_cast<double>(w >> 8);  // 45 bits, exact
+      const double u = (2.0 * j + 1.0 - 0x1.0p45) / 0x1.0p45;
+      if (std::fabs(u) < z.ratio[layer]) {
+        out[k] = u * z.x[layer];
+        break;
+      }
+      if (layer == 0) {
+        ++paths.tail;
+        double t = -std::log(1.0 - rng.uniform()) / r;
+        double y = -std::log(1.0 - rng.uniform());
+        while (2.0 * y < t * t) {
+          ++paths.tail_rejects;
+          t = -std::log(1.0 - rng.uniform()) / r;
+          y = -std::log(1.0 - rng.uniform());
+        }
+        out[k] = u < 0.0 ? -(r + t) : r + t;
+        break;
+      }
+      ++paths.wedge;
+      const double x = u * z.x[layer];
+      const double height = z.f[layer] + rng.uniform() * (z.f[layer + 1] - z.f[layer]);
+      if (height < std::exp(-0.5 * x * x)) {
+        out[k] = x;
+        break;
+      }
+      ++paths.wedge_rejects;
+      w = rng.uniform_bits();
+    }
+  }
+  return out;
+}
+
+TEST(RngBlocks, GaussianBlockMatchesZigguratOracleAndKeepsCachedHalf) {
+  // kBlockSizes for the tails and group strides, plus one long block so the
+  // fixture reaches the rare tail path (~2.6e-4 of words) and its retries.
+  std::vector<std::size_t> sizes(std::begin(kBlockSizes), std::end(kBlockSizes));
+  sizes.push_back(std::size_t{1} << 18);
+  ZigguratPaths paths;
+  for (std::size_t n : sizes) {
     for (int warmup = 0; warmup < 2; ++warmup) {
       Rng a(0x9e3779b9u, 3 + n);
       Rng b(0x9e3779b9u, 3 + n);
+      double pending_half = 0.0;
       if (warmup) {
-        // Leave a Box-Muller cached second normal pending before the block.
-        const double wa = a.gaussian();
-        const double wb = b.gaussian();
-        ASSERT_EQ(wa, wb);
+        // Leave a Box-Muller cached second normal pending before the block;
+        // a third generator reveals its value.
+        Rng c(0x9e3779b9u, 3 + n);
+        c.gaussian();
+        pending_half = c.gaussian();
+        ASSERT_EQ(a.gaussian(), b.gaussian());
       }
       std::vector<double> block(n, 0.0);
       a.fill_gaussian_block(block.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double expect = b.gaussian(0.0, 1.0);
-        ASSERT_EQ(std::memcmp(&block[i], &expect, sizeof(double)), 0)
-            << "n=" << n << " warmup=" << warmup << " i=" << i;
+      const std::vector<double> expect = ziggurat_oracle(b, n, paths);
+      ASSERT_EQ(std::memcmp(block.data(), expect.data(), n * sizeof(double)), 0)
+          << "n=" << n << " warmup=" << warmup;
+      if (warmup) {
+        // The block neither consumed nor cleared the pending half.
+        const double after = a.gaussian();
+        ASSERT_EQ(std::memcmp(&after, &pending_half, sizeof(double)), 0) << "n=" << n;
+        ASSERT_EQ(b.gaussian(), pending_half);
       }
-      for (int i = 0; i < 4; ++i) ASSERT_EQ(a.gaussian(), b.gaussian());
+      // Post-call state: the next draws must agree too.
+      for (int i = 0; i < 8; ++i) ASSERT_EQ(a.uniform_bits(), b.uniform_bits()) << "n=" << n;
+      for (int i = 0; i < 4; ++i) ASSERT_EQ(a.gaussian(), b.gaussian()) << "n=" << n;
     }
   }
+  // The fixture must exercise both slow paths and both of their retry loops,
+  // or the oracle proves little.
+  EXPECT_GE(paths.wedge, 1);
+  EXPECT_GE(paths.wedge_rejects, 1);
+  EXPECT_GE(paths.tail, 1);
+  EXPECT_GE(paths.tail_rejects, 1);
 }
 
 TEST(RngBlocks, BernoulliThresholdSplitsExactlyLikeUniformCompare) {

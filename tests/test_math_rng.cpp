@@ -79,6 +79,104 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(resloc::math::stddev(draws), 3.0, 0.08);
 }
 
+// --- The block normal stream (ziggurat) against N(0, 1) ---
+
+/// 2^21 standard normals from fill_gaussian_block, drawn in the window-sized
+/// blocks the sampled-audio detectors use.
+const std::vector<double>& block_normals() {
+  static const std::vector<double> draws = [] {
+    constexpr std::size_t kDraws = std::size_t{1} << 21;
+    constexpr std::size_t kBlock = 1163;
+    std::vector<double> out(kDraws);
+    Rng rng(0x2A61);
+    for (std::size_t at = 0; at < kDraws; at += kBlock) {
+      rng.fill_gaussian_block(out.data() + at, std::min(kBlock, kDraws - at));
+    }
+    return out;
+  }();
+  return draws;
+}
+
+double standard_normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+TEST(RngGaussianBlock, MomentsMatchStandardNormal) {
+  const std::vector<double>& z = block_normals();
+  const double n = static_cast<double>(z.size());
+  double s1 = 0.0;
+  for (double v : z) s1 += v;
+  const double mean = s1 / n;
+  double m2 = 0.0, m3 = 0.0, m4 = 0.0;
+  for (double v : z) {
+    const double d = v - mean;
+    const double d2 = d * d;
+    m2 += d2;
+    m3 += d2 * d;
+    m4 += d2 * d2;
+  }
+  m2 /= n;
+  m3 /= n;
+  m4 /= n;
+  // Bounds are ~5 standard errors at n = 2^21: sqrt(1/n), sqrt(2/n),
+  // sqrt(6/n) and sqrt(24/n) for mean, variance, skew and kurtosis.
+  EXPECT_NEAR(mean, 0.0, 5.0 * std::sqrt(1.0 / n));
+  EXPECT_NEAR(m2, 1.0, 5.0 * std::sqrt(2.0 / n));
+  EXPECT_NEAR(m3 / std::pow(m2, 1.5), 0.0, 5.0 * std::sqrt(6.0 / n));
+  EXPECT_NEAR(m4 / (m2 * m2), 3.0, 5.0 * std::sqrt(24.0 / n));
+}
+
+TEST(RngGaussianBlock, KolmogorovSmirnovAgainstPhi) {
+  // The exact statistic needs a sort; a 2^16-bin histogram over [-8, 8]
+  // gives an upper bound on it instead: inside bin [e_b, e_b+1) the
+  // empirical CDF lies in [C_b, C_b+1] / n and Phi in [Phi(e_b), Phi(e_b+1)],
+  // where C_b counts the draws below e_b. Testing the bound is only stricter.
+  const std::vector<double>& z = block_normals();
+  constexpr std::size_t kBins = std::size_t{1} << 16;
+  constexpr double kLo = -8.0;
+  constexpr double kWidth = 16.0 / static_cast<double>(kBins);
+  std::vector<std::size_t> hist(kBins, 0);
+  for (double v : z) {
+    const double pos = std::clamp((v - kLo) / kWidth, 0.0, static_cast<double>(kBins - 1));
+    ++hist[static_cast<std::size_t>(pos)];
+  }
+  const double n = static_cast<double>(z.size());
+  double d_upper = 0.0;
+  std::size_t below = 0;
+  double cdf_lo = standard_normal_cdf(kLo);
+  for (std::size_t b = 0; b < kBins; ++b) {
+    const double cdf_hi = standard_normal_cdf(kLo + static_cast<double>(b + 1) * kWidth);
+    const std::size_t below_next = below + hist[b];
+    d_upper = std::max({d_upper, static_cast<double>(below_next) / n - cdf_lo,
+                        cdf_hi - static_cast<double>(below) / n});
+    below = below_next;
+    cdf_lo = cdf_hi;
+  }
+  // The alpha = 0.001 critical value of the one-sample KS statistic.
+  EXPECT_LT(d_upper, 1.95 / std::sqrt(n)) << "D <= " << d_upper;
+}
+
+TEST(RngGaussianBlock, TailMassPastFourSigmaWithinPoissonBound) {
+  const std::vector<double>& z = block_normals();
+  // P(|Z| > t) = erfc(t / sqrt(2)); t = 4 lies beyond the ziggurat's
+  // R ~ 3.654, so this is the tail algorithm's mass, not the layers'.
+  const auto check = [&](double t) {
+    const double expected = static_cast<double>(z.size()) * std::erfc(t / std::sqrt(2.0));
+    const auto count = static_cast<double>(
+        std::count_if(z.begin(), z.end(), [t](double v) { return std::abs(v) > t; }));
+    EXPECT_NEAR(count, expected, 5.0 * std::sqrt(expected)) << "t = " << t;
+  };
+  check(4.0);
+  check(resloc::math::NormalZiggurat::kTailStart);
+}
+
+TEST(RngGaussianBlock, SignsAreSymmetric) {
+  const std::vector<double>& z = block_normals();
+  const auto positive =
+      static_cast<double>(std::count_if(z.begin(), z.end(), [](double v) { return v > 0.0; }));
+  const double n = static_cast<double>(z.size());
+  EXPECT_EQ(std::count(z.begin(), z.end(), 0.0), 0);  // the signed lattice never hits 0
+  EXPECT_NEAR(positive, 0.5 * n, 5.0 * 0.5 * std::sqrt(n));
+}
+
 TEST(Rng, BernoulliFrequency) {
   Rng rng(19);
   int hits = 0;
