@@ -112,9 +112,10 @@ std::map<std::string, NamedSweep> sweep_catalog() {
                           spec};
   }
   {  // The large-scale tier: campus_500 and city_1000 end to end, n x solver.
-     // Viable because the LSS soft constraint's active set is found by
-     // spatial-hash neighbor query (~O(n) per objective evaluation, see
-     // BENCH_lss.json) instead of the former O(n^2) all-pairs scan.
+     // Viable because the LSS soft constraint's active set is walked from a
+     // skin candidate list (an O(n) check per objective evaluation, rebuilt
+     // by spatial grid only when a node has moved; see BENCH_lss.json)
+     // instead of the former O(n^2) all-pairs scan.
     SweepSpec spec = synthetic_base("scale");
     spec.trials_per_cell = 2;
     spec.axes.scenarios = {"campus_500", "city_1000"};

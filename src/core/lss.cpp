@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <utility>
 
-#include "math/spatial_hash_grid.hpp"
+#include "core/lss_objective.hpp"
 #include "obs/telemetry.hpp"
 
 namespace resloc::core {
@@ -16,182 +16,196 @@ namespace {
 
 constexpr double kMinSeparation = 1e-9;  // guards the 1/dcomp gradient factor
 
-/// The stress objective over parameters [x_0..x_{n-1}, y_0..y_{n-1}]: the
-/// measured-edge term plus the minimum-spacing soft constraint over
-/// unmeasured pairs (Section 4.2.1). A concrete callable rather than a
-/// std::function: the optimizer evaluates it ~10^5 times per solve, and the
-/// spatial-hash scratch below must persist across evaluations.
-///
-/// The soft constraint's active set -- unmeasured pairs currently placed
-/// closer than d_min -- is found by a spatial-hash neighbor query (~O(n) per
-/// evaluation) instead of scanning all n(n-1)/2 pairs. Both paths visit the
-/// active pairs in identical (i, j) lexicographic order and run identical
-/// per-pair arithmetic, so their error and gradient are bit-equal; `fixed`
-/// marks nodes whose gradient entries are zeroed (anchored mode).
-class StressObjective {
- public:
-  StressObjective(const MeasurementSet& measurements, const LssOptions& options,
-                  std::vector<bool> fixed)
-      : measurements_(measurements),
-        options_(options),
-        fixed_(std::move(fixed)),
-        n_(measurements.node_count()) {}
+}  // namespace
 
-  double operator()(const std::vector<double>& p, std::vector<double>& grad) {
-    for (double& g : grad) g = 0.0;
-    double error = 0.0;
+namespace detail {
 
-    // Measured-edge term: w_ij (dcomp - d_ij)^2.
-    for (const DistanceEdge& e : measurements_.edges()) {
-      const double dx = p[e.i] - p[e.j];
-      const double dy = p[n_ + e.i] - p[n_ + e.j];
-      const double dcomp = std::max(std::sqrt(dx * dx + dy * dy), kMinSeparation);
-      const double residual = dcomp - e.distance_m;
-      error += e.weight * residual * residual;
-      const double scale = 2.0 * e.weight * residual / dcomp;
-      grad[e.i] += scale * dx;
-      grad[e.j] -= scale * dx;
-      grad[n_ + e.i] += scale * dy;
-      grad[n_ + e.j] -= scale * dy;
-    }
+StressObjective::StressObjective(const MeasurementSet& measurements, const LssOptions& options,
+                                 std::vector<NodeId> fixed)
+    : measurements_(measurements),
+      options_(options),
+      fixed_(std::move(fixed)),
+      n_(measurements.node_count()),
+      use_list_(options.min_spacing_m.has_value() && !options.dense_constraint_scan) {
+  if (!options_.min_spacing_m.has_value()) return;
+  dmin_ = *options_.min_spacing_m;
+  dmin_sq_ = dmin_ * dmin_;
+  if (use_list_) skin_ = kSkinFraction * dmin_;
+}
 
-    // Soft minimum-spacing constraint over *unmeasured* pairs placed closer
-    // than d_min: w_D (dcomp - d_min)^2. The active set changes dynamically
-    // as the configuration moves (Section 4.2.1).
-    if (options_.min_spacing_m.has_value()) {
-      if (options_.dense_constraint_scan) {
-        error = accumulate_constraint_dense(p, grad, error);
-      } else {
-        error = accumulate_constraint_grid(p, grad, error);
-      }
-    }
+double StressObjective::operator()(const std::vector<double>& p, std::vector<double>& grad) {
+  for (double& g : grad) g = 0.0;
+  double error = 0.0;
 
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (fixed_[i]) {
-        grad[i] = 0.0;
-        grad[n_ + i] = 0.0;
-      }
-    }
-    // Edge-term vs constraint-stage split per evaluation: the two tallies
-    // ROADMAP items 1 and 5 read to see where an LSS solve's work goes.
-    obs::add(obs::Counter::kLssEdgeTerms, measurements_.edges().size());
-    obs::add(obs::Counter::kLssConstraintPairs, active_pairs_);
-    active_pairs_ = 0;
-    return error;
+  // Measured-edge term: w_ij (dcomp - d_ij)^2.
+  for (const DistanceEdge& e : measurements_.edges()) {
+    const double dx = p[e.i] - p[e.j];
+    const double dy = p[n_ + e.i] - p[n_ + e.j];
+    const double dcomp = std::max(std::sqrt(dx * dx + dy * dy), kMinSeparation);
+    const double residual = dcomp - e.distance_m;
+    error += e.weight * residual * residual;
+    const double scale = 2.0 * e.weight * residual / dcomp;
+    grad[e.i] += scale * dx;
+    grad[e.j] -= scale * dx;
+    grad[n_ + e.i] += scale * dy;
+    grad[n_ + e.j] -= scale * dy;
   }
 
- private:
-  /// One active pair's contribution. Shared verbatim by both scan paths --
-  /// the bit-equivalence guarantee reduces to visiting pairs in the same
-  /// order.
-  double accumulate_pair(const std::vector<double>& p, std::vector<double>& grad,
-                         double error, NodeId i, NodeId j, double dmin, double dmin_sq,
-                         double wd) const {
+  // Soft minimum-spacing constraint over *unmeasured* pairs placed closer
+  // than d_min: w_D (dcomp - d_min)^2. The active set changes dynamically
+  // as the configuration moves (Section 4.2.1).
+  if (use_list_) {
+    error = accumulate_constraint_list(p, grad, error);
+  } else if (options_.min_spacing_m.has_value()) {
+    error = accumulate_constraint_dense(p, grad, error);
+  }
+
+  for (const NodeId i : fixed_) {
+    grad[i] = 0.0;
+    grad[n_ + i] = 0.0;
+  }
+  // Edge-term vs constraint-stage split per evaluation: the two tallies
+  // ROADMAP items 1 and 5 read to see where an LSS solve's work goes.
+  obs::add(obs::Counter::kLssEdgeTerms, measurements_.edges().size());
+  obs::add(obs::Counter::kLssConstraintPairs, active_pairs_);
+  active_pairs_ = 0;
+  return error;
+}
+
+/// One active pair's contribution, given the pair's already-computed offset.
+/// Shared verbatim by both scan paths -- the bit-equivalence guarantee
+/// reduces to visiting the same active pairs in the same order.
+double StressObjective::add_violation(std::vector<double>& grad, double error, std::size_t i,
+                                      std::size_t j, double dx, double dy, double d_sq) {
+  ++active_pairs_;
+  const double dcomp = std::max(std::sqrt(d_sq), kMinSeparation);
+  const double residual = dcomp - dmin_;
+  const double wd = options_.constraint_weight;
+  error += wd * residual * residual;
+  const double scale = 2.0 * wd * residual / dcomp;
+  grad[i] += scale * dx;
+  grad[j] -= scale * dx;
+  grad[n_ + i] += scale * dy;
+  grad[n_ + j] -= scale * dy;
+  return error;
+}
+
+/// Reference path: scan all unordered pairs (the seed implementation).
+double StressObjective::accumulate_constraint_dense(const std::vector<double>& p,
+                                                    std::vector<double>& grad, double error) {
+  for (NodeId i = 0; i + 1 < n_; ++i) {
+    for (NodeId j = i + 1; j < n_; ++j) {
+      const double dx = p[i] - p[j];
+      const double dy = p[n_ + i] - p[n_ + j];
+      const double d_sq = dx * dx + dy * dy;
+      if (d_sq >= dmin_sq_) continue;             // constraint satisfied
+      if (measurements_.has(i, j)) continue;      // measured pairs are exempt
+      error = add_violation(grad, error, i, j, dx, dy, d_sq);
+    }
+  }
+  return error;
+}
+
+/// Production path: walk the skin list with the dense scan's per-pair test.
+/// Measured pairs never enter the list, so the walk needs no exemption
+/// lookup; pairs the list holds but that sit at or beyond d_min are skipped
+/// by the same `d_sq >= dmin_sq` test the dense scan applies.
+double StressObjective::accumulate_constraint_list(const std::vector<double>& p,
+                                                   std::vector<double>& grad, double error) {
+  if (list_is_stale(p)) build_list(p);
+  for (const std::uint64_t pair : list_) {
+    const std::size_t i = pair >> 32;
+    const std::size_t j = pair & 0xffffffffu;
     const double dx = p[i] - p[j];
     const double dy = p[n_ + i] - p[n_ + j];
     const double d_sq = dx * dx + dy * dy;
-    if (d_sq >= dmin_sq) return error;       // constraint satisfied
-    if (measurements_.has(i, j)) return error;  // measured pairs are exempt
-    ++active_pairs_;
-    const double dcomp = std::max(std::sqrt(d_sq), kMinSeparation);
-    const double residual = dcomp - dmin;
-    error += wd * residual * residual;
-    const double scale = 2.0 * wd * residual / dcomp;
-    grad[i] += scale * dx;
-    grad[j] -= scale * dx;
-    grad[n_ + i] += scale * dy;
-    grad[n_ + j] -= scale * dy;
-    return error;
+    if (d_sq >= dmin_sq_) continue;
+    error = add_violation(grad, error, i, j, dx, dy, d_sq);
+  }
+  return error;
+}
+
+/// True when the list no longer covers the active set: no list yet, or some
+/// node has moved at least skin/2 from where the list was built. Two nodes
+/// each under skin/2 close a gap by under one skin, so a pair that was at or
+/// beyond d_min + skin at build time is still beyond d_min. The test is
+/// negated so a NaN or infinite displacement always rebuilds.
+bool StressObjective::list_is_stale(const std::vector<double>& p) const {
+  if (ref_.size() != p.size()) return true;
+  const double limit = 0.5 * skin_ * (1.0 - kSlack);
+  const double limit_sq = limit * limit;
+  bool stale = false;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double dx = p[i] - ref_[i];
+    const double dy = p[n_ + i] - ref_[n_ + i];
+    stale |= !(dx * dx + dy * dy < limit_sq);
+  }
+  return stale;
+}
+
+/// Rebuilds the list at `p`: bucket the configuration into cells of side
+/// d_min + skin (any pair within that reach shares a 3x3 cell
+/// neighborhood), keep the candidates within reach, order them (i asc,
+/// j asc) as the dense scan visits pairs, and drop the measured ones.
+void StressObjective::build_list(const std::vector<double>& p) {
+  ++rebuilds_;
+  obs::add(obs::Counter::kLssNeighborRebuilds);
+  ref_ = p;
+  const double reach = (dmin_ + skin_) * (1.0 + kSlack);
+  const double reach_sq = reach * reach;
+  grid_.rebuild(p.data(), p.data() + n_, n_, reach);
+  pairs_.clear();
+  pairs_.reserve(2 * n_);  // ~1-2 per node at any sane density; one allocation
+  grid_.for_each_candidate_pair([this, &p, reach_sq](std::size_t i, std::size_t j) {
+    const double dx = p[i] - p[j];
+    const double dy = p[n_ + i] - p[n_ + j];
+    if (dx * dx + dy * dy >= reach_sq) return;
+    pairs_.push_back((static_cast<std::uint64_t>(i) << 32) | j);
+  });
+
+  // Counting sort by i, then one insertion sort over the whole list: the
+  // scatter leaves it grouped by ascending i, so the insertion sort only
+  // moves entries within a group -- a handful of js each.
+  counts_.assign(n_ + 1, 0);
+  for (const std::uint64_t pair : pairs_) ++counts_[(pair >> 32) + 1];
+  for (std::size_t i = 1; i <= n_; ++i) counts_[i] += counts_[i - 1];
+  list_.resize(pairs_.size());
+  for (const std::uint64_t pair : pairs_) list_[counts_[pair >> 32]++] = pair;
+  for (std::size_t a = 1; a < list_.size(); ++a) {
+    const std::uint64_t v = list_[a];
+    std::size_t b = a;
+    while (b > 0 && list_[b - 1] > v) {
+      list_[b] = list_[b - 1];
+      --b;
+    }
+    list_[b] = v;
   }
 
-  /// Reference path: scan all unordered pairs (the seed implementation).
-  double accumulate_constraint_dense(const std::vector<double>& p, std::vector<double>& grad,
-                                     double error) {
-    const double dmin = *options_.min_spacing_m;
-    const double dmin_sq = dmin * dmin;
-    const double wd = options_.constraint_weight;
-    for (NodeId i = 0; i + 1 < n_; ++i) {
-      for (NodeId j = i + 1; j < n_; ++j) {
-        error = accumulate_pair(p, grad, error, i, j, dmin, dmin_sq, wd);
-      }
+  // Drop the measured pairs. In ascending-i order consecutive lookups share
+  // or neighbor an adjacency row, which keeps this scan cache-friendly; done
+  // per candidate in the sweep's spatial order it cost more than the grid.
+  std::size_t kept = 0;
+  for (const std::uint64_t pair : list_) {
+    const auto i = static_cast<NodeId>(pair >> 32);
+    const auto j = static_cast<NodeId>(pair & 0xffffffffu);
+    bool measured = false;
+    for (const auto& [neighbor, edge_index] : measurements_.incident(i)) {
+      measured |= neighbor == j;
     }
-    return error;
+    if (!measured) list_[kept++] = pair;
   }
+  list_.resize(kept);
+}
 
-  /// Fast path: bucket the configuration into cells of side d_min, sweep out
-  /// the pairs sharing a 3x3 cell neighborhood -- a superset of the active
-  /// set -- and replay them in the dense scan's (i asc, j asc) order, keeping
-  /// the result bit-equal. The replay order is restored by a counting bucket
-  /// per i plus tiny per-bucket insertion sorts (a comparison sort over all
-  /// candidates was measurably the stage's dominant cost). The candidate
-  /// count is ~O(n) at any realistic density, so the whole stage is
-  /// ~O(n) per evaluation versus the dense scan's O(n^2).
-  double accumulate_constraint_grid(const std::vector<double>& p, std::vector<double>& grad,
-                                    double error) {
-    const double dmin = *options_.min_spacing_m;
-    const double dmin_sq = dmin * dmin;
-    const double wd = options_.constraint_weight;
-    grid_.rebuild(p.data(), p.data() + n_, n_, dmin);
-    // Emit only the *active* pairs: the violation test is pure per-pair
-    // arithmetic, so applying it in spatial emission order changes nothing
-    // bit-wise, and it shrinks the ordering stage below from ~3 candidates
-    // per node to the usually near-empty active set.
-    pairs_.clear();
-    grid_.for_each_candidate_pair([this, &p, dmin_sq](std::size_t i, std::size_t j) {
-      const double dx = p[i] - p[j];
-      const double dy = p[n_ + i] - p[n_ + j];
-      if (dx * dx + dy * dy >= dmin_sq) return;
-      if (measurements_.has(static_cast<NodeId>(i), static_cast<NodeId>(j))) return;
-      pairs_.push_back((static_cast<std::uint64_t>(i) << 32) | j);
-    });
+}  // namespace detail
 
-    // Counting sort by i: offsets_[i] walks from the start to the end of
-    // node i's slice of js_ as the scatter fills it.
-    offsets_.assign(n_ + 1, 0);
-    for (const std::uint64_t pair : pairs_) ++offsets_[(pair >> 32) + 1];
-    for (std::size_t i = 1; i <= n_; ++i) offsets_[i] += offsets_[i - 1];
-    js_.resize(pairs_.size());
-    for (const std::uint64_t pair : pairs_) {
-      js_[offsets_[pair >> 32]++] = static_cast<std::uint32_t>(pair & 0xffffffffu);
-    }
-
-    std::size_t begin = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::size_t end = offsets_[i];  // post-scatter: end of i's slice
-      for (std::size_t a = begin + 1; a < end; ++a) {  // insertion sort the js
-        const std::uint32_t v = js_[a];
-        std::size_t b = a;
-        while (b > begin && js_[b - 1] > v) {
-          js_[b] = js_[b - 1];
-          --b;
-        }
-        js_[b] = v;
-      }
-      for (std::size_t a = begin; a < end; ++a) {
-        error = accumulate_pair(p, grad, error, static_cast<NodeId>(i), js_[a], dmin, dmin_sq,
-                                wd);
-      }
-      begin = end;
-    }
-    return error;
-  }
-
-  const MeasurementSet& measurements_;
-  const LssOptions options_;
-  const std::vector<bool> fixed_;
-  const std::size_t n_;
-  mutable std::uint64_t active_pairs_ = 0;  // active constraint pairs this evaluation
-  resloc::math::SpatialHashGrid grid_;   // rebuilt every evaluation, alloc-free
-  std::vector<std::uint64_t> pairs_;     // candidate pairs, packed (i << 32) | j
-  std::vector<std::uint32_t> offsets_;   // counting-sort scratch (per-i slice bounds)
-  std::vector<std::uint32_t> js_;        // candidate js, grouped by i
-};
+namespace {
 
 LssResult run(const MeasurementSet& measurements, std::vector<double> initial,
-              std::vector<bool> fixed, const LssOptions& options, resloc::math::Rng& rng) {
+              std::vector<NodeId> fixed, const LssOptions& options, resloc::math::Rng& rng) {
   RESLOC_SPAN("solver/lss_solve");
   const std::size_t n = measurements.node_count();
-  StressObjective objective(measurements, options, std::move(fixed));
+  detail::StressObjective objective(measurements, options, std::move(fixed));
   const auto gd_result = resloc::math::minimize_with_restarts(objective, std::move(initial),
                                                               options.gd, options.restarts, rng);
   LssResult result;
@@ -224,8 +238,8 @@ double lss_stress_with_gradient(const MeasurementSet& measurements,
     p[i] = positions[i].x;
     p[n + i] = positions[i].y;
   }
-  grad.assign(2 * n, 0.0);
-  StressObjective objective(measurements, options, std::vector<bool>(n, false));
+  grad.resize(2 * n);  // the objective zeroes it
+  detail::StressObjective objective(measurements, options, {});
   return objective(p, grad);
 }
 
@@ -271,7 +285,7 @@ LssResult localize_lss_from(const MeasurementSet& measurements, std::vector<Vec2
     p[i] = initial[i].x;
     p[n + i] = initial[i].y;
   }
-  return run(measurements, std::move(p), std::vector<bool>(n, false), options, rng);
+  return run(measurements, std::move(p), {}, options, rng);
 }
 
 LssResult localize_lss_anchored(const MeasurementSet& measurements,
@@ -279,7 +293,7 @@ LssResult localize_lss_anchored(const MeasurementSet& measurements,
                                 const LssOptions& options, resloc::math::Rng& rng) {
   const std::size_t n = measurements.node_count();
   std::vector<double> p(2 * n, 0.0);
-  std::vector<bool> fixed(n, false);
+  std::vector<NodeId> fixed;
   for (std::size_t i = 0; i < n; ++i) {
     p[i] = rng.uniform(0.0, options.init_box_m);
     p[n + i] = rng.uniform(0.0, options.init_box_m);
@@ -287,7 +301,7 @@ LssResult localize_lss_anchored(const MeasurementSet& measurements,
   for (const auto& [id, pos] : anchors) {
     p[id] = pos.x;
     p[n + id] = pos.y;
-    fixed[id] = true;
+    fixed.push_back(id);
   }
   return run(measurements, std::move(p), std::move(fixed), options, rng);
 }

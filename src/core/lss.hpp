@@ -65,11 +65,15 @@ struct LssOptions {
   double target_stress_per_edge = 0.0;
 
   /// When true, the soft constraint's active set is found by the original
-  /// dense all-pairs scan (O(n^2) per objective evaluation) instead of the
-  /// spatial-hash neighbor query (~O(n)). The two paths are bit-equivalent --
-  /// same error, same gradient, down to the last ulp (locked by the
-  /// dense-vs-grid test in tests/test_lss_scale.cpp) -- so this exists only
-  /// for that test and as a reference when debugging the grid.
+  /// dense all-pairs scan (O(n^2) per objective evaluation, with a
+  /// MeasurementSet::has lookup per sub-d_min pair) instead of the skin
+  /// candidate list (an O(n) displacement check per evaluation, plus an
+  /// O(n + candidates) spatial-grid rebuild whenever some node has moved half
+  /// a skin). The two paths are bit-equivalent -- same error, same gradient,
+  /// same active-pair count, down to the last ulp, for one-shot evaluations
+  /// and for a list reused across a descent (locked by tests/test_lss_scale.cpp)
+  /// -- so this exists only for those tests, bench_lss_scale's baseline, and
+  /// as a reference when debugging the list.
   bool dense_constraint_scan = false;
 };
 
@@ -95,9 +99,9 @@ double lss_stress(const MeasurementSet& measurements, const std::vector<resloc::
 
 /// Evaluates stress AND its gradient at the given configuration. `grad` is
 /// resized to 2n and laid out like the solver's parameter vector:
-/// [dE/dx_0 .. dE/dx_{n-1}, dE/dy_0 .. dE/dy_{n-1}]. Exposed for the
-/// finite-difference gradient checks, the dense-vs-grid equivalence test, and
-/// bench_lss_scale.
+/// [dE/dx_0 .. dE/dx_{n-1}, dE/dy_0 .. dE/dy_{n-1}]. One-shot: builds the
+/// skin list once for this configuration. Exposed for the finite-difference
+/// gradient checks, the dense-vs-list equivalence tests, and bench_lss_scale.
 double lss_stress_with_gradient(const MeasurementSet& measurements,
                                 const std::vector<resloc::math::Vec2>& positions,
                                 const LssOptions& options, std::vector<double>& grad);

@@ -73,6 +73,14 @@ class MeasurementSet {
   /// edges would turn into O(n * |E|) at campaign scale.
   std::vector<std::pair<NodeId, double>> neighbors(NodeId id) const;
 
+  /// The adjacency index row of `id`: (neighbor, index into edges()) per
+  /// measured edge, in insertion order; empty for ids without edges. The
+  /// allocation-free form of neighbors() for hot membership tests.
+  const std::vector<std::pair<NodeId, std::size_t>>& incident(NodeId id) const {
+    static const std::vector<std::pair<NodeId, std::size_t>> kNone;
+    return id < adjacency_.size() ? adjacency_[id] : kNone;
+  }
+
   /// Number of measured edges incident to `id` (O(1)).
   std::size_t degree(NodeId id) const {
     return id < adjacency_.size() ? adjacency_[id].size() : 0;

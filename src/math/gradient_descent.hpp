@@ -9,8 +9,8 @@
 // The objective is a callable that fills the gradient and returns the error.
 // minimize() and minimize_with_restarts() are templates over the callable's
 // concrete type: the LSS stress objective is evaluated ~10^5 times per solve
-// and carries per-evaluation scratch (a spatial hash of the configuration),
-// so the call must inline rather than go through std::function dispatch. The
+// and carries state across evaluations (its skin candidate list), so the
+// call must inline rather than go through std::function dispatch. The
 // `Objective` alias remains for callers that want type erasure (tests, stored
 // callbacks); passing one simply instantiates the template with it.
 #pragma once

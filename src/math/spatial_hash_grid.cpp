@@ -35,6 +35,8 @@ void SpatialHashGrid::rebuild(const double* xs, const double* ys, std::size_t n,
   const double inv_cell = 1.0 / cell_size;
   std::uint64_t min_row = ~std::uint64_t{0};
   std::uint64_t max_row = 0;
+  std::uint64_t min_col = ~std::uint64_t{0};
+  std::uint64_t max_col = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t row = biased_coord(ys[i], inv_cell);
     const std::uint64_t col = biased_coord(xs[i], inv_cell);
@@ -42,54 +44,36 @@ void SpatialHashGrid::rebuild(const double* xs, const double* ys, std::size_t n,
     entries_[i] = (row << (2 * kCoordBits)) | (col << kCoordBits) | i;
     min_row = std::min(min_row, row);
     max_row = std::max(max_row, row);
+    min_col = std::min(min_col, col);
+    max_col = std::max(max_col, col);
   }
   if (n == 0) return;
 
   // Sorting the packed words is the rebuild's dominant cost, and a
-  // comparison sort pays ~n log n branchy compares per evaluation. Real
-  // configurations occupy a band of rows proportional to the field height,
-  // so a counting sort over rows followed by small per-row sorts is ~2-4x
-  // cheaper; widely scattered rows (diverged descent) fall back to one
-  // comparison sort.
-  const std::uint64_t row_range = max_row - min_row + 1;
-  if (row_range > 4 * n + 16) {
+  // comparison sort pays ~n log n branchy compares per rebuild. Real
+  // configurations occupy a block of cells proportional to the field area,
+  // so a counting sort over that block -- scattering points in id order,
+  // which leaves each cell's ids ascending -- produces the (row, col, id)
+  // order with no comparisons at all. Up to 16 cells per point -- enough
+  // for bench_campaign_scale's sparse 8.5 km wide-area field -- the block's
+  // prefix pass stays cheaper than a comparison sort; points scattered wider
+  // still (a diverged descent) fall back to one. rows * cols <= 2^42.
+  const std::uint64_t rows = max_row - min_row + 1;
+  const std::uint64_t cols = max_col - min_col + 1;
+  if (rows * cols > 16 * static_cast<std::uint64_t>(n) + 64) {
     std::sort(entries_.begin(), entries_.end());
     return;
   }
-  row_offsets_.assign(static_cast<std::size_t>(row_range) + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    ++row_offsets_[static_cast<std::size_t>((entries_[i] >> (2 * kCoordBits)) - min_row) + 1];
-  }
-  for (std::size_t r = 1; r < row_offsets_.size(); ++r) row_offsets_[r] += row_offsets_[r - 1];
+  const auto block_index = [&](std::size_t i) {
+    return static_cast<std::size_t>(((cell_of_[i] >> kCoordBits) - min_row) * cols +
+                                    ((cell_of_[i] & kCoordMask) - min_col));
+  };
+  cell_offsets_.assign(static_cast<std::size_t>(rows * cols) + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++cell_offsets_[block_index(i) + 1];
+  for (std::size_t c = 1; c < cell_offsets_.size(); ++c) cell_offsets_[c] += cell_offsets_[c - 1];
   scratch_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto r = static_cast<std::size_t>((entries_[i] >> (2 * kCoordBits)) - min_row);
-    scratch_[row_offsets_[r]++] = entries_[i];
-  }
+  for (std::size_t i = 0; i < n; ++i) scratch_[cell_offsets_[block_index(i)]++] = entries_[i];
   entries_.swap(scratch_);
-  // row_offsets_[r] now marks the end of row r's span; sort each row by
-  // (col, id). Rows are a handful of points, so insertion sort wins there;
-  // clustered configurations degrade gracefully to std::sort.
-  std::size_t begin = 0;
-  for (std::size_t r = 0; r < static_cast<std::size_t>(row_range); ++r) {
-    const std::size_t end = row_offsets_[r];
-    const std::size_t len = end - begin;
-    if (len > 32) {
-      std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(begin),
-                entries_.begin() + static_cast<std::ptrdiff_t>(end));
-    } else if (len > 1) {
-      for (std::size_t a = begin + 1; a < end; ++a) {
-        const std::uint64_t v = entries_[a];
-        std::size_t b = a;
-        while (b > begin && entries_[b - 1] > v) {
-          entries_[b] = entries_[b - 1];
-          --b;
-        }
-        entries_[b] = v;
-      }
-    }
-    begin = end;
-  }
 }
 
 std::size_t SpatialHashGrid::row_span_begin(std::int64_t r, std::int64_t col_from) const {

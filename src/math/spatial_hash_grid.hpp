@@ -1,20 +1,22 @@
 // Uniform spatial grid over 2-D points.
 //
-// Built for the LSS solvers' minimum-spacing soft constraint (Section 4.2.1):
-// every objective evaluation must find the dynamic active set of point pairs
-// closer than d_min. A dense scan is O(n^2) per evaluation; bucketing points
-// into square cells of side d_min reduces it to O(n log n + candidate pairs),
-// because any pair within d_min of each other is guaranteed to land in the
-// same or an adjacent cell (|dx| < cell implies cell indices differ by at
-// most 1).
+// Built for the LSS solvers' minimum-spacing soft constraint (Section 4.2.1)
+// and reused by the measurement front end's in-range pair enumeration
+// (math::GridPairEnumerator). Both need every point pair within some radius
+// r. A dense scan is O(n^2); bucketing points into square cells of side r
+// reduces it to O(n + candidate pairs), because any pair within r of each
+// other is guaranteed to land in the same or an adjacent cell (|dx| < cell
+// implies cell indices differ by at most 1).
 //
-// The grid is rebuilt from scratch on every evaluation -- configurations move
-// each gradient step -- so the implementation is tuned for rebuild + one
-// enumeration pass, not for incremental updates: each point's (row, col, id)
-// is packed into one 64-bit word and the words are sorted. Candidate pairs
-// then fall out of a single merge-sweep over adjacent rows with no hashing
-// and no per-point queries; all storage is reused across rebuilds, so
-// steady-state rebuilds are allocation-free.
+// The LSS objective rebuilds the grid only when its skin candidate list goes
+// stale (some node has moved half a skin since the last build), and the
+// front end once per campaign, so the implementation is tuned for rebuild +
+// one enumeration pass, not for incremental updates: each point's
+// (row, col, id) is packed into one 64-bit word and the words are
+// counting-sorted by cell. Candidate pairs then fall out of a single
+// merge-sweep over adjacent rows with no hashing and no per-point queries;
+// all storage is reused across rebuilds, so steady-state rebuilds are
+// allocation-free.
 #pragma once
 
 #include <cstddef>
@@ -136,7 +138,7 @@ class SpatialHashGrid {
   std::size_t count_ = 0;
   std::vector<std::uint64_t> entries_;  ///< (row << 42) | (col << 21) | id, sorted
   std::vector<std::uint64_t> cell_of_;  ///< per point: (row << 21) | col
-  std::vector<std::uint32_t> row_offsets_;  ///< counting-sort scratch
+  std::vector<std::uint32_t> cell_offsets_;  ///< counting-sort scratch
   std::vector<std::uint64_t> scratch_;      ///< counting-sort scratch
 };
 

@@ -207,6 +207,7 @@ const char* counter_name(Counter c) {
     case Counter::kGdRestartRounds: return "gd_restart_rounds";
     case Counter::kLssEdgeTerms: return "lss_edge_terms";
     case Counter::kLssConstraintPairs: return "lss_constraint_pairs";
+    case Counter::kLssNeighborRebuilds: return "lss_neighbor_rebuilds";
     case Counter::kRunnerTrials: return "runner_trials";
     case Counter::kRunnerTrialFailures: return "runner_trial_failures";
     case Counter::kChannelCacheHits: return "channel_cache_hits";

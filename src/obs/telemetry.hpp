@@ -115,6 +115,7 @@ enum class Counter : std::uint32_t {
   kGdRestartRounds,      ///< perturbation-restart rounds
   kLssEdgeTerms,         ///< measured-edge terms evaluated by the stress objective
   kLssConstraintPairs,   ///< active min-spacing constraint pairs evaluated
+  kLssNeighborRebuilds,  ///< LSS soft-constraint skin-list builds
   kRunnerTrials,         ///< trials claimed from the runner's shared cursor
   kRunnerTrialFailures,  ///< trials that ended in an exception
   kChannelCacheHits,     ///< link responses served from sim::ChannelResponseCache

@@ -1,5 +1,5 @@
-// Locks the solver-scaling contract of the spatial-grid LSS rewrite:
-//   - the grid-backed soft-constraint path is BIT-equal to the dense
+// Locks the solver-scaling contract of the LSS soft-constraint rewrite:
+//   - the production (skin-list) soft-constraint path is BIT-equal to the dense
 //     all-pairs scan (error and every gradient component, to the last ulp),
 //   - the SpatialHashGrid's neighborhood/pair enumeration never misses a
 //     point pair within one cell size of each other,
@@ -7,20 +7,29 @@
 //     (so neither this rewrite nor a future objective edit can silently ship
 //     a wrong gradient),
 //   - the large-scale scenarios and the DV-hop-seeded pipeline mode work end
-//     to end at a few hundred nodes.
+//     to end at a few hundred nodes,
+//   - one long-lived objective reusing its skin list across a sequence of
+//     configurations is memcmp-identical to a fresh one-shot evaluation and
+//     to the dense scan at every step, and whole solves stay bit-equal to
+//     the dense scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
+#include "core/dv_hop.hpp"
 #include "core/lss.hpp"
+#include "core/lss_objective.hpp"
 #include "eval/metrics.hpp"
+#include "math/gradient_descent.hpp"
 #include "math/rng.hpp"
+#include "obs/telemetry.hpp"
 #include "math/spatial_hash_grid.hpp"
 #include "pipeline/localization_pipeline.hpp"
 #include "sim/deployments.hpp"
@@ -364,6 +373,266 @@ TEST(MeasurementSetAdjacency, ReplacementUpdatesDistanceWithoutDuplicates) {
   EXPECT_EQ(set.degree(2), 1u);
   EXPECT_EQ(set.degree(99), 0u);  // out of range: no neighbors, no throw
   EXPECT_TRUE(set.neighbors(99).empty());
+}
+
+// --- Skin-list reuse: long-lived objective == fresh one-shot == dense ---
+
+using resloc::core::detail::StressObjective;
+
+/// One evaluation's complete output: error, gradient, and the active
+/// constraint pairs it tallied (obs lss_constraint_pairs).
+struct Evaluation {
+  double error = 0.0;
+  std::vector<double> grad;
+  std::uint64_t active_pairs = 0;
+};
+
+Evaluation evaluate(StressObjective& objective, const std::vector<double>& p) {
+  namespace obs = resloc::obs;
+  obs::reset();
+  obs::set_enabled(true);
+  Evaluation out;
+  out.grad.assign(p.size(), 0.0);
+  out.error = objective(p, out.grad);
+  obs::set_enabled(false);
+  out.active_pairs = obs::snapshot().counter(obs::Counter::kLssConstraintPairs);
+  obs::reset();
+  return out;
+}
+
+Evaluation evaluate_fresh(const MeasurementSet& meas, const LssOptions& options,
+                          const std::vector<double>& p) {
+  StressObjective fresh(meas, options, {});
+  return evaluate(fresh, p);
+}
+
+Evaluation evaluate_dense(const MeasurementSet& meas, LssOptions options,
+                          const std::vector<double>& p) {
+  options.dense_constraint_scan = true;
+  return evaluate_fresh(meas, options, p);
+}
+
+/// Byte equality of error and gradient (memcmp, so NaN payloads and signed
+/// zeros count too) plus an equal active-pair tally.
+void expect_identical(const Evaluation& a, const Evaluation& b, const std::string& what) {
+  EXPECT_EQ(std::memcmp(&a.error, &b.error, sizeof(double)), 0)
+      << what << ": error " << a.error << " vs " << b.error;
+  ASSERT_EQ(a.grad.size(), b.grad.size()) << what;
+  EXPECT_EQ(std::memcmp(a.grad.data(), b.grad.data(), a.grad.size() * sizeof(double)), 0)
+      << what << ": gradients differ";
+  EXPECT_EQ(a.active_pairs, b.active_pairs) << what << ": active pairs";
+}
+
+/// Evaluates the long-lived objective at `p` and checks it against a fresh
+/// one-shot evaluation and (for finite configurations) the dense oracle.
+void expect_reuse_exact(StressObjective& reused, const MeasurementSet& meas,
+                        const LssOptions& options, const std::vector<double>& p,
+                        const std::string& what, bool against_dense = true) {
+  const Evaluation got = evaluate(reused, p);
+  expect_identical(got, evaluate_fresh(meas, options, p), what + " vs fresh");
+  if (against_dense) expect_identical(got, evaluate_dense(meas, options, p), what + " vs dense");
+}
+
+/// A 40-node random field with sparse measurements, started folded into a
+/// small box so the active set is busy and keeps changing as it unfolds.
+struct FoldedField {
+  MeasurementSet meas;
+  std::vector<double> start;
+};
+
+FoldedField folded_field() {
+  const std::size_t n = 40;
+  Rng rng(606);
+  std::vector<Vec2> truth(n);
+  for (auto& v : truth) v = Vec2{rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0)};
+  FoldedField f{MeasurementSet(n), std::vector<double>(2 * n)};
+  for (NodeId i = 0; i + 1 < n; ++i) {
+    for (NodeId j = i + 1; j < n; ++j) {
+      const double d = resloc::math::distance(truth[i], truth[j]);
+      if (d < 22.0) f.meas.add(i, j, d + rng.gaussian(0.0, 0.3));
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    f.start[i] = rng.uniform(0.0, 25.0);
+    f.start[n + i] = rng.uniform(0.0, 25.0);
+  }
+  return f;
+}
+
+TEST(LssSkinList, ReuseMatchesFreshAndDenseAlongARecordedDescent) {
+  const FoldedField f = folded_field();
+  const LssOptions options;
+  // Record every configuration a real descent evaluates (accepted steps and
+  // backtracks alike), then replay them through one long-lived objective.
+  std::vector<std::vector<double>> trace;
+  LssOptions dense_options = options;
+  dense_options.dense_constraint_scan = true;
+  StressObjective dense(f.meas, dense_options, {});
+  auto recorder = [&](const std::vector<double>& x, std::vector<double>& g) {
+    trace.push_back(x);
+    return dense(x, g);
+  };
+  resloc::math::GradientDescentOptions gd = options.gd;
+  gd.max_iterations = 300;
+  (void)resloc::math::minimize(recorder, f.start, gd);
+  ASSERT_GT(trace.size(), 100u);
+
+  StressObjective reused(f.meas, options, {});
+  std::uint64_t active_evaluations = 0;
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    const Evaluation got = evaluate(reused, trace[k]);
+    active_evaluations += got.active_pairs > 0;
+    expect_identical(got, evaluate_fresh(f.meas, options, trace[k]),
+                     "step " + std::to_string(k) + " vs fresh");
+    expect_identical(got, evaluate_dense(f.meas, options, trace[k]),
+                     "step " + std::to_string(k) + " vs dense");
+    if (HasFailure()) break;
+  }
+  // The replay exercised both reuse and rebuilds, with a live active set.
+  EXPECT_GT(reused.rebuilds(), 1u);
+  EXPECT_LT(reused.rebuilds(), trace.size());
+  EXPECT_GT(active_evaluations, trace.size() / 2);
+}
+
+TEST(LssSkinList, MovesJustUnderHalfSkinReuseAndJustOverRebuild) {
+  // Two unmeasured pairs straddling the list radius: (0, 1) at
+  // d_min + 0.99 skin (listed) and (2, 3) at d_min + 1.01 skin (not listed),
+  // plus a measured pair (4, 5) placed inside d_min that must stay exempt.
+  const double dmin = 9.14;
+  LssOptions options;
+  options.min_spacing_m = dmin;
+  MeasurementSet meas(6);
+  meas.add(4, 5, 12.0);
+  StressObjective reused(meas, options, {});
+  const double skin = reused.skin_m();
+  ASSERT_GT(skin, 0.0);
+  const double half = 0.5 * skin;
+  const std::size_t n = 6;
+  std::vector<double> p(2 * n, 0.0);
+  const auto place = [&](std::size_t i, double x, double y) {
+    p[i] = x;
+    p[n + i] = y;
+  };
+  place(0, 0.0, 0.0);
+  place(1, dmin + 0.99 * skin, 0.0);
+  place(2, 0.0, 100.0);
+  place(3, dmin + 1.01 * skin, 100.0);
+  place(4, 0.0, 200.0);
+  place(5, 3.0, 200.0);
+  expect_reuse_exact(reused, meas, options, p, "build");
+  ASSERT_EQ(reused.rebuilds(), 1u);
+
+  // Both ends of each pair move 0.499 skin toward each other: (0, 1) comes
+  // inside d_min and must be caught from the reused list; (2, 3) ends just
+  // outside d_min.
+  p[0] += 0.998 * half;
+  p[1] -= 0.998 * half;
+  p[2] += 0.998 * half;
+  p[3] -= 0.998 * half;
+  const Evaluation moved = evaluate(reused, p);
+  EXPECT_EQ(reused.rebuilds(), 1u) << "moves under skin/2 must reuse the list";
+  EXPECT_EQ(moved.active_pairs, 1u);
+  expect_identical(moved, evaluate_fresh(meas, options, p), "under skin/2 vs fresh");
+  expect_identical(moved, evaluate_dense(meas, options, p), "under skin/2 vs dense");
+
+  // One node just past skin/2 from where the list was built: rebuild.
+  p[2] = 1.002 * half;
+  expect_reuse_exact(reused, meas, options, p, "over skin/2");
+  EXPECT_EQ(reused.rebuilds(), 2u);
+}
+
+TEST(LssSkinList, RestartSizedJumpRebuildsAndStaysExact) {
+  const FoldedField f = folded_field();
+  const LssOptions options;
+  StressObjective reused(f.meas, options, {});
+  std::vector<double> p = f.start;
+  expect_reuse_exact(reused, f.meas, options, p, "start");
+  Rng rng(77);
+  for (int round = 0; round < 3; ++round) {  // the perturbation-restart jump
+    for (double& v : p) v += rng.gaussian(0.0, 4.0);
+    const std::uint64_t before = reused.rebuilds();
+    expect_reuse_exact(reused, f.meas, options, p, "jump " + std::to_string(round));
+    EXPECT_EQ(reused.rebuilds(), before + 1);
+  }
+}
+
+TEST(LssSkinList, NonFiniteAndHugeCoordinatesMatchFreshAfterReuse) {
+  const FoldedField f = folded_field();
+  const LssOptions options;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t n = f.meas.node_count();
+  StressObjective reused(f.meas, options, {});
+  std::vector<double> base = f.start;
+  expect_reuse_exact(reused, f.meas, options, base, "base");
+  std::vector<double> nudged = base;
+  nudged[3] += 0.01;  // a reused evaluation right before each poisoned one
+  for (const double bad : {nan, inf, -inf, 1e12}) {
+    expect_reuse_exact(reused, f.meas, options, nudged, "reuse before " + std::to_string(bad));
+    std::vector<double> p = base;
+    p[5] = bad;
+    p[n + 7] = bad;
+    // A non-finite configuration is compared with the fresh evaluation: the
+    // list must never change what a poisoned step evaluates to.
+    expect_reuse_exact(reused, f.meas, options, p, "coordinate " + std::to_string(bad),
+                       /*against_dense=*/std::isfinite(bad));
+    expect_reuse_exact(reused, f.meas, options, base, "recovered from " + std::to_string(bad));
+  }
+}
+
+TEST(LssSkinList, RandomInitGrassGridSolvesIdenticallyToDense) {
+  // The faults_parallel shape: grass_grid, 25 nodes, random-init LSS with
+  // perturbation restarts (inits and rounds trimmed).
+  Rng deploy_rng(31);
+  resloc::sim::ScenarioParams params;
+  params.node_count = 25;
+  const auto deployment = resloc::sim::build_scenario("grass_grid", params, deploy_rng);
+  Rng noise(32);
+  const auto meas = resloc::sim::gaussian_measurements(deployment, {}, noise);
+  LssOptions options;
+  options.independent_inits = 3;
+  options.restarts.rounds = 3;
+  LssOptions dense_options = options;
+  dense_options.dense_constraint_scan = true;
+  Rng r1(33);
+  Rng r2(33);
+  const LssResult a = localize_lss(meas, options, r1);
+  const LssResult b = localize_lss(meas, dense_options, r2);
+  EXPECT_EQ(std::memcmp(&a.stress, &b.stress, sizeof(double)), 0);
+  EXPECT_EQ(a.iterations, b.iterations);
+  ASSERT_EQ(a.positions.size(), b.positions.size());
+  EXPECT_EQ(std::memcmp(a.positions.data(), b.positions.data(), a.positions.size() * sizeof(Vec2)),
+            0);
+}
+
+TEST(LssSkinList, DvHopSeededCampus500SolvesIdenticallyToDense) {
+  Rng deploy_rng(41);
+  resloc::sim::ScenarioParams params;
+  auto deployment = resloc::sim::build_scenario("campus_500", params, deploy_rng);
+  Rng anchor_rng(42);
+  resloc::sim::choose_random_anchors(deployment, 40, anchor_rng);
+  Rng noise(43);
+  const auto meas = resloc::sim::gaussian_measurements(deployment, {}, noise);
+  Rng dv_rng(44);
+  const auto dv = localize_dv_hop(deployment, meas, {}, dv_rng);
+  std::vector<Vec2> seed(deployment.size());
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    seed[i] = dv.result.positions[i].value_or(Vec2{0.0, 0.0});
+  }
+  LssOptions options;
+  options.restarts.rounds = 2;
+  options.gd.max_iterations = 150;
+  LssOptions dense_options = options;
+  dense_options.dense_constraint_scan = true;
+  Rng r1(45);
+  Rng r2(45);
+  const LssResult a = localize_lss_from(meas, seed, options, r1);
+  const LssResult b = localize_lss_from(meas, seed, dense_options, r2);
+  EXPECT_EQ(std::memcmp(&a.stress, &b.stress, sizeof(double)), 0);
+  EXPECT_EQ(a.iterations, b.iterations);
+  ASSERT_EQ(a.positions.size(), b.positions.size());
+  EXPECT_EQ(std::memcmp(a.positions.data(), b.positions.data(), a.positions.size() * sizeof(Vec2)),
+            0);
 }
 
 }  // namespace

@@ -72,6 +72,27 @@ SweepSpec obs_sweep() {
   return spec;
 }
 
+/// The `scale_smoke` sweep of resloc_campaign (uniform_n at 64 and 100
+/// nodes x {progressive multilateration, DV-hop-seeded LSS}); the catalog
+/// lives in the app, so the spec is spelled out here.
+SweepSpec scale_smoke_sweep() {
+  SweepSpec spec;
+  spec.name = "scale_smoke";
+  spec.seed = 7;
+  spec.trials_per_cell = 1;
+  spec.base.source = MeasurementSource::kSyntheticGaussian;
+  spec.axes.scenarios = {"uniform_n"};
+  spec.axes.node_counts = {64, 100};
+  spec.axes.solvers = {Solver::kMultilateration, Solver::kCentralizedLss};
+  spec.axes.noise_sigmas = {0.33};
+  spec.axes.anchor_counts = {16};
+  spec.base.multilateration.progressive = true;
+  spec.base.lss_init = resloc::pipeline::LssInit::kDvHopSeeded;
+  spec.base.lss.restarts.rounds = 3;
+  spec.base.lss.init_box_m = 130.0;
+  return spec;
+}
+
 /// Name -> count map of every recorded stage, the schedule-independent view
 /// of a snapshot (SpanIds depend on intern order, names do not).
 std::map<std::string, std::uint64_t> stage_counts(const obs::TelemetrySnapshot& snap) {
@@ -177,6 +198,20 @@ TEST_F(ObsTest, CounterTotalsIdenticalAtOneVsEightThreads) {
   // notwithstanding.
   EXPECT_EQ(r1.to_json(), r8.to_json());
   EXPECT_EQ(r1.to_csv(), r8.to_csv());
+}
+
+TEST_F(ObsTest, LssSkinListRebuildsOnAFractionOfEvaluations) {
+  // lss_neighbor_rebuilds is the reuse-rate instrument of the LSS skin list:
+  // a descent rebuilds the candidate list only when some node has moved
+  // half a skin, so it must fire, and far less often than the objective is
+  // evaluated.
+  obs::set_enabled(true);
+  (void)CampaignRunner(RunnerOptions{2}).run(scale_smoke_sweep());
+  const obs::TelemetrySnapshot snap = obs::snapshot();
+  const std::uint64_t rebuilds = snap.counter(obs::Counter::kLssNeighborRebuilds);
+  EXPECT_GT(rebuilds, 0u);
+  EXPECT_LT(rebuilds, snap.counter(obs::Counter::kGdEvaluations));
+  EXPECT_NE(obs::metrics_report_json(snap).find("\"lss_neighbor_rebuilds\""), std::string::npos);
 }
 
 TEST_F(ObsTest, TelemetryNeverChangesAggregateBytes) {
