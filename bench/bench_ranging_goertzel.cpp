@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
 
   // --- Stage 4: software-detector (Section 3.7) pair loop ---
   ranging::RangingConfig sw_config = sim::grass_refined_ranging();
-  sw_config.software_detector = true;
+  sw_config.detector_mode = ranging::DetectorMode::kGoertzel;
   const ranging::RangingService sw_service(sw_config);
   constexpr int kSwPairs = 40;
   const double sw_alloc_s = best_of(3, [&] {

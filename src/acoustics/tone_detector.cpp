@@ -90,10 +90,9 @@ void ToneDetectorModel::sample_window_into(const ReceivedWindow& window,
   }
 }
 
-void ToneDetectorModel::fire_thresholds_block(const ReceivedWindow& window,
-                                              std::size_t num_samples, const MicUnit& mic,
-                                              DetectorScratch& scratch,
-                                              std::uint64_t* thresholds) const {
+void ToneDetectorModel::fire_runs(const ReceivedWindow& window, std::size_t num_samples,
+                                  const MicUnit& mic, DetectorScratch& scratch,
+                                  std::vector<resloc::math::BernoulliRun>& runs) const {
   const double dt = sample_period_s();
 
   // Off-tone probabilities are per-window constants; a faulty mic's floor is
@@ -108,33 +107,54 @@ void ToneDetectorModel::fire_thresholds_block(const ReceivedWindow& window,
   const std::uint64_t base_threshold = resloc::math::Rng::bernoulli_threshold(base_rate);
   const std::uint64_t burst_threshold = resloc::math::Rng::bernoulli_threshold(burst_rate);
 
-  std::fill(thresholds, thresholds + num_samples, base_threshold);
-  for (const NoiseBurst& b : window.bursts) {
+  // Every non-empty interval span with its threshold; one
+  // detection_probability call per tone interval instead of per sample.
+  std::vector<FireSpan>& spans = scratch.fire_spans;
+  std::vector<std::size_t>& edges = scratch.fire_edges;
+  spans.clear();
+  edges.assign({0, num_samples});
+  const auto add_span = [&](double start_s, double end_s, std::uint64_t threshold, bool tone) {
     const SampleSpan span =
-        interval_sample_span(window.start_s, dt, num_samples, b.start_s, b.end_s);
-    std::fill(thresholds + span.lo, thresholds + span.hi, burst_threshold);
-  }
-
-  // Tone spans override the noise floors entirely (the scalar path branches
-  // on tone-presence first), and overlapping tones combine by max. The
-  // scalar path maxes SNRs then converts; converting per interval and maxing
-  // thresholds is the same because detection_probability and
-  // bernoulli_threshold are both monotone non-decreasing, so the max element
-  // produces the same threshold either way. One detection_probability call
-  // per interval instead of per covered sample.
-  scratch.tone.assign(num_samples, 0);
+        interval_sample_span(window.start_s, dt, num_samples, start_s, end_s);
+    if (span.lo >= span.hi) return;
+    spans.push_back({span.lo, span.hi, threshold, tone});
+    edges.push_back(span.lo);
+    edges.push_back(span.hi);
+  };
+  for (const NoiseBurst& b : window.bursts) add_span(b.start_s, b.end_s, burst_threshold, false);
   for (const SignalInterval& s : window.signals) {
-    const std::uint64_t tone_threshold =
-        resloc::math::Rng::bernoulli_threshold(detection_probability(s.snr_db));
-    const SampleSpan span =
-        interval_sample_span(window.start_s, dt, num_samples, s.start_s, s.end_s);
-    for (std::size_t i = span.lo; i < span.hi; ++i) {
-      if (scratch.tone[i] != 0) {
-        thresholds[i] = std::max(thresholds[i], tone_threshold);
+    add_span(s.start_s, s.end_s,
+             resloc::math::Rng::bernoulli_threshold(detection_probability(s.snr_db)), true);
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+  // The edges include every span's, so a span covers each stretch between
+  // consecutive edges wholly or not at all. Tones override the noise floors
+  // entirely (the scalar path branches on tone presence first) and combine
+  // by max; bursts override the base rate.
+  runs.clear();
+  for (std::size_t k = 0; k + 1 < edges.size(); ++k) {
+    const std::size_t lo = edges[k];
+    const std::size_t hi = edges[k + 1];
+    bool tone = false;
+    bool burst = false;
+    std::uint64_t tone_threshold = 0;
+    for (const FireSpan& span : spans) {
+      if (span.lo > lo || span.hi < hi) continue;
+      if (span.tone) {
+        tone = true;
+        tone_threshold = std::max(tone_threshold, span.threshold);
       } else {
-        scratch.tone[i] = 1;
-        thresholds[i] = tone_threshold;
+        burst = true;
       }
+    }
+    const std::uint64_t threshold =
+        tone ? tone_threshold : burst ? burst_threshold : base_threshold;
+    if (!runs.empty() && runs.back().threshold == threshold) {
+      runs.back().end = hi;
+    } else {
+      runs.push_back({hi, threshold});
     }
   }
 }

@@ -12,15 +12,27 @@
 #include <vector>
 
 #include "acoustics/channel.hpp"
+#include "math/rng.hpp"
 
 namespace resloc::acoustics {
 
-/// Reusable buffers for ToneDetectorModel::sample_window_into; keep one per
-/// worker thread and reuse it across a campaign's pairs.
+/// One interval's exact sample span and the Bernoulli threshold it imposes
+/// (ToneDetectorModel::fire_runs working storage).
+struct FireSpan {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  std::uint64_t threshold = 0;
+  bool tone = false;  ///< a tone interval (else a noise burst)
+};
+
+/// Reusable buffers for ToneDetectorModel::sample_window_into and fire_runs;
+/// keep one per worker thread and reuse it across a campaign's pairs.
 struct DetectorScratch {
-  std::vector<double> best_snr;      ///< strongest audible tone per sample
-  std::vector<std::uint8_t> tone;    ///< 1 = some tone interval covers the sample
-  std::vector<std::uint8_t> burst;   ///< 1 = a noise burst covers the sample
+  std::vector<double> best_snr;         ///< strongest audible tone per sample
+  std::vector<std::uint8_t> tone;       ///< 1 = some tone interval covers the sample
+  std::vector<std::uint8_t> burst;      ///< 1 = a noise burst covers the sample
+  std::vector<FireSpan> fire_spans;     ///< every interval's span (fire_runs)
+  std::vector<std::size_t> fire_edges;  ///< sorted span edges (fire_runs)
 };
 
 /// Conservative sample-index bracket of [start_s, end_s) within a window of
@@ -73,20 +85,20 @@ class ToneDetectorModel {
                           const MicUnit& mic, resloc::math::Rng& rng, DetectorScratch& scratch,
                           std::vector<bool>& out) const;
 
-  /// Block entry point: the deterministic front half of sample_window_into.
-  /// Writes the per-sample 53-bit Bernoulli thresholds (see
-  /// math::Rng::bernoulli_threshold) into `thresholds[0, num_samples)`:
-  /// base/burst false-positive rates fill whole interval spans, and tone
-  /// spans take the per-interval detection-probability threshold (max over
-  /// overlapping intervals -- threshold-of-probability is monotone in SNR, so
+  /// Block entry point: the deterministic front half of sample_window_into,
+  /// as the window's ascending Bernoulli threshold runs (see
+  /// math::BernoulliRun) covering [0, num_samples). Each stretch between
+  /// interval edges takes the scalar path's precedence: the max threshold of
+  /// the tones covering it (threshold-of-probability is monotone in SNR, so
   /// max of thresholds equals the threshold of the scalar path's best-SNR
-  /// max, bit for bit). Consumes no randomness; pair it with
+  /// max, bit for bit), else the burst rate, else the base rate, with a
+  /// faulty mic's floor folded into both rates. Adjacent equal stretches
+  /// merge. Costs O(intervals^2) with a handful of intervals per window, not
+  /// O(num_samples), and consumes no randomness; pair it with
   /// SignalAccumulator::record_chirp_bernoulli, which draws the identical
-  /// one-uniform-per-sample stream the scalar path draws. Only scratch.tone
-  /// is used as working storage.
-  void fire_thresholds_block(const ReceivedWindow& window, std::size_t num_samples,
-                             const MicUnit& mic, DetectorScratch& scratch,
-                             std::uint64_t* thresholds) const;
+  /// one-uniform-per-sample stream the scalar path draws.
+  void fire_runs(const ReceivedWindow& window, std::size_t num_samples, const MicUnit& mic,
+                 DetectorScratch& scratch, std::vector<resloc::math::BernoulliRun>& runs) const;
 
   double sample_rate_hz() const { return sample_rate_hz_; }
   double sample_period_s() const { return 1.0 / sample_rate_hz_; }

@@ -1,0 +1,42 @@
+// Dispatch variants of Rng::fill_bernoulli_mask_block.
+//
+// Internal to the math layer: rng.cpp picks one variant per call from CPUID,
+// and the kernel tests include this header to check every variant the host
+// can run against the sequential definition. Everything else calls
+// Rng::fill_bernoulli_mask_block.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "math/rng.hpp"
+#include "math/simd_dispatch.hpp"
+
+namespace resloc::math {
+
+/// The raw LCG words of a generator, so a test can run one variant on it.
+struct RngState {
+  static std::uint64_t& state(Rng& rng) { return rng.state_; }
+  static std::uint64_t inc(const Rng& rng) { return rng.inc_; }
+};
+
+namespace bernoulli_mask {
+
+/// Every variant draws n samples from the PCG32 stream at LCG state `state`
+/// with increment `inc`, writes `mask` as Rng::fill_bernoulli_mask_block
+/// documents, and returns the LCG state after the 2n raw steps.
+std::uint64_t portable(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
+                       std::size_t n, std::uint64_t* mask);
+
+#if RESLOC_X86_SIMD
+/// Requires cpu_has_avx2_kernels().
+std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
+                   std::size_t n, std::uint64_t* mask);
+
+/// Requires cpu_has_avx512_kernels().
+std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
+                     std::size_t n, std::uint64_t* mask);
+#endif
+
+}  // namespace bernoulli_mask
+}  // namespace resloc::math

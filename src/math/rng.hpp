@@ -14,6 +14,7 @@
 // block (the sampled-audio noise of the Goertzel and NCC detector modes).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +36,15 @@ struct NormalZiggurat {
 
   /// The tables, built once on first use.
   static const NormalZiggurat& get();
+};
+
+/// One constant-threshold stretch of a Bernoulli block: the samples from the
+/// previous run's end (0 for the first run) up to `end` fire when their
+/// uniform_bits() draw is below `threshold`, a bernoulli_threshold() value
+/// (anything >= 2^53 always fires).
+struct BernoulliRun {
+  std::size_t end;
+  std::uint64_t threshold;
 };
 
 /// PCG32 pseudo-random generator (XSH-RR variant), 64-bit state.
@@ -86,6 +96,18 @@ class Rng {
   /// path's floor, and this is how it is broken without changing one output.
   void fill_uniform_bits_block(std::uint64_t* out, std::size_t n);
 
+  /// Draws n Bernoulli samples into a bitmask: bit i of mask[i / 64] is
+  /// uniform_bits() < threshold, for the i-th of the next n draws and the
+  /// threshold of the run covering sample i. `runs` ascend and the last ends
+  /// at or past n; mask holds (n + 63) / 64 words, and bits past n are zero.
+  /// Consumes exactly the stream of n uniform_bits() calls and leaves the
+  /// same state. Only the high PCG32 output of each draw is computed in bulk:
+  /// with bits = hi << 21 | lo21, bits < t  <=>  hi < t >> 21, except on
+  /// the ~2^-32 tie hi == t >> 21, which steps the second state and compares
+  /// its top 21 bits against the low 21 bits of t.
+  void fill_bernoulli_mask_block(const std::vector<BernoulliRun>& runs, std::size_t n,
+                                 std::uint64_t* mask);
+
   /// Writes `n` standard normals to `out`: the versioned block noise stream
   /// (ziggurat v1) of the sampled-audio detector modes. The stream is defined
   /// as follows:
@@ -134,6 +156,8 @@ class Rng {
   Rng fork(std::uint64_t stream_index) const;
 
  private:
+  friend struct RngState;  // math/bernoulli_mask_kernels.hpp: per-variant tests
+
   std::uint64_t state_;
   std::uint64_t inc_;
   bool has_cached_gaussian_ = false;

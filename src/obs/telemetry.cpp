@@ -244,6 +244,21 @@ SpanScope::~SpanScope() {
   buffer().record_span(id_, start_ns_, end_ns);
 }
 
+void SpanChain::enter(SpanId id) {
+  if (!active_) return;
+  const std::uint64_t now = now_ns();
+  if (running_) buffer().record_span(id_, start_ns_, now);
+  id_ = id;
+  start_ns_ = now;
+  running_ = true;
+}
+
+void SpanChain::end() {
+  if (!active_ || !running_) return;
+  buffer().record_span(id_, start_ns_, now_ns());
+  running_ = false;
+}
+
 std::uint64_t TelemetrySnapshot::stage_total_ns(const std::string& name) const {
   for (std::size_t i = 0; i < span_names.size() && i < stage_totals.size(); ++i) {
     if (span_names[i] == name) return stage_totals[i].total_ns;

@@ -425,10 +425,14 @@ bool validate_chrome_trace(const std::string& json, std::string* error) {
     return fail("missing traceEvents array");
   }
 
+  // Whole nanoseconds: ts and dur are written with 3 decimals of a
+  // microsecond, and adding them as doubles can push a span's end a rounding
+  // error past the start of a sibling that begins exactly where it ends.
   struct Interval {
-    double start = 0.0;
-    double end = 0.0;
+    long long start = 0;
+    long long end = 0;
   };
+  const auto to_ns = [](double us) { return std::llround(us * 1000.0); };
   std::map<double, std::vector<Interval>> by_tid;
 
   for (std::size_t i = 0; i < events->array.size(); ++i) {
@@ -455,7 +459,8 @@ bool validate_chrome_trace(const std::string& json, std::string* error) {
     }
     if (pid == nullptr || pid->type != JsonValue::kNumber) return fail(at + " has no pid");
     if (tid == nullptr || tid->type != JsonValue::kNumber) return fail(at + " has no tid");
-    by_tid[tid->number].push_back(Interval{ts->number, ts->number + dur->number});
+    by_tid[tid->number].push_back(
+        Interval{to_ns(ts->number), to_ns(ts->number) + to_ns(dur->number)});
   }
 
   // Nesting check per thread: sorted by (start asc, end desc) -- parents

@@ -13,12 +13,11 @@ namespace resloc::ranging {
 
 namespace {
 
-/// Resolves the configured front end, honouring the legacy software_detector
-/// alias, and rejects out-of-range enum values loudly.
+/// Returns the configured front end, rejecting out-of-range enum values
+/// loudly.
 DetectorMode resolve_detector_mode(const RangingConfig& config) {
   switch (config.detector_mode) {
     case DetectorMode::kHardware:
-      return config.software_detector ? DetectorMode::kGoertzel : DetectorMode::kHardware;
     case DetectorMode::kGoertzel:
     case DetectorMode::kMatchedFilter:
       return config.detector_mode;
@@ -158,28 +157,39 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
   // Accumulate the binary detector output over all chirps, each window
   // aligned by the radio sync of that chirp. Echoes from *earlier* chirps
   // fall into later windows naturally because every emission is visible to
-  // every window.
+  // every window. On the block hardware path the stages run back to back
+  // (reset, then channel / accumulate per chirp), so one span chain shares
+  // each boundary's clock read; every other stage ends the chain first.
+  obs::SpanChain stages;
   if (block) {
     // Zeroing the 4-bit counters is an O(window) accumulator pass.
-    RESLOC_SPAN("ranging/detection/accumulate");
-    scratch.accumulator.reset(window_samples_);
-  } else {
-    scratch.accumulator.reset(window_samples_);
+    RESLOC_SPAN_ENTER(stages, "ranging/detection/accumulate");
   }
+  scratch.accumulator.reset(window_samples_);
   for (const acoustics::Emission& emission : scratch.emissions) {
     obs::add(obs::Counter::kChirpWindows);
-    {
-      // The channel stage of one exchange: the receiver-side onset estimate
-      // (true start shifted by the calibration bias plus the per-exchange
-      // clock-sync jitter) and the window's link rasterization.
-      RESLOC_SPAN("ranging/channel");
-      const double sync_error_s =
-          calibration_bias_s + rng.gaussian(0.0, config_.tdoa.sync_jitter_s);
-      const double window_start_s = emission.start_s - sync_error_s;
-      acoustics::receive_into(scratch.received, scratch.emissions, window_start_s,
-                              window_duration_s, link_local, speaker, mic,
-                              config_.environment, config_.channel_jitter, rng);
+    // The channel stage of one exchange: the receiver-side onset estimate
+    // (true start shifted by the calibration bias plus the per-exchange
+    // clock-sync jitter) and the window's link rasterization.
+    RESLOC_SPAN_ENTER(stages, "ranging/channel");
+    const double sync_error_s =
+        calibration_bias_s + rng.gaussian(0.0, config_.tdoa.sync_jitter_s);
+    const double window_start_s = emission.start_s - sync_error_s;
+    acoustics::receive_into(scratch.received, scratch.emissions, window_start_s,
+                            window_duration_s, link_local, speaker, mic, config_.environment,
+                            config_.channel_jitter, rng);
+    if (block && mode_ == DetectorMode::kHardware) {
+      // The window's threshold runs (a per-interval cost, not per-sample),
+      // then the fused Bernoulli mask draw + accumulate: together they
+      // consume exactly the one-uniform-per-sample stream the per-sample
+      // reference draws.
+      RESLOC_SPAN_ENTER(stages, "ranging/detection/accumulate");
+      detector_.fire_runs(scratch.received, window_samples_, mic, scratch.detector,
+                          scratch.dsp.fire_runs);
+      scratch.accumulator.record_chirp_bernoulli(rng, scratch.dsp.fire_runs);
+      continue;
     }
+    stages.end();
     switch (mode_) {
       case DetectorMode::kGoertzel:
         if (block) software_sample_window_block(mic, rng, scratch);
@@ -190,35 +200,17 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
         else ncc_sample_window(mic, rng, scratch);
         break;
       case DetectorMode::kHardware: {
-        if (block) {
-          // Deterministic threshold rasterization, then the fused draw +
-          // accumulate: together they consume exactly the one-uniform-per-
-          // sample stream the per-sample reference draws.
-          {
-            RESLOC_SPAN("ranging/detection/probability");
-            detector_.fire_thresholds_block(scratch.received, window_samples_, mic,
-                                            scratch.detector,
-                                            scratch.dsp.fire_threshold.data());
-          }
-          RESLOC_SPAN("ranging/detection/accumulate");
-          scratch.accumulator.record_chirp_bernoulli(rng, scratch.dsp.fire_threshold.data(),
-                                                     scratch.dsp.uniform_bits.data());
-        } else {
-          RESLOC_SPAN("ranging/detection");
-          detector_.sample_window_into(scratch.received, window_samples_, mic, rng,
-                                       scratch.detector, scratch.detector_output);
-        }
+        RESLOC_SPAN("ranging/detection");
+        detector_.sample_window_into(scratch.received, window_samples_, mic, rng,
+                                     scratch.detector, scratch.detector_output);
         break;
       }
     }
     if (block) {
-      if (mode_ != DetectorMode::kHardware) {
-        // The sampled-audio block paths leave the binary series in
-        // scratch.dsp.fired; fold it into the 4-bit counters. (The hardware
-        // block path accumulated inside record_chirp_bernoulli above.)
-        RESLOC_SPAN("ranging/detection/accumulate");
-        scratch.accumulator.record_chirp_block(scratch.dsp.fired.data(), window_samples_);
-      }
+      // The sampled-audio block paths leave the binary series in
+      // scratch.dsp.fired; fold it into the 4-bit counters.
+      RESLOC_SPAN("ranging/detection/accumulate");
+      scratch.accumulator.record_chirp_block(scratch.dsp.fired.data(), window_samples_);
     } else {
       // Folding the chirp's binary output into the 4-bit accumulator is an
       // O(window) pass per chirp -- detection-stage work, same as the scan.
@@ -226,6 +218,7 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
       scratch.accumulator.record_chirp(scratch.detector_output);
     }
   }
+  stages.end();
 
   const DetectionParams detection = config_.baseline ? kBaselineDetection : config_.detection;
   const std::vector<std::uint8_t>& samples = scratch.accumulator.samples();

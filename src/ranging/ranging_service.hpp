@@ -87,9 +87,13 @@ struct RangingConfig {
   int silence_gap_samples = 48;
   int silence_max_noisy = 2;
 
-  /// Software tone detection (Section 3.7): platforms without a hardware
-  /// tone detector (e.g. the XSM mote) sample the microphone directly and
-  /// isolate the beacon band in software. When set, each chirp window is
+  /// Noise-subtraction margin of the software detector (see DftToneDetector).
+  double software_noise_scale = 6.0;
+
+  /// Detector front end (see DetectorMode). kHardware by default.
+  /// kGoertzel is software tone detection (Section 3.7): platforms without a
+  /// hardware tone detector (e.g. the XSM mote) sample the microphone
+  /// directly and isolate the beacon band in software. Each chirp window is
   /// synthesized as sampled audio (tone amplitude from the received SNR plus
   /// unit-variance noise) and the binary series fed to the accumulation
   /// detector is the sign of GoertzelToneDetector's noise-subtracted metric,
@@ -97,14 +101,6 @@ struct RangingConfig {
   /// per-sample single-bin DFT -- affordable only because of the Goertzel
   /// sliding recurrence and the cached tone tables (bench_ranging_goertzel
   /// measures the naive direct-DFT alternative at ~96x the cost).
-  bool software_detector = false;
-  /// Noise-subtraction margin of the software detector (see DftToneDetector).
-  double software_noise_scale = 6.0;
-
-  /// Detector front end (see DetectorMode). kHardware by default; the legacy
-  /// `software_detector` flag above is an alias for kGoertzel and still
-  /// selects it when this field is left at kHardware, so existing configs
-  /// and their RNG byte-streams are unchanged.
   DetectorMode detector_mode = DetectorMode::kHardware;
 
   /// NCC detection threshold (kMatchedFilter only; see MatchedFilterNcc).
@@ -114,8 +110,8 @@ struct RangingConfig {
   int ncc_peak_plateau = MatchedFilterNcc::kDefaultPeakPlateau;
 
   /// Block-DSP measure path (default). Each chirp window runs as staged block
-  /// kernels over contiguous DspScratch buffers -- threshold rasterization +
-  /// lane-split Bernoulli draws (hardware), or envelope/noise/tone synthesis
+  /// kernels over contiguous DspScratch buffers -- threshold runs + a
+  /// Bernoulli bitmask draw (hardware), or envelope/noise/tone synthesis
   /// blocks feeding a block Goertzel or NCC scan (sampled-audio modes) --
   /// instead of the detector-owned per-sample loops. Both settings draw the
   /// identical RNG stream in the identical order and produce bit-equal
@@ -209,8 +205,7 @@ class RangingService {
   /// Number of samples in the per-chirp window.
   std::size_t window_samples() const { return window_samples_; }
 
-  /// The detector front end actually in use (config.detector_mode with the
-  /// legacy software_detector alias resolved).
+  /// The detector front end in use (config.detector_mode, validated).
   DetectorMode detector_mode() const { return mode_; }
 
   const RangingConfig& config() const { return config_; }

@@ -35,28 +35,17 @@ void accumulate_fired_avx512(std::uint8_t* s, const std::uint8_t* fired, std::si
   }
 }
 
-/// AVX-512 fused bernoulli-compare + counter update: eight u64 threshold
-/// compares assemble one 64-bit byte mask, then the same masked add.
+/// AVX-512 counter update straight from a fired bitmask: each mask word is
+/// the byte mask of 64 counters, the last word's live bytes masked in.
 __attribute__((target("avx512f,avx512bw")))
-void accumulate_bernoulli_avx512(std::uint8_t* s, const std::uint64_t* bits,
-                                 const std::uint64_t* thresholds, std::size_t n) {
+void accumulate_mask_avx512(std::uint8_t* s, const std::uint64_t* mask, std::size_t n) {
   const __m512i one = _mm512_set1_epi8(1);
   const __m512i fifteen = _mm512_set1_epi8(15);
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    std::uint64_t hit_bits = 0;
-    for (int k = 0; k < 8; ++k) {
-      const __mmask8 lt =
-          _mm512_cmplt_epu64_mask(_mm512_loadu_si512(bits + i + 8 * k),
-                                  _mm512_loadu_si512(thresholds + i + 8 * k));
-      hit_bits |= static_cast<std::uint64_t>(lt) << (8 * k);
-    }
-    const __m512i sv = _mm512_loadu_si512(s + i);
-    const __mmask64 hit = hit_bits & _mm512_cmplt_epu8_mask(sv, fifteen);
-    _mm512_storeu_si512(s + i, _mm512_mask_add_epi8(sv, hit, sv, one));
-  }
-  for (; i < n; ++i) {
-    s[i] += static_cast<std::uint8_t>((bits[i] < thresholds[i]) & (s[i] < 15));
+  for (std::size_t i = 0; i < n; i += 64) {
+    const __mmask64 live = n - i >= 64 ? ~__mmask64{0} : (__mmask64{1} << (n - i)) - 1;
+    const __m512i sv = _mm512_maskz_loadu_epi8(live, s + i);
+    const __mmask64 hit = mask[i / 64] & live & _mm512_cmplt_epu8_mask(sv, fifteen);
+    _mm512_mask_storeu_epi8(s + i, hit, _mm512_add_epi8(sv, one));
   }
 }
 
@@ -76,26 +65,27 @@ void accumulate_fired(std::uint8_t* s, const std::uint8_t* fired, std::size_t n)
   }
 }
 
-/// Fused bernoulli-compare + saturating counter update.
-void accumulate_bernoulli(std::uint8_t* s, const std::uint64_t* bits,
-                          const std::uint64_t* thresholds, std::size_t n) {
+/// Saturating counter update from a fired bitmask (bit i of mask[i / 64]).
+void accumulate_mask(std::uint8_t* s, const std::uint64_t* mask, std::size_t n) {
 #if RESLOC_X86_SIMD
   if (resloc::math::cpu_has_avx512_kernels()) {
-    accumulate_bernoulli_avx512(s, bits, thresholds, n);
+    accumulate_mask_avx512(s, mask, n);
     return;
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) {
-    s[i] += static_cast<std::uint8_t>((bits[i] < thresholds[i]) & (s[i] < 15));
+    const auto fired = static_cast<std::uint8_t>((mask[i / 64] >> (i % 64)) & 1u);
+    s[i] += static_cast<std::uint8_t>(fired & (s[i] < 15));
   }
 }
 
 }  // namespace
 
-SignalAccumulator::SignalAccumulator(std::size_t num_samples) : samples_(num_samples, 0) {}
+SignalAccumulator::SignalAccumulator(std::size_t num_samples) { reset(num_samples); }
 
 void SignalAccumulator::reset(std::size_t num_samples) {
   samples_.assign(num_samples, 0);
+  fired_mask_.resize((num_samples + 63) / 64);
   chirps_ = 0;
 }
 
@@ -115,16 +105,15 @@ void SignalAccumulator::record_chirp_block(const std::uint8_t* fired, std::size_
   accumulate_fired(samples_.data(), fired, n);
 }
 
-void SignalAccumulator::record_chirp_bernoulli(resloc::math::Rng& rng,
-                                               const std::uint64_t* thresholds,
-                                               std::uint64_t* bits_scratch) {
+void SignalAccumulator::record_chirp_bernoulli(
+    resloc::math::Rng& rng, const std::vector<resloc::math::BernoulliRun>& runs) {
   const std::size_t n = samples_.size();
   // The scalar reference draws one bernoulli per sample regardless of whether
   // the counters are full; keep that draw order so RNG streams stay aligned.
-  rng.fill_uniform_bits_block(bits_scratch, n);
+  rng.fill_bernoulli_mask_block(runs, n, fired_mask_.data());
   if (chirps_ >= kMaxChirps) return;
   ++chirps_;
-  accumulate_bernoulli(samples_.data(), bits_scratch, thresholds, n);
+  accumulate_mask(samples_.data(), fired_mask_.data(), n);
 }
 
 int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params) {

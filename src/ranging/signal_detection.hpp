@@ -43,13 +43,14 @@ class SignalAccumulator {
   void record_chirp_block(const std::uint8_t* fired, std::size_t n);
 
   /// Fused Bernoulli-draw + accumulate for the block hardware-detector path:
-  /// draws num_samples uniform 53-bit variates from `rng` (always -- matching
-  /// the scalar path, which consumes RNG even once the 4-bit counters are
-  /// full) into `bits_scratch`, then accumulates fired[i] = bits[i] <
-  /// thresholds[i]. Bit-equal to per-sample rng.bernoulli(p_i) followed by
+  /// draws the chirp's num_samples Bernoulli samples from `rng` as a fired
+  /// bitmask (Rng::fill_bernoulli_mask_block over the detector's threshold
+  /// `runs`), then adds each fired bit into its counter. It draws even once
+  /// the counters are full, as the per-sample path does, so RNG streams stay
+  /// aligned. Bit-equal to per-sample rng.bernoulli(p_i) followed by
   /// record_chirp, because bernoulli(p) is uniform_bits() < bernoulli_threshold(p).
-  void record_chirp_bernoulli(resloc::math::Rng& rng, const std::uint64_t* thresholds,
-                              std::uint64_t* bits_scratch);
+  void record_chirp_bernoulli(resloc::math::Rng& rng,
+                              const std::vector<resloc::math::BernoulliRun>& runs);
 
   /// Zeroes the counters (and resizes to `num_samples`) so one accumulator
   /// can be reused across a campaign's pairs without reallocating.
@@ -66,6 +67,7 @@ class SignalAccumulator {
 
  private:
   std::vector<std::uint8_t> samples_;
+  std::vector<std::uint64_t> fired_mask_;  ///< record_chirp_bernoulli's draws
   int chirps_ = 0;
 };
 

@@ -118,7 +118,7 @@ TEST(AcousticRegression, SoftwareDetectorRangesShortDistances) {
   // produces the binary series. The refined pattern detection on top must
   // still range a 5 m grass link reliably and to sub-meter accuracy.
   resloc::ranging::RangingConfig config;
-  config.software_detector = true;
+  config.detector_mode = resloc::ranging::DetectorMode::kGoertzel;
   const resloc::ranging::RangingService service(config);
   const resloc::acoustics::SpeakerUnit speaker;
   const resloc::acoustics::MicUnit mic;
@@ -142,7 +142,7 @@ TEST(AcousticRegression, SoftwareDetectorScratchMatchesAllocatingOverload) {
   // The buffer-reuse overload must stay draw-for-draw identical to the
   // allocating one in software-detector mode too.
   resloc::ranging::RangingConfig config;
-  config.software_detector = true;
+  config.detector_mode = resloc::ranging::DetectorMode::kGoertzel;
   const resloc::ranging::RangingService service(config);
   const resloc::acoustics::SpeakerUnit speaker;
   const resloc::acoustics::MicUnit mic;

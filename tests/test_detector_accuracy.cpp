@@ -258,9 +258,9 @@ TEST(DetectorAccuracy, DetectorModeNamesRoundTrip) {
                   resloc::ranging::detector_mode_name(mode)),
               mode);
   }
-  // The legacy boolean is an alias for the Goertzel mode.
+  // The service runs the configured front end.
   resloc::ranging::RangingConfig config = fixture_config(DetectorMode::kHardware, false);
-  config.software_detector = true;
+  config.detector_mode = DetectorMode::kGoertzel;
   const resloc::ranging::RangingService service(config);
   EXPECT_EQ(service.detector_mode(), DetectorMode::kGoertzel);
 }

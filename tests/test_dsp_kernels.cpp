@@ -9,9 +9,11 @@
 // with block_dsp on vs off for all three detector front ends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <stdexcept>
 #include <vector>
 
 #include "acoustics/channel.hpp"
@@ -20,7 +22,9 @@
 #include "acoustics/signal_synth.hpp"
 #include "acoustics/tone_detector.hpp"
 #include "acoustics/units.hpp"
+#include "math/bernoulli_mask_kernels.hpp"
 #include "math/rng.hpp"
+#include "math/simd_dispatch.hpp"
 #include "ranging/dft_detector.hpp"
 #include "ranging/matched_filter.hpp"
 #include "ranging/ranging_service.hpp"
@@ -161,6 +165,164 @@ TEST(RngBlocks, BernoulliThresholdSplitsExactlyLikeUniformCompare) {
   }
 }
 
+using resloc::math::BernoulliRun;
+
+/// Fills a Bernoulli mask from `rng` the way Rng::fill_bernoulli_mask_block
+/// does, through one dispatch variant.
+using MaskFill = void (*)(Rng&, const std::vector<BernoulliRun>&, std::size_t, std::uint64_t*);
+
+template <std::uint64_t (*kKernel)(std::uint64_t, std::uint64_t, const BernoulliRun*,
+                                   std::size_t, std::uint64_t*)>
+void fill_with_variant(Rng& rng, const std::vector<BernoulliRun>& runs, std::size_t n,
+                       std::uint64_t* mask) {
+  std::uint64_t& state = resloc::math::RngState::state(rng);
+  state = kKernel(state, resloc::math::RngState::inc(rng), runs.data(), n, mask);
+}
+
+void fill_dispatched(Rng& rng, const std::vector<BernoulliRun>& runs, std::size_t n,
+                     std::uint64_t* mask) {
+  rng.fill_bernoulli_mask_block(runs, n, mask);
+}
+
+constexpr std::uint64_t kAlwaysFires = std::uint64_t{1} << 53;
+
+/// Threshold that ties `word`'s high 32 bits (word >> 21) and puts the
+/// 21-bit tie-break at `low`: the draw fires iff its low 21 bits are < low.
+std::uint64_t tie_threshold(std::uint64_t word, std::uint64_t low) {
+  return ((word >> 21) << 21) | low;
+}
+
+/// A random run list over n samples. Run ends land anywhere, so edges fall
+/// inside lane groups; thresholds mix detector-like and random probabilities,
+/// 0, 2^53, UINT64_MAX, and hi-word ties forced on a sample of the run from
+/// `words`, the draws the kernel is about to make. The last run may end past n.
+std::vector<BernoulliRun> oracle_runs(Rng& gen, const std::vector<std::uint64_t>& words) {
+  const std::size_t n = words.size();
+  std::vector<BernoulliRun> runs;
+  std::size_t pos = 0;
+  while (pos < n) {
+    const auto len = static_cast<std::size_t>(
+        gen.bernoulli(0.2) ? gen.uniform_int(1, static_cast<std::int64_t>(n))
+                           : gen.uniform_int(1, 40));
+    std::size_t end = std::min(n, pos + len);
+    if (end == n && gen.bernoulli(0.3)) end += 5;
+    const std::uint64_t tied = words[static_cast<std::size_t>(gen.uniform_int(
+        static_cast<std::int64_t>(pos), static_cast<std::int64_t>(std::min(end, n) - 1)))];
+    std::uint64_t threshold = 0;
+    const auto low = static_cast<std::uint64_t>(gen.uniform_int(0, (1 << 21) - 1));
+    switch (gen.uniform_int(0, 8)) {
+      case 0: threshold = Rng::bernoulli_threshold(gen.uniform()); break;
+      case 1: threshold = Rng::bernoulli_threshold(0.003); break;
+      case 2: threshold = Rng::bernoulli_threshold(0.15); break;
+      case 3: threshold = 0; break;
+      case 4: threshold = kAlwaysFires; break;
+      case 5: threshold = ~std::uint64_t{0}; break;
+      case 6: threshold = tie_threshold(tied, low); break;
+      case 7: threshold = tie_threshold(tied, gen.bernoulli(0.5) ? 0 : (1 << 21) - 1); break;
+      default: threshold = tied + static_cast<std::uint64_t>(gen.uniform_int(0, 1)); break;
+    }
+    runs.push_back({end, threshold});
+    pos = end;
+  }
+  return runs;
+}
+
+/// Drives `fill` against sequential uniform_bits() < threshold over random
+/// run lists, a one-run-per-sample all-ties list, and sizes on both sides of
+/// every lane-group width; also checks the words past the mask stay
+/// untouched and the generator ends in the same state.
+void expect_mask_matches_sequential(MaskFill fill) {
+  const std::size_t sizes[] = {1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 65, 1994};
+  constexpr std::uint64_t kGuard = 0xA5A5A5A5A5A5A5A5ULL;
+  Rng gen(0xB17, 3);
+  std::size_t ties_fired = 0;
+  std::size_t ties_missed = 0;
+  std::size_t samples = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    for (std::size_t n : sizes) {
+      Rng a(0x5EED + static_cast<std::uint64_t>(trial), 1 + n);
+      Rng peek = a;
+      std::vector<std::uint64_t> words(n);
+      for (std::uint64_t& w : words) w = peek.uniform_bits();
+
+      std::vector<BernoulliRun> runs;
+      if (trial % 4 == 3) {
+        // Every sample its own run, each a forced tie: the tie path on every
+        // lane, with both outcomes.
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto low = static_cast<std::uint64_t>(gen.uniform_int(0, (1 << 21) - 1));
+          runs.push_back({i + 1, tie_threshold(words[i], low)});
+        }
+      } else {
+        runs = oracle_runs(gen, words);
+      }
+
+      const std::size_t mask_words = (n + 63) / 64;
+      std::vector<std::uint64_t> expect(mask_words, 0);
+      std::size_t run = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        while (runs[run].end <= i) ++run;
+        const std::uint64_t t = runs[run].threshold;
+        const bool fires = words[i] < t;
+        if (t < kAlwaysFires && (words[i] >> 21) == (t >> 21)) ++(fires ? ties_fired : ties_missed);
+        if (fires) expect[i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+      samples += n;
+
+      std::vector<std::uint64_t> mask(mask_words + 1, kGuard);
+      fill(a, runs, n, mask.data());
+      for (std::size_t w = 0; w < mask_words; ++w) {
+        ASSERT_EQ(mask[w], expect[w]) << "trial=" << trial << " n=" << n << " word=" << w;
+      }
+      ASSERT_EQ(mask[mask_words], kGuard) << "wrote past the mask, n=" << n;
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(a.uniform_bits(), peek.uniform_bits()) << "trial=" << trial << " n=" << n;
+      }
+    }
+  }
+  // Ties are ~2^-32 events on their own; the fixture must force plenty,
+  // settled both ways.
+  EXPECT_GE(ties_fired, samples / 32);
+  EXPECT_GE(ties_missed, samples / 32);
+}
+
+TEST(RngBlocks, BernoulliMaskMatchesSequentialCompare) {
+  expect_mask_matches_sequential(&fill_dispatched);
+  // No draws, no mask words, no state change.
+  Rng a(9, 9), b(9, 9);
+  a.fill_bernoulli_mask_block({}, 0, nullptr);
+  EXPECT_EQ(a.uniform_bits(), b.uniform_bits());
+}
+
+TEST(RngBlocks, BernoulliMaskPortableMatchesSequentialCompare) {
+  expect_mask_matches_sequential(&fill_with_variant<resloc::math::bernoulli_mask::portable>);
+}
+
+TEST(RngBlocks, BernoulliMaskAvx2MatchesSequentialCompare) {
+#if RESLOC_X86_SIMD
+  if (!resloc::math::cpu_has_avx2_kernels()) GTEST_SKIP() << "host has no AVX2";
+  expect_mask_matches_sequential(&fill_with_variant<resloc::math::bernoulli_mask::avx2>);
+#else
+  GTEST_SKIP() << "no x86 SIMD variants in this build";
+#endif
+}
+
+TEST(RngBlocks, BernoulliMaskAvx512MatchesSequentialCompare) {
+#if RESLOC_X86_SIMD
+  if (!resloc::math::cpu_has_avx512_kernels()) GTEST_SKIP() << "host has no AVX-512";
+  expect_mask_matches_sequential(&fill_with_variant<resloc::math::bernoulli_mask::avx512>);
+#else
+  GTEST_SKIP() << "no x86 SIMD variants in this build";
+#endif
+}
+
+TEST(RngBlocks, BernoulliMaskRejectsRunsEndingBeforeTheBlock) {
+  Rng rng(1, 1);
+  std::uint64_t mask[1] = {0};
+  EXPECT_THROW(rng.fill_bernoulli_mask_block({{5, 0}}, 6, mask), std::invalid_argument);
+  EXPECT_THROW(rng.fill_bernoulli_mask_block({}, 1, mask), std::invalid_argument);
+}
+
 TEST(IntervalSampleSpan, MatchesPerSamplePredicate) {
   Rng rng(7, 1);
   const double dt = 1.0 / 16000.0;
@@ -242,13 +404,19 @@ TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
     ranging::SignalAccumulator ref_acc(n);
     ref_acc.record_chirp(ref_out);
 
-    // Block: thresholds + fused draw/accumulate.
+    // Block: threshold runs + fused mask draw/accumulate.
     Rng blk_rng(1000 + trial, 11);
     acoustics::DetectorScratch blk_scratch;
-    std::vector<std::uint64_t> thresholds(n), bits(n);
-    detector.fire_thresholds_block(w, n, mic, blk_scratch, thresholds.data());
+    std::vector<resloc::math::BernoulliRun> runs;
+    detector.fire_runs(w, n, mic, blk_scratch, runs);
+    ASSERT_FALSE(runs.empty());
+    EXPECT_EQ(runs.back().end, n) << "trial=" << trial;
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      ASSERT_LT(runs[r - 1].end, runs[r].end) << "trial=" << trial;
+      ASSERT_NE(runs[r - 1].threshold, runs[r].threshold) << "unmerged runs, trial=" << trial;
+    }
     ranging::SignalAccumulator blk_acc(n);
-    blk_acc.record_chirp_bernoulli(blk_rng, thresholds.data(), bits.data());
+    blk_acc.record_chirp_bernoulli(blk_rng, runs);
 
     ASSERT_EQ(blk_acc.samples(), ref_acc.samples()) << "trial=" << trial;
     ASSERT_EQ(blk_rng.uniform_bits(), ref_rng.uniform_bits()) << "trial=" << trial;
@@ -259,12 +427,11 @@ TEST(HardwareBlock, BernoulliDrawsEvenWhenCountersFull) {
   // The scalar path consumes RNG for every chirp past kMaxChirps; the fused
   // block accumulate must too, or streams desynchronize at chirp 16.
   const std::size_t n = 37;
-  std::vector<std::uint64_t> thresholds(n, Rng::bernoulli_threshold(0.5));
-  std::vector<std::uint64_t> bits(n);
+  const std::vector<resloc::math::BernoulliRun> runs = {{n, Rng::bernoulli_threshold(0.5)}};
   Rng a(5, 1), b(5, 1);
   ranging::SignalAccumulator acc(n);
   for (int chirp = 0; chirp < ranging::SignalAccumulator::kMaxChirps + 4; ++chirp) {
-    acc.record_chirp_bernoulli(a, thresholds.data(), bits.data());
+    acc.record_chirp_bernoulli(a, runs);
   }
   for (int chirp = 0; chirp < ranging::SignalAccumulator::kMaxChirps + 4; ++chirp) {
     for (std::size_t i = 0; i < n; ++i) b.uniform_bits();

@@ -153,6 +153,50 @@ TEST_F(ObsTest, ManualClockYieldsExactDurations) {
   EXPECT_EQ(mine->events[1].end_ns, 400u);
 }
 
+TEST_F(ObsTest, SpanChainSharesBoundaryClockReads) {
+  const ManualClock clock(/*step_ns=*/100);
+  obs::set_clock_source(&clock);
+  obs::set_enabled(true);
+  obs::set_capture_spans(true);
+
+  {
+    obs::SpanChain chain;
+    RESLOC_SPAN_ENTER(chain, "test/chain_a");  // t=100
+    RESLOC_SPAN_ENTER(chain, "test/chain_b");  // t=200 ends a, starts b
+    RESLOC_SPAN_ENTER(chain, "test/chain_a");  // t=300 ends b, starts a
+    chain.end();                               // t=400
+    chain.end();                               // nothing running: no read
+    RESLOC_SPAN_ENTER(chain, "test/chain_b");  // t=500
+  }  // the destructor ends b at t=600
+
+  const obs::TelemetrySnapshot snap = obs::snapshot();
+  EXPECT_EQ(snap.stage_count("test/chain_a"), 2u);
+  EXPECT_EQ(snap.stage_count("test/chain_b"), 2u);
+  EXPECT_EQ(snap.stage_total_ns("test/chain_a"), 200u);  // [100,200) + [300,400)
+  EXPECT_EQ(snap.stage_total_ns("test/chain_b"), 200u);  // [200,300) + [500,600)
+
+  const obs::ThreadSnapshot* mine = nullptr;
+  for (const obs::ThreadSnapshot& t : snap.threads) {
+    if (!t.events.empty()) mine = &t;
+  }
+  ASSERT_NE(mine, nullptr);
+  const std::uint64_t expect[][2] = {{100, 200}, {200, 300}, {300, 400}, {500, 600}};
+  ASSERT_EQ(mine->events.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(mine->events[i].start_ns, expect[i][0]) << i;
+    EXPECT_EQ(mine->events[i].end_ns, expect[i][1]) << i;
+  }
+}
+
+TEST_F(ObsTest, DisabledSpanChainRecordsNothing) {
+  {
+    obs::SpanChain chain;
+    obs::set_enabled(true);  // inert: disabled when the chain was built
+    RESLOC_SPAN_ENTER(chain, "test/chain_never");
+  }
+  EXPECT_EQ(obs::snapshot().stage_count("test/chain_never"), 0u);
+}
+
 TEST_F(ObsTest, CountersAddOnlyWhenEnabled) {
   obs::set_enabled(true);
   obs::add(obs::Counter::kGdEvaluations, 3);
@@ -271,6 +315,19 @@ TEST_F(ObsTest, ValidatorRejectsMalformedTraces) {
       R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 1, "ts": 5, "dur": 10}]})",
       &error))
       << error;
+  // Siblings sharing a boundary (a SpanChain) are disjoint even where the
+  // doubles 0.1 + 0.2 overshoot 0.3; a 1 ns overlap is still caught.
+  EXPECT_TRUE(obs::validate_chrome_trace(
+      R"({"traceEvents": [)"
+      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0.1, "dur": 0.2},)"
+      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0.3, "dur": 1}]})",
+      &error))
+      << error;
+  EXPECT_FALSE(obs::validate_chrome_trace(
+      R"({"traceEvents": [)"
+      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0.1, "dur": 0.201},)"
+      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0.3, "dur": 1}]})",
+      &error));
 }
 
 TEST_F(ObsTest, SpanCapDropsLoudly) {
