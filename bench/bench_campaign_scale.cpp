@@ -1,7 +1,9 @@
 // Measurement acquisition at production scale: grid-culled pair enumeration
 // + counter-based RNG substreams vs the seed's O(n^2) front end.
 //
-// Three claims are measured and gated:
+// The dense front end and the per-sample measure path it is timed against
+// are the test-only references (tests/reference). Three claims are measured
+// and gated:
 //   1. Pair-set equivalence. The spatial-grid front end must find exactly
 //      the dense scan's in-range pair set at every scale point -- the delta
 //      (pairs found by one path and not the other) must be 0. The campaign
@@ -46,6 +48,7 @@
 #include "bench_util.hpp"
 #include "eval/aggregate.hpp"
 #include "math/grid_pairs.hpp"
+#include "reference/campaign.hpp"
 #include "sim/field_experiment.hpp"
 #include "sim/scenario_registry.hpp"
 #include "sim/scenarios.hpp"
@@ -132,6 +135,13 @@ std::size_t pair_set_delta(const core::Deployment& d, double cutoff,
   return delta;
 }
 
+/// One campaign on the dense reference front end or the production grid one.
+sim::FieldExperimentData run_campaign(bool dense, const core::Deployment& deployment,
+                                      const sim::FieldExperimentConfig& config, math::Rng& rng) {
+  return dense ? reference::run_field_experiment_dense(deployment, config, rng)
+               : sim::run_field_experiment(deployment, config, rng);
+}
+
 struct ScalePoint {
   std::size_t n = 0;
   std::size_t in_range_pairs = 0;
@@ -158,11 +168,10 @@ ScalePoint run_scale_point(std::size_t n) {
 
   const auto campaign_time = [&](bool dense, int rounds, int reps) {
     sim::FieldExperimentConfig c = config;
-    c.dense_pair_scan = dense;
     c.rounds = rounds;
     return best_of(reps, [&] {
       math::Rng rng(7);
-      const auto data = sim::run_field_experiment(deployment, c, rng);
+      const auto data = run_campaign(dense, deployment, c, rng);
       g_sink = data.samples.size() + data.skipped_pairs;
     });
   };
@@ -218,15 +227,15 @@ SurveyDspPoint run_survey_dsp_point() {
   const core::Deployment deployment = sim::build_scenario("uniform_n", params, deploy_rng);
   const sim::FieldExperimentConfig base = sim::grass_campaign_config();
 
-  const auto run = [&](bool block_dsp, int threads) {
+  const auto run = [&](bool block, int threads) {
     sim::FieldExperimentConfig c = base;
-    c.ranging.block_dsp = block_dsp;
     c.threads = threads;
     math::Rng rng(7);
-    return sim::run_field_experiment(deployment, c, rng);
+    return block ? sim::run_field_experiment(deployment, c, rng)
+                 : reference::run_field_experiment_per_sample(deployment, c, rng);
   };
-  const auto time_run = [&](bool block_dsp, int threads, int reps) {
-    return best_of(reps, [&] { g_sink = run(block_dsp, threads).samples.size(); });
+  const auto time_run = [&](bool block, int threads, int reps) {
+    return best_of(reps, [&] { g_sink = run(block, threads).samples.size(); });
   };
 
   const unsigned hw = std::thread::hardware_concurrency();
@@ -286,11 +295,9 @@ int main(int argc, char** argv) {
   const std::size_t wide_delta =
       pair_set_delta(wide, wide_config.simulate_within_m, &wide_in_range);
   const auto wide_time = [&](bool dense) {
-    sim::FieldExperimentConfig c = wide_config;
-    c.dense_pair_scan = dense;
     return best_of(3, [&] {
       math::Rng rng(7);
-      const auto data = sim::run_field_experiment(wide, c, rng);
+      const auto data = run_campaign(dense, wide, wide_config, rng);
       g_sink = data.samples.size() + data.skipped_pairs;
     });
   };

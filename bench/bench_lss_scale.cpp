@@ -1,4 +1,5 @@
-// LSS at production scale: the skin-list active set vs the dense O(n^2) scan.
+// LSS at production scale: the skin-list active set vs the dense O(n^2) scan
+// of the test-only reference (tests/reference).
 //
 // Two claims are measured and gated:
 //   1. Speedup. The minimum-spacing soft constraint's active set is walked
@@ -39,6 +40,7 @@
 #include "eval/aggregate.hpp"
 #include "eval/metrics.hpp"
 #include "obs/telemetry.hpp"
+#include "reference/lss.hpp"
 #include "sim/deployments.hpp"
 #include "sim/measurement_gen.hpp"
 #include "sim/scenario_registry.hpp"
@@ -105,16 +107,14 @@ EvalCase run_eval_case(std::size_t n, bool folded, double& max_error_delta,
                 math::Vec2{jitter_rng.gaussian(0.0, 3.0), jitter_rng.gaussian(0.0, 3.0)};
   }
 
-  core::LssOptions grid_options;   // default: skin-list active set
-  core::LssOptions dense_options;
-  dense_options.dense_constraint_scan = true;
+  const core::LssOptions options;  // default: skin-list active set
 
   // Equivalence first: same error, same gradient, down to the last bit.
   std::vector<double> grid_grad;
   std::vector<double> dense_grad;
-  const double grid_e = core::lss_stress_with_gradient(measurements, config, grid_options, grid_grad);
+  const double grid_e = core::lss_stress_with_gradient(measurements, config, options, grid_grad);
   const double dense_e =
-      core::lss_stress_with_gradient(measurements, config, dense_options, dense_grad);
+      reference::lss_stress_with_gradient_dense(measurements, config, options, dense_grad);
   max_error_delta = std::max(max_error_delta, std::abs(grid_e - dense_e));
   for (std::size_t i = 0; i < grid_grad.size(); ++i) {
     max_grad_delta = std::max(max_grad_delta, std::abs(grid_grad[i] - dense_grad[i]));
@@ -122,7 +122,7 @@ EvalCase run_eval_case(std::size_t n, bool folded, double& max_error_delta,
 
   // Count the active set so the record shows what the evaluation paid for.
   {
-    const double dmin = *grid_options.min_spacing_m;
+    const double dmin = *options.min_spacing_m;
     for (std::size_t i = 0; i + 1 < config.size(); ++i) {
       for (std::size_t j = i + 1; j < config.size(); ++j) {
         const double d = math::distance(config[i], config[j]);
@@ -140,11 +140,11 @@ EvalCase run_eval_case(std::size_t n, bool folded, double& max_error_delta,
   // on a shared machine.
   const int evals = n >= 1000 ? 10 : n >= 500 ? 20 : 50;
   std::vector<double> grad;
-  const auto time_eval = [&](const core::LssOptions& options) {
+  const auto time_eval = [&](auto&& stress_with_gradient, const core::LssOptions& eval_options) {
     return time_once([&] {
       double sum = 0.0;
       for (int e = 0; e < evals; ++e) {
-        sum += core::lss_stress_with_gradient(measurements, config, options, grad);
+        sum += stress_with_gradient(measurements, config, eval_options, grad);
       }
       g_sink = sum;
     });
@@ -155,9 +155,9 @@ EvalCase run_eval_case(std::size_t n, bool folded, double& max_error_delta,
   double dense_s = 1e300;
   double grid_s = 1e300;
   for (int rep = 0; rep < 21; ++rep) {
-    edge_s = std::min(edge_s, time_eval(edge_only_options));
-    dense_s = std::min(dense_s, time_eval(dense_options));
-    grid_s = std::min(grid_s, time_eval(grid_options));
+    edge_s = std::min(edge_s, time_eval(core::lss_stress_with_gradient, edge_only_options));
+    dense_s = std::min(dense_s, time_eval(reference::lss_stress_with_gradient_dense, options));
+    grid_s = std::min(grid_s, time_eval(core::lss_stress_with_gradient, options));
   }
   c.edge_term_us = edge_s / evals * 1e6;
   c.dense_us = dense_s / evals * 1e6;
@@ -235,10 +235,11 @@ int main(int argc, char** argv) {
     return initial;
   };
   const auto refine = [&](std::vector<math::Vec2> initial, bool dense) {
-    core::LssOptions options = solve_options;
-    options.dense_constraint_scan = dense;
     math::Rng solve_rng(0x50E);
-    return core::localize_lss_from(measurements, std::move(initial), options, solve_rng);
+    return dense ? reference::localize_lss_from_dense(measurements, std::move(initial),
+                                                      solve_options, solve_rng)
+                 : core::localize_lss_from(measurements, std::move(initial), solve_options,
+                                           solve_rng);
   };
   const auto solve = [&](bool dense) { return refine(dv_hop_seed(), dense); };
 

@@ -44,8 +44,8 @@ std::vector<ChirpPlacement> periodic_chirps(std::size_t count, std::size_t first
 /// Block synthesis kernel of the sampled-audio paths:
 ///     out[i] = amplitude[i] * tone[i] + (burst[i] ? burst_noise_sigma : 1.0) * noise[i]
 /// -- tone envelope on the cached tone table plus scaled standard-normal
-/// noise, the same per-sample arithmetic the per-sample reference loops of
-/// RangingService compute. Branch-free and contiguous, so it auto-vectorizes;
+/// noise, the same per-sample arithmetic the test-only per-sample reference
+/// measure computes. Branch-free and contiguous, so it auto-vectorizes;
 /// the noise block comes from Rng::fill_gaussian_block.
 void mix_tone_noise_block(const double* amplitude, const double* tone, const double* noise,
                           const std::uint8_t* burst, double burst_noise_sigma, double* out,

@@ -7,21 +7,8 @@
 
 namespace resloc::acoustics {
 
-namespace {
-constexpr double kFaultyMicFalsePositiveRate = 0.15;
-}
-
 ToneDetectorModel::ToneDetectorModel(EnvironmentProfile env, double sample_rate_hz)
     : env_(std::move(env)), sample_rate_hz_(sample_rate_hz) {}
-
-std::vector<bool> ToneDetectorModel::sample_window(const ReceivedWindow& window,
-                                                   std::size_t num_samples, const MicUnit& mic,
-                                                   resloc::math::Rng& rng) const {
-  DetectorScratch scratch;
-  std::vector<bool> out;
-  sample_window_into(window, num_samples, mic, rng, scratch, out);
-  return out;
-}
 
 void sample_bracket(double window_start_s, double dt, std::size_t num_samples, double start_s,
                     double end_s, std::size_t& lo, std::size_t& hi) {
@@ -47,47 +34,6 @@ SampleSpan interval_sample_span(double window_start_s, double dt, std::size_t nu
   while (lo < hi && t(lo) < start_s) ++lo;
   while (hi > lo && t(hi - 1) >= end_s) --hi;
   return {lo, hi};
-}
-
-void ToneDetectorModel::sample_window_into(const ReceivedWindow& window,
-                                           std::size_t num_samples, const MicUnit& mic,
-                                           resloc::math::Rng& rng, DetectorScratch& scratch,
-                                           std::vector<bool>& out) const {
-  const double dt = sample_period_s();
-  scratch.best_snr.assign(num_samples, -1e9);
-  scratch.tone.assign(num_samples, 0);
-  scratch.burst.assign(num_samples, 0);
-
-  // Rasterize each interval onto its exact contiguous sample span -- the edge
-  // refinement applies the same t >= start && t < end comparison the retired
-  // per-sample scan used, so the outputs match it bit for bit.
-  for (const SignalInterval& s : window.signals) {
-    const SampleSpan span =
-        interval_sample_span(window.start_s, dt, num_samples, s.start_s, s.end_s);
-    for (std::size_t i = span.lo; i < span.hi; ++i) {
-      scratch.tone[i] = 1;
-      scratch.best_snr[i] = std::max(scratch.best_snr[i], s.snr_db);
-    }
-  }
-  for (const NoiseBurst& b : window.bursts) {
-    const SampleSpan span =
-        interval_sample_span(window.start_s, dt, num_samples, b.start_s, b.end_s);
-    std::fill(scratch.burst.begin() + static_cast<std::ptrdiff_t>(span.lo),
-              scratch.burst.begin() + static_cast<std::ptrdiff_t>(span.hi), std::uint8_t{1});
-  }
-
-  out.assign(num_samples, false);
-  for (std::size_t i = 0; i < num_samples; ++i) {
-    double p;
-    if (scratch.tone[i] != 0) {
-      p = detection_probability(scratch.best_snr[i]);
-    } else {
-      p = scratch.burst[i] != 0 ? env_.noise_burst_false_positive_rate
-                                : env_.false_positive_rate;
-      if (mic.faulty) p = std::max(p, kFaultyMicFalsePositiveRate);
-    }
-    out[i] = rng.bernoulli(p);
-  }
 }
 
 void ToneDetectorModel::fire_runs(const ReceivedWindow& window, std::size_t num_samples,
@@ -131,8 +77,7 @@ void ToneDetectorModel::fire_runs(const ReceivedWindow& window, std::size_t num_
 
   // The edges include every span's, so a span covers each stretch between
   // consecutive edges wholly or not at all. Tones override the noise floors
-  // entirely (the scalar path branches on tone presence first) and combine
-  // by max; bursts override the base rate.
+  // entirely and combine by max; bursts override the base rate.
   runs.clear();
   for (std::size_t k = 0; k + 1 < edges.size(); ++k) {
     const std::size_t lo = edges[k];

@@ -25,11 +25,10 @@ struct FireSpan {
   bool tone = false;  ///< a tone interval (else a noise burst)
 };
 
-/// Reusable buffers for ToneDetectorModel::sample_window_into and fire_runs;
-/// keep one per worker thread and reuse it across a campaign's pairs.
+/// Reusable buffers for ToneDetectorModel::fire_runs and the sampled-audio
+/// envelope; keep one per worker thread and reuse it across a campaign's
+/// pairs.
 struct DetectorScratch {
-  std::vector<double> best_snr;         ///< strongest audible tone per sample
-  std::vector<std::uint8_t> tone;       ///< 1 = some tone interval covers the sample
   std::vector<std::uint8_t> burst;      ///< 1 = a noise burst covers the sample
   std::vector<FireSpan> fire_spans;     ///< every interval's span (fire_runs)
   std::vector<std::size_t> fire_edges;  ///< sorted span edges (fire_runs)
@@ -69,34 +68,22 @@ class ToneDetectorModel {
   /// detector (16 kHz in the paper's experiments).
   ToneDetectorModel(EnvironmentProfile env, double sample_rate_hz = 16000.0);
 
-  /// Produces `num_samples` binary outputs starting at the window start.
-  /// A faulty microphone suffers persistent elevated false positives
-  /// (Section 3.4, source 3/7).
-  std::vector<bool> sample_window(const ReceivedWindow& window, std::size_t num_samples,
-                                  const MicUnit& mic, resloc::math::Rng& rng) const;
+  /// False-positive floor of a faulty microphone: persistent elevated false
+  /// positives (Section 3.4, source 3/7), folded into both off-tone rates.
+  static constexpr double kFaultyMicFalsePositiveRate = 0.15;
 
-  /// sample_window() into caller-owned buffers: `out` receives the binary
-  /// series, `scratch` absorbs the per-call working storage. Output (and RNG
-  /// consumption) is bit-identical to sample_window(); the difference is the
-  /// cost model -- intervals are rasterized onto the samples they can touch
-  /// instead of every sample scanning every interval, and nothing allocates
-  /// once the buffers have grown to the window size.
-  void sample_window_into(const ReceivedWindow& window, std::size_t num_samples,
-                          const MicUnit& mic, resloc::math::Rng& rng, DetectorScratch& scratch,
-                          std::vector<bool>& out) const;
-
-  /// Block entry point: the deterministic front half of sample_window_into,
-  /// as the window's ascending Bernoulli threshold runs (see
-  /// math::BernoulliRun) covering [0, num_samples). Each stretch between
-  /// interval edges takes the scalar path's precedence: the max threshold of
-  /// the tones covering it (threshold-of-probability is monotone in SNR, so
-  /// max of thresholds equals the threshold of the scalar path's best-SNR
-  /// max, bit for bit), else the burst rate, else the base rate, with a
-  /// faulty mic's floor folded into both rates. Adjacent equal stretches
+  /// The window's binary detector output as ascending Bernoulli threshold
+  /// runs (see math::BernoulliRun) covering [0, num_samples): sample i fires
+  /// with the probability of the strongest tone covering it, else the noise
+  /// burst rate, else the base false-positive rate, a faulty mic's floor
+  /// folded into both off-tone rates. Each stretch between interval edges
+  /// takes the max threshold of the tones covering it (threshold-of-
+  /// probability is monotone in SNR, so max of thresholds equals the
+  /// threshold of the best-SNR max, bit for bit). Adjacent equal stretches
   /// merge. Costs O(intervals^2) with a handful of intervals per window, not
   /// O(num_samples), and consumes no randomness; pair it with
-  /// SignalAccumulator::record_chirp_bernoulli, which draws the identical
-  /// one-uniform-per-sample stream the scalar path draws.
+  /// SignalAccumulator::record_chirp_bernoulli, which draws one uniform per
+  /// sample.
   void fire_runs(const ReceivedWindow& window, std::size_t num_samples, const MicUnit& mic,
                  DetectorScratch& scratch, std::vector<resloc::math::BernoulliRun>& runs) const;
 

@@ -25,12 +25,11 @@ StressObjective::StressObjective(const MeasurementSet& measurements, const LssOp
     : measurements_(measurements),
       options_(options),
       fixed_(std::move(fixed)),
-      n_(measurements.node_count()),
-      use_list_(options.min_spacing_m.has_value() && !options.dense_constraint_scan) {
+      n_(measurements.node_count()) {
   if (!options_.min_spacing_m.has_value()) return;
   dmin_ = *options_.min_spacing_m;
   dmin_sq_ = dmin_ * dmin_;
-  if (use_list_) skin_ = kSkinFraction * dmin_;
+  skin_ = kSkinFraction * dmin_;
 }
 
 double StressObjective::operator()(const std::vector<double>& p, std::vector<double>& grad) {
@@ -54,11 +53,7 @@ double StressObjective::operator()(const std::vector<double>& p, std::vector<dou
   // Soft minimum-spacing constraint over *unmeasured* pairs placed closer
   // than d_min: w_D (dcomp - d_min)^2. The active set changes dynamically
   // as the configuration moves (Section 4.2.1).
-  if (use_list_) {
-    error = accumulate_constraint_list(p, grad, error);
-  } else if (options_.min_spacing_m.has_value()) {
-    error = accumulate_constraint_dense(p, grad, error);
-  }
+  if (options_.min_spacing_m.has_value()) error = accumulate_constraint_list(p, grad, error);
 
   for (const NodeId i : fixed_) {
     grad[i] = 0.0;
@@ -73,8 +68,9 @@ double StressObjective::operator()(const std::vector<double>& p, std::vector<dou
 }
 
 /// One active pair's contribution, given the pair's already-computed offset.
-/// Shared verbatim by both scan paths -- the bit-equivalence guarantee
-/// reduces to visiting the same active pairs in the same order.
+/// The dense reference scan applies the same arithmetic -- the
+/// bit-equivalence guarantee reduces to visiting the same active pairs in the
+/// same order.
 double StressObjective::add_violation(std::vector<double>& grad, double error, std::size_t i,
                                       std::size_t j, double dx, double dy, double d_sq) {
   ++active_pairs_;
@@ -90,23 +86,7 @@ double StressObjective::add_violation(std::vector<double>& grad, double error, s
   return error;
 }
 
-/// Reference path: scan all unordered pairs (the seed implementation).
-double StressObjective::accumulate_constraint_dense(const std::vector<double>& p,
-                                                    std::vector<double>& grad, double error) {
-  for (NodeId i = 0; i + 1 < n_; ++i) {
-    for (NodeId j = i + 1; j < n_; ++j) {
-      const double dx = p[i] - p[j];
-      const double dy = p[n_ + i] - p[n_ + j];
-      const double d_sq = dx * dx + dy * dy;
-      if (d_sq >= dmin_sq_) continue;             // constraint satisfied
-      if (measurements_.has(i, j)) continue;      // measured pairs are exempt
-      error = add_violation(grad, error, i, j, dx, dy, d_sq);
-    }
-  }
-  return error;
-}
-
-/// Production path: walk the skin list with the dense scan's per-pair test.
+/// Walks the skin list with the dense scan's per-pair test.
 /// Measured pairs never enter the list, so the walk needs no exemption
 /// lookup; pairs the list holds but that sit at or beyond d_min are skipped
 /// by the same `d_sq >= dmin_sq` test the dense scan applies.
@@ -199,30 +179,6 @@ void StressObjective::build_list(const std::vector<double>& p) {
 
 }  // namespace detail
 
-namespace {
-
-LssResult run(const MeasurementSet& measurements, std::vector<double> initial,
-              std::vector<NodeId> fixed, const LssOptions& options, resloc::math::Rng& rng) {
-  RESLOC_SPAN("solver/lss_solve");
-  const std::size_t n = measurements.node_count();
-  detail::StressObjective objective(measurements, options, std::move(fixed));
-  const auto gd_result = resloc::math::minimize_with_restarts(objective, std::move(initial),
-                                                              options.gd, options.restarts, rng);
-  LssResult result;
-  result.positions.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    result.positions[i] = Vec2{gd_result.x[i], gd_result.x[n + i]};
-  }
-  result.stress = gd_result.error;
-  result.iterations = gd_result.iterations;
-  result.converged = gd_result.converged;
-  result.non_finite = gd_result.non_finite || !std::isfinite(gd_result.error);
-  result.error_trace = gd_result.error_trace;
-  return result;
-}
-
-}  // namespace
-
 double lss_stress(const MeasurementSet& measurements, const std::vector<Vec2>& positions,
                   const LssOptions& options) {
   std::vector<double> grad;
@@ -245,36 +201,11 @@ double lss_stress_with_gradient(const MeasurementSet& measurements,
 
 LssResult localize_lss(const MeasurementSet& measurements, const LssOptions& options,
                        resloc::math::Rng& rng) {
-  const std::size_t n = measurements.node_count();
-  const double stress_target =
-      options.target_stress_per_edge > 0.0
-          ? options.target_stress_per_edge * static_cast<double>(std::max<std::size_t>(
-                                                 measurements.edge_count(), 1))
-          : -1.0;
-
-  LssResult best;
-  bool have_best = false;
-  const int attempts = std::max(options.independent_inits, 1);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::vector<Vec2> initial(n);
-    for (auto& v : initial) {
-      v = Vec2{rng.uniform(0.0, options.init_box_m), rng.uniform(0.0, options.init_box_m)};
-    }
-    LssResult candidate = localize_lss_from(measurements, std::move(initial), options, rng);
-    // NaN-aware best-selection: a finite-stress attempt always beats a
-    // non-finite best (plain `<` never replaces a NaN best), and a
-    // non-finite attempt never displaces a finite best.
-    const bool better =
-        !have_best || (std::isfinite(candidate.stress) && !std::isfinite(best.stress)) ||
-        (!(std::isfinite(best.stress) && !std::isfinite(candidate.stress)) &&
-         candidate.stress < best.stress);
-    if (better) {
-      best = std::move(candidate);
-      have_best = true;
-    }
-    if (stress_target >= 0.0 && best.stress <= stress_target) break;
-  }
-  return best;
+  return detail::best_of_random_inits(measurements, options, rng,
+                                      [&](std::vector<Vec2> initial) {
+                                        return localize_lss_from(measurements, std::move(initial),
+                                                                 options, rng);
+                                      });
 }
 
 LssResult localize_lss_from(const MeasurementSet& measurements, std::vector<Vec2> initial,
@@ -285,7 +216,8 @@ LssResult localize_lss_from(const MeasurementSet& measurements, std::vector<Vec2
     p[i] = initial[i].x;
     p[n + i] = initial[i].y;
   }
-  return run(measurements, std::move(p), {}, options, rng);
+  detail::StressObjective objective(measurements, options, {});
+  return detail::solve(objective, std::move(p), options, rng);
 }
 
 LssResult localize_lss_anchored(const MeasurementSet& measurements,
@@ -303,7 +235,8 @@ LssResult localize_lss_anchored(const MeasurementSet& measurements,
     p[n + id] = pos.y;
     fixed.push_back(id);
   }
-  return run(measurements, std::move(p), std::move(fixed), options, rng);
+  detail::StressObjective objective(measurements, options, std::move(fixed));
+  return detail::solve(objective, std::move(p), options, rng);
 }
 
 }  // namespace resloc::core

@@ -63,18 +63,6 @@ struct LssOptions {
   /// stress falls to `target_stress_per_edge * edge_count` ("a reasonable
   /// minimum is reached"). 0 runs all attempts.
   double target_stress_per_edge = 0.0;
-
-  /// When true, the soft constraint's active set is found by the original
-  /// dense all-pairs scan (O(n^2) per objective evaluation, with a
-  /// MeasurementSet::has lookup per sub-d_min pair) instead of the skin
-  /// candidate list (an O(n) displacement check per evaluation, plus an
-  /// O(n + candidates) spatial-grid rebuild whenever some node has moved half
-  /// a skin). The two paths are bit-equivalent -- same error, same gradient,
-  /// same active-pair count, down to the last ulp, for one-shot evaluations
-  /// and for a list reused across a descent (locked by tests/test_lss_scale.cpp)
-  /// -- so this exists only for those tests, bench_lss_scale's baseline, and
-  /// as a reference when debugging the list.
-  bool dense_constraint_scan = false;
 };
 
 /// LSS output. Positions are in an arbitrary rigid frame (translate / rotate
@@ -101,7 +89,8 @@ double lss_stress(const MeasurementSet& measurements, const std::vector<resloc::
 /// resized to 2n and laid out like the solver's parameter vector:
 /// [dE/dx_0 .. dE/dx_{n-1}, dE/dy_0 .. dE/dy_{n-1}]. One-shot: builds the
 /// skin list once for this configuration. Exposed for the finite-difference
-/// gradient checks, the dense-vs-list equivalence tests, and bench_lss_scale.
+/// gradient checks, the equivalence tests against the dense reference scan,
+/// and bench_lss_scale.
 double lss_stress_with_gradient(const MeasurementSet& measurements,
                                 const std::vector<resloc::math::Vec2>& positions,
                                 const LssOptions& options, std::vector<double>& grad);

@@ -4,17 +4,25 @@
 // math::minimize_with_restarts, which evaluates it ~10^5 times per solve. It
 // lives in this header rather than inside lss.cpp so tests can drive one
 // instance through a sequence of configurations and compare every
-// evaluation against a fresh one-shot evaluation and the dense oracle --
-// nothing outside core and its tests should include it.
+// evaluation against a fresh one-shot evaluation and the dense oracle, and
+// so the test-only dense reference (tests/reference) solves through the same
+// descent and init loop -- nothing outside core and its tests should
+// include it.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/lss.hpp"
 #include "core/types.hpp"
+#include "math/gradient_descent.hpp"
+#include "math/rng.hpp"
 #include "math/spatial_hash_grid.hpp"
+#include "obs/telemetry.hpp"
 
 namespace resloc::core::detail {
 
@@ -29,9 +37,11 @@ namespace resloc::core::detail {
 /// (`ref_`), in the dense scan's (i asc, j asc) order. While no node has
 /// moved skin/2 from `ref_`, no pair outside the list can have come within
 /// d_min, so the list is a superset of the active set and the walk -- the
-/// dense scan's per-pair arithmetic, in the dense scan's order -- produces
-/// the dense scan's error, gradient and active-pair count bit for bit. An
-/// O(n) displacement check per evaluation decides when to rebuild.
+/// dense all-pairs scan's per-pair arithmetic, in the dense scan's order --
+/// produces the dense scan's error, gradient and active-pair count bit for
+/// bit (the dense scan lives on as the test-only reference in
+/// tests/reference). An O(n) displacement check per evaluation decides when
+/// to rebuild.
 class StressObjective {
  public:
   /// Skin width as a fraction of d_min. A wider skin rebuilds less often but
@@ -62,8 +72,6 @@ class StressObjective {
   std::uint64_t rebuilds() const { return rebuilds_; }
 
  private:
-  double accumulate_constraint_dense(const std::vector<double>& p, std::vector<double>& grad,
-                                     double error);
   double accumulate_constraint_list(const std::vector<double>& p, std::vector<double>& grad,
                                     double error);
   bool list_is_stale(const std::vector<double>& p) const;
@@ -75,7 +83,6 @@ class StressObjective {
   const LssOptions options_;
   const std::vector<NodeId> fixed_;
   const std::size_t n_;
-  const bool use_list_;  ///< soft constraint on and not the dense reference scan
   double dmin_ = 0.0;
   double dmin_sq_ = 0.0;
   double skin_ = 0.0;
@@ -88,5 +95,69 @@ class StressObjective {
   std::vector<std::uint32_t> counts_;     ///< list-build scratch, counting sort by i
   std::vector<std::uint64_t> list_;       ///< candidates, packed (i << 32) | j, ascending
 };
+
+/// One descent of `objective` from the flattened configuration `initial`
+/// (math::minimize_with_restarts under options.gd / options.restarts),
+/// packed as an LssResult: the solve step of localize_lss_from and
+/// localize_lss_anchored.
+template <typename Objective>
+LssResult solve(Objective& objective, std::vector<double> initial, const LssOptions& options,
+                resloc::math::Rng& rng) {
+  RESLOC_SPAN("solver/lss_solve");
+  const std::size_t n = initial.size() / 2;
+  const auto gd_result = resloc::math::minimize_with_restarts(objective, std::move(initial),
+                                                              options.gd, options.restarts, rng);
+  LssResult result;
+  result.positions.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    result.positions[i] = resloc::math::Vec2{gd_result.x[i], gd_result.x[n + i]};
+  }
+  result.stress = gd_result.error;
+  result.iterations = gd_result.iterations;
+  result.converged = gd_result.converged;
+  result.non_finite = gd_result.non_finite || !std::isfinite(gd_result.error);
+  result.error_trace = gd_result.error_trace;
+  return result;
+}
+
+/// localize_lss's outer loop: options.independent_inits random initial
+/// configurations in the init box, each handed to `solve_from(initial)` (a
+/// full perturbation-restart descent), keeping the best by stress and
+/// stopping early once options.target_stress_per_edge is met.
+template <typename SolveFrom>
+LssResult best_of_random_inits(const MeasurementSet& measurements, const LssOptions& options,
+                               resloc::math::Rng& rng, SolveFrom&& solve_from) {
+  const std::size_t n = measurements.node_count();
+  const double stress_target =
+      options.target_stress_per_edge > 0.0
+          ? options.target_stress_per_edge * static_cast<double>(std::max<std::size_t>(
+                                                 measurements.edge_count(), 1))
+          : -1.0;
+
+  LssResult best;
+  bool have_best = false;
+  const int attempts = std::max(options.independent_inits, 1);
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    std::vector<resloc::math::Vec2> initial(n);
+    for (auto& v : initial) {
+      v = resloc::math::Vec2{rng.uniform(0.0, options.init_box_m),
+                             rng.uniform(0.0, options.init_box_m)};
+    }
+    LssResult candidate = solve_from(std::move(initial));
+    // NaN-aware best-selection: a finite-stress attempt always beats a
+    // non-finite best (plain `<` never replaces a NaN best), and a
+    // non-finite attempt never displaces a finite best.
+    const bool better =
+        !have_best || (std::isfinite(candidate.stress) && !std::isfinite(best.stress)) ||
+        (!(std::isfinite(best.stress) && !std::isfinite(candidate.stress)) &&
+         candidate.stress < best.stress);
+    if (better) {
+      best = std::move(candidate);
+      have_best = true;
+    }
+    if (stress_target >= 0.0 && best.stress <= stress_target) break;
+  }
+  return best;
+}
 
 }  // namespace resloc::core::detail

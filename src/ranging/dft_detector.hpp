@@ -146,8 +146,8 @@ class GoertzelToneDetector {
                                 double noise_scale = 6.0);
 
   /// Feeds one sample; returns the noise-subtracted detection metric
-  /// (positive indicates a tone). The campaign's scalar reference path
-  /// drives this sample-by-sample (RangingService::software_sample_window).
+  /// (positive indicates a tone). The test-only per-sample reference
+  /// measure (tests/reference) drives this sample by sample.
   double step(double sample);
 
   /// Block entry point: metric[i] = step(x[i]) for i in [0, n) -- the same

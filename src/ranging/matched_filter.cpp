@@ -10,17 +10,6 @@ MatchedFilterNcc::MatchedFilterNcc(double threshold, int peak_plateau)
 
 void MatchedFilterNcc::detect_into(const double* x, std::size_t n, std::size_t chirp_samples,
                                    const acoustics::ToneTemplateView& tpl,
-                                   std::vector<bool>& marks) {
-  marks.assign(n, false);
-  if (!scan(x, n, chirp_samples, tpl)) return;
-  for (std::size_t i : peaks_) {
-    const std::size_t end = std::min(n, i + static_cast<std::size_t>(peak_plateau_));
-    for (std::size_t j = i; j < end; ++j) marks[j] = true;
-  }
-}
-
-void MatchedFilterNcc::detect_into(const double* x, std::size_t n, std::size_t chirp_samples,
-                                   const acoustics::ToneTemplateView& tpl,
                                    std::uint8_t* marks) {
   std::fill(marks, marks + n, std::uint8_t{0});
   if (!scan(x, n, chirp_samples, tpl)) return;

@@ -61,15 +61,10 @@ class MatchedFilterNcc {
                             int peak_plateau = kDefaultPeakPlateau);
 
   /// Scans `x[0, n)` for chirp onsets by NCC against `tpl` (template length
-  /// `chirp_samples`; `tpl` must cover at least n samples) and sets a
-  /// `peak_plateau`-sample run in `marks` at every picked onset. `marks` is
-  /// resized to n; previous contents are discarded.
-  void detect_into(const double* x, std::size_t n, std::size_t chirp_samples,
-                   const acoustics::ToneTemplateView& tpl, std::vector<bool>& marks);
-
-  /// detect_into over a contiguous 0/1 mark buffer (the block-DSP `fired`
-  /// lane, length n, caller-allocated). Identical scan, peak picking, and
-  /// plateau marking as the vector<bool> form -- the two share one core.
+  /// `chirp_samples`; `tpl` must cover at least n samples) and writes the
+  /// 0/1 mark buffer `marks` (the block-DSP `fired` lane, length n,
+  /// caller-allocated): a `peak_plateau`-sample run of 1s, clipped at n, at
+  /// every picked onset and 0 everywhere else.
   void detect_into(const double* x, std::size_t n, std::size_t chirp_samples,
                    const acoustics::ToneTemplateView& tpl, std::uint8_t* marks);
 

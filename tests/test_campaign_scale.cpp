@@ -12,6 +12,7 @@
 
 #include "math/grid_pairs.hpp"
 #include "math/rng.hpp"
+#include "reference/campaign.hpp"
 #include "sim/field_experiment.hpp"
 #include "sim/measurement_gen.hpp"
 #include "sim/scenarios.hpp"
@@ -182,9 +183,8 @@ TEST(FieldExperimentScale, GridFrontEndMatchesDenseReferenceBitExactly) {
 
   Rng rng_grid(31);
   const auto grid = resloc::sim::run_field_experiment(deployment, config, rng_grid);
-  config.dense_pair_scan = true;
   Rng rng_dense(31);
-  const auto dense = resloc::sim::run_field_experiment(deployment, config, rng_dense);
+  const auto dense = resloc::reference::run_field_experiment_dense(deployment, config, rng_dense);
 
   EXPECT_GT(grid.samples.size(), 0u);
   expect_same_campaign(grid, dense);
@@ -203,9 +203,8 @@ TEST(FieldExperimentScale, ThreadCountDoesNotChangeBytes) {
   Rng rng4(97);
   const auto four = resloc::sim::run_field_experiment(deployment, config, rng4);
   // The dense reference path shards identically.
-  config.dense_pair_scan = true;
   Rng rng_dense(97);
-  const auto dense4 = resloc::sim::run_field_experiment(deployment, config, rng_dense);
+  const auto dense4 = resloc::reference::run_field_experiment_dense(deployment, config, rng_dense);
 
   EXPECT_GT(one.samples.size(), 0u);
   expect_same_campaign(one, four);
@@ -219,9 +218,9 @@ TEST(FieldExperimentScale, SkippedPairsCountsOutOfRangePairsOnce) {
   d.positions = {{0.0, 0.0}, {5.0, 0.0}, {500.0, 0.0}};
   resloc::sim::FieldExperimentConfig config = resloc::sim::grass_campaign_config(/*rounds=*/3);
   for (const bool dense : {false, true}) {
-    config.dense_pair_scan = dense;
     Rng rng(3);
-    const auto data = resloc::sim::run_field_experiment(d, config, rng);
+    const auto data = dense ? resloc::reference::run_field_experiment_dense(d, config, rng)
+                            : resloc::sim::run_field_experiment(d, config, rng);
     EXPECT_EQ(data.skipped_pairs, 2u) << (dense ? "dense" : "grid");
   }
 }

@@ -1,12 +1,13 @@
 // Bit-equality tests for the block-DSP kernels of the measure path.
 //
-// Every block kernel has a retained per-sample reference (the pre-refactor
-// loop, or for the block normal stream a test-local scalar oracle written
-// from its definition); these tests drive both over the same inputs and the
-// same RNG stream and require last-ulp identical outputs AND identical
-// post-call generator state, at odd block sizes, partial tails, and
-// window-boundary offsets. The capstone test diffs RangingService end to end
-// with block_dsp on vs off for all three detector front ends.
+// Every block kernel has a per-sample reference (the pre-refactor loop, kept
+// in the test-only resloc_reference library, or for the block normal stream
+// a test-local scalar oracle written from its definition); these tests drive
+// both over the same inputs and the same RNG stream and require last-ulp
+// identical outputs AND identical post-call generator state, at odd block
+// sizes, partial tails, and window-boundary offsets. The capstone test diffs
+// RangingService end to end against the per-sample reference measure for
+// all three detector front ends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "ranging/matched_filter.hpp"
 #include "ranging/ranging_service.hpp"
 #include "ranging/signal_detection.hpp"
+#include "reference/ranging.hpp"
 #include "sim/channel_cache.hpp"
 
 namespace {
@@ -131,7 +133,8 @@ TEST(RngBlocks, GaussianBlockMatchesZigguratOracleAndKeepsCachedHalf) {
       std::vector<double> block(n, 0.0);
       a.fill_gaussian_block(block.data(), n);
       const std::vector<double> expect = ziggurat_oracle(b, n, paths);
-      ASSERT_EQ(std::memcmp(block.data(), expect.data(), n * sizeof(double)), 0)
+      // n = 0 leaves data() null, which memcmp must not be handed.
+      ASSERT_TRUE(n == 0 || std::memcmp(block.data(), expect.data(), n * sizeof(double)) == 0)
           << "n=" << n << " warmup=" << warmup;
       if (warmup) {
         // The block neither consumed nor cleared the pending half.
@@ -398,11 +401,11 @@ TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
 
     // Reference: the per-sample detector loop.
     Rng ref_rng(1000 + trial, 11);
-    acoustics::DetectorScratch ref_scratch;
-    std::vector<bool> ref_out;
-    detector.sample_window_into(w, n, mic, ref_rng, ref_scratch, ref_out);
+    const std::vector<bool> ref_out =
+        resloc::reference::sample_window(env, detector.sample_rate_hz(), w, n, mic, ref_rng);
+    const std::vector<std::uint8_t> ref_fired(ref_out.begin(), ref_out.end());
     ranging::SignalAccumulator ref_acc(n);
-    ref_acc.record_chirp(ref_out);
+    ref_acc.record_chirp_block(ref_fired.data(), n);
 
     // Block: threshold runs + fused mask draw/accumulate.
     Rng blk_rng(1000 + trial, 11);
@@ -440,24 +443,26 @@ TEST(HardwareBlock, BernoulliDrawsEvenWhenCountersFull) {
   EXPECT_EQ(a.uniform_bits(), b.uniform_bits());
 }
 
-TEST(RecordChirpBlock, MatchesVectorBoolForm) {
+TEST(RecordChirpBlock, CountsFiredSamplesOfTheFirstFifteenChirps) {
   Rng rng(99, 2);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 300));
-    ranging::SignalAccumulator a(n), b(n);
+    const double rate = trial == 0 ? 1.0 : 0.4;  // trial 0: every counter saturates at 15
+    ranging::SignalAccumulator acc(n);
+    std::vector<std::uint8_t> expect(n, 0);
     for (int chirp = 0; chirp < 18; ++chirp) {
-      std::vector<bool> bools(n);
-      std::vector<std::uint8_t> bytes(n);
+      std::vector<std::uint8_t> fired(n);
       for (std::size_t i = 0; i < n; ++i) {
-        const bool fired = rng.bernoulli(0.4);
-        bools[i] = fired;
-        bytes[i] = fired ? 1 : 0;
+        fired[i] = rng.bernoulli(rate) ? 1 : 0;
+        if (chirp < ranging::SignalAccumulator::kMaxChirps) expect[i] += fired[i];
       }
-      a.record_chirp(bools);
-      b.record_chirp_block(bytes.data(), n);
+      acc.record_chirp_block(fired.data(), n);
     }
-    ASSERT_EQ(a.samples(), b.samples());
-    ASSERT_EQ(a.chirps_recorded(), b.chirps_recorded());
+    ASSERT_EQ(acc.samples(), expect) << "trial=" << trial;
+    ASSERT_EQ(acc.chirps_recorded(), ranging::SignalAccumulator::kMaxChirps);
+    if (trial == 0) {
+      ASSERT_EQ(expect, std::vector<std::uint8_t>(n, 15));
+    }
   }
 }
 
@@ -499,26 +504,42 @@ TEST(MixKernel, MatchesFusedFormula) {
   }
 }
 
-TEST(MatchedFilterBlock, ByteMarksMatchBoolMarks) {
+TEST(MatchedFilterBlock, MarksAPlateauAtEachPickedPeakClippedAtTheWindow) {
   Rng rng(23, 8);
   acoustics::WaveformSynthesizer synth;
-  ranging::MatchedFilterNcc filt;
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(64, 900));
-    const std::size_t chirp = 128;
-    const acoustics::ToneTemplateView tpl = synth.tone_template_view(16000.0, 4300.0, n);
-    std::vector<double> x(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool in_chirp = i >= n / 3 && i < n / 3 + chirp;
-      x[i] = (in_chirp ? 3.0 * tpl.sin_t[i] : 0.0) + rng.gaussian();
+  const std::size_t chirp = 128;
+  // The default plateau, and one longer than the chirp so a chirp at the
+  // window's end has its plateau clipped at n.
+  for (const int plateau : {ranging::MatchedFilterNcc::kDefaultPeakPlateau, 200}) {
+    ranging::MatchedFilterNcc filt(ranging::MatchedFilterNcc::kDefaultThreshold, plateau);
+    int peaks = 0;
+    int clipped = 0;
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::size_t n =
+          static_cast<std::size_t>(rng.uniform_int(static_cast<std::int64_t>(chirp), 900));
+      const std::size_t onset = trial % 2 == 0 ? n / 3 : n - chirp;
+      const acoustics::ToneTemplateView tpl = synth.tone_template_view(16000.0, 4300.0, n);
+      std::vector<double> x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool in_chirp = i >= onset && i < onset + chirp;
+        x[i] = (in_chirp ? 3.0 * tpl.sin_t[i] : 0.0) + rng.gaussian();
+      }
+      std::vector<std::uint8_t> marks(n, 0xCC);
+      filt.detect_into(x.data(), n, chirp, tpl, marks.data());
+      std::vector<std::uint8_t> expect(n, 0);
+      for (const std::size_t peak : filt.peaks()) {
+        ASSERT_LT(peak, n);
+        const std::size_t end = std::min(n, peak + static_cast<std::size_t>(plateau));
+        clipped += end < peak + static_cast<std::size_t>(plateau);
+        std::fill(expect.begin() + static_cast<std::ptrdiff_t>(peak),
+                  expect.begin() + static_cast<std::ptrdiff_t>(end), std::uint8_t{1});
+      }
+      peaks += static_cast<int>(filt.peaks().size());
+      ASSERT_EQ(marks, expect) << "plateau=" << plateau << " trial=" << trial;
     }
-    std::vector<bool> bool_marks;
-    filt.detect_into(x.data(), n, chirp, tpl, bool_marks);
-    std::vector<std::uint8_t> byte_marks(n, 0xCC);
-    filt.detect_into(x.data(), n, chirp, tpl, byte_marks.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(byte_marks[i] != 0, static_cast<bool>(bool_marks[i]))
-          << "trial=" << trial << " i=" << i;
+    EXPECT_GT(peaks, 0) << "plateau=" << plateau;
+    if (plateau > static_cast<int>(chirp)) {
+      EXPECT_GT(clipped, 0);
     }
   }
 }
@@ -588,16 +609,13 @@ TEST(LinkResponse, RecomposesSnrBitExactly) {
   }
 }
 
-/// End-to-end: RangingService with block_dsp on vs off must agree on every
-/// diagnostic field and leave the generator in the identical state, for all
-/// three detector front ends.
+/// End-to-end: RangingService and the per-sample reference measure must
+/// agree on every diagnostic field and leave the generator in the identical
+/// state, for all three detector front ends.
 void expect_service_equivalence(ranging::DetectorMode mode) {
   ranging::RangingConfig cfg;
   cfg.detector_mode = mode;
   cfg.max_window_range_m = 22.0;
-  cfg.block_dsp = false;
-  const ranging::RangingService reference(cfg);
-  cfg.block_dsp = true;
   const ranging::RangingService block(cfg);
 
   Rng unit_rng(61, 2);
@@ -612,7 +630,7 @@ void expect_service_equivalence(ranging::DetectorMode mode) {
     Rng ref_rng(900 + trial, 21);
     Rng blk_rng(900 + trial, 21);
     const ranging::RangingAttempt a =
-        reference.measure_with_diagnostics(d, speaker, mic, ref_rng);
+        resloc::reference::measure_per_sample(block, d, speaker, mic, ref_rng);
     const ranging::RangingAttempt b = block.measure_with_diagnostics(d, speaker, mic, blk_rng);
 
     ASSERT_EQ(a.distance_m.has_value(), b.distance_m.has_value()) << "trial=" << trial;

@@ -1,6 +1,7 @@
 // Locks the solver-scaling contract of the LSS soft-constraint rewrite:
 //   - the production (skin-list) soft-constraint path is BIT-equal to the dense
-//     all-pairs scan (error and every gradient component, to the last ulp),
+//     all-pairs scan of the test-only reference (error and every gradient
+//     component, to the last ulp),
 //   - the SpatialHashGrid's neighborhood/pair enumeration never misses a
 //     point pair within one cell size of each other,
 //   - the analytic gradient of both stress terms matches finite differences
@@ -32,6 +33,7 @@
 #include "obs/telemetry.hpp"
 #include "math/spatial_hash_grid.hpp"
 #include "pipeline/localization_pipeline.hpp"
+#include "reference/lss.hpp"
 #include "sim/deployments.hpp"
 #include "sim/measurement_gen.hpp"
 #include "sim/scenario_registry.hpp"
@@ -41,6 +43,10 @@ namespace {
 using namespace resloc::core;
 using resloc::math::Rng;
 using resloc::math::SpatialHashGrid;
+using resloc::reference::DenseStressObjective;
+using resloc::reference::localize_lss_dense;
+using resloc::reference::localize_lss_from_dense;
+using resloc::reference::lss_stress_with_gradient_dense;
 using resloc::math::Vec2;
 
 // --- Dense-vs-grid bit-equivalence ---
@@ -63,13 +69,11 @@ void expect_paths_bit_equal(std::size_t n, double box, double dmin, double measu
 
   LssOptions grid_opt;
   grid_opt.min_spacing_m = dmin;
-  LssOptions dense_opt = grid_opt;
-  dense_opt.dense_constraint_scan = true;
 
   std::vector<double> grid_grad;
   std::vector<double> dense_grad;
   const double grid_e = lss_stress_with_gradient(meas, config, grid_opt, grid_grad);
-  const double dense_e = lss_stress_with_gradient(meas, config, dense_opt, dense_grad);
+  const double dense_e = lss_stress_with_gradient_dense(meas, config, grid_opt, dense_grad);
 
   // Bit equality, not tolerance: both paths must run identical arithmetic in
   // identical order.
@@ -112,12 +116,10 @@ TEST(LssGridEquivalence, PointsOnCellBoundaries) {
 
   LssOptions grid_opt;
   grid_opt.min_spacing_m = dmin;
-  LssOptions dense_opt = grid_opt;
-  dense_opt.dense_constraint_scan = true;
   std::vector<double> g1;
   std::vector<double> g2;
   EXPECT_EQ(lss_stress_with_gradient(meas, config, grid_opt, g1),
-            lss_stress_with_gradient(meas, config, dense_opt, g2));
+            lss_stress_with_gradient_dense(meas, config, grid_opt, g2));
   EXPECT_EQ(g1, g2);
 }
 
@@ -132,12 +134,10 @@ TEST(LssGridEquivalence, SolvesIdentically) {
   grid_opt.independent_inits = 1;
   grid_opt.restarts.rounds = 2;
   grid_opt.gd.max_iterations = 400;
-  LssOptions dense_opt = grid_opt;
-  dense_opt.dense_constraint_scan = true;
   Rng r1(17);
   Rng r2(17);
   const auto a = localize_lss(meas, grid_opt, r1);
-  const auto b = localize_lss(meas, dense_opt, r2);
+  const auto b = localize_lss_dense(meas, grid_opt, r2);
   EXPECT_EQ(a.stress, b.stress);
   EXPECT_EQ(a.iterations, b.iterations);
   ASSERT_EQ(a.positions.size(), b.positions.size());
@@ -387,7 +387,8 @@ struct Evaluation {
   std::uint64_t active_pairs = 0;
 };
 
-Evaluation evaluate(StressObjective& objective, const std::vector<double>& p) {
+template <typename Objective>
+Evaluation evaluate(Objective& objective, const std::vector<double>& p) {
   namespace obs = resloc::obs;
   obs::reset();
   obs::set_enabled(true);
@@ -406,10 +407,10 @@ Evaluation evaluate_fresh(const MeasurementSet& meas, const LssOptions& options,
   return evaluate(fresh, p);
 }
 
-Evaluation evaluate_dense(const MeasurementSet& meas, LssOptions options,
+Evaluation evaluate_dense(const MeasurementSet& meas, const LssOptions& options,
                           const std::vector<double>& p) {
-  options.dense_constraint_scan = true;
-  return evaluate_fresh(meas, options, p);
+  DenseStressObjective dense(meas, options);
+  return evaluate(dense, p);
 }
 
 /// Byte equality of error and gradient (memcmp, so NaN payloads and signed
@@ -465,9 +466,7 @@ TEST(LssSkinList, ReuseMatchesFreshAndDenseAlongARecordedDescent) {
   // Record every configuration a real descent evaluates (accepted steps and
   // backtracks alike), then replay them through one long-lived objective.
   std::vector<std::vector<double>> trace;
-  LssOptions dense_options = options;
-  dense_options.dense_constraint_scan = true;
-  StressObjective dense(f.meas, dense_options, {});
+  DenseStressObjective dense(f.meas, options);
   auto recorder = [&](const std::vector<double>& x, std::vector<double>& g) {
     trace.push_back(x);
     return dense(x, g);
@@ -592,12 +591,10 @@ TEST(LssSkinList, RandomInitGrassGridSolvesIdenticallyToDense) {
   LssOptions options;
   options.independent_inits = 3;
   options.restarts.rounds = 3;
-  LssOptions dense_options = options;
-  dense_options.dense_constraint_scan = true;
   Rng r1(33);
   Rng r2(33);
   const LssResult a = localize_lss(meas, options, r1);
-  const LssResult b = localize_lss(meas, dense_options, r2);
+  const LssResult b = localize_lss_dense(meas, options, r2);
   EXPECT_EQ(std::memcmp(&a.stress, &b.stress, sizeof(double)), 0);
   EXPECT_EQ(a.iterations, b.iterations);
   ASSERT_EQ(a.positions.size(), b.positions.size());
@@ -622,12 +619,10 @@ TEST(LssSkinList, DvHopSeededCampus500SolvesIdenticallyToDense) {
   LssOptions options;
   options.restarts.rounds = 2;
   options.gd.max_iterations = 150;
-  LssOptions dense_options = options;
-  dense_options.dense_constraint_scan = true;
   Rng r1(45);
   Rng r2(45);
   const LssResult a = localize_lss_from(meas, seed, options, r1);
-  const LssResult b = localize_lss_from(meas, seed, dense_options, r2);
+  const LssResult b = localize_lss_from_dense(meas, seed, options, r2);
   EXPECT_EQ(std::memcmp(&a.stress, &b.stress, sizeof(double)), 0);
   EXPECT_EQ(a.iterations, b.iterations);
   ASSERT_EQ(a.positions.size(), b.positions.size());

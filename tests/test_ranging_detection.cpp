@@ -13,25 +13,22 @@ namespace {
 using namespace resloc::ranging;
 using resloc::math::Rng;
 
-std::vector<bool> bool_series(const std::vector<int>& bits) {
-  std::vector<bool> out;
-  out.reserve(bits.size());
-  for (int b : bits) out.push_back(b != 0);
-  return out;
+void record(SignalAccumulator& acc, const std::vector<std::uint8_t>& fired) {
+  acc.record_chirp_block(fired.data(), fired.size());
 }
 
 TEST(SignalAccumulator, AccumulatesAcrossChirps) {
   SignalAccumulator acc(4);
-  acc.record_chirp(bool_series({1, 0, 1, 0}));
-  acc.record_chirp(bool_series({1, 1, 0, 0}));
-  acc.record_chirp(bool_series({1, 0, 0, 1}));
+  record(acc, {1, 0, 1, 0});
+  record(acc, {1, 1, 0, 0});
+  record(acc, {1, 0, 0, 1});
   EXPECT_EQ(acc.samples(), (std::vector<std::uint8_t>{3, 1, 1, 1}));
   EXPECT_EQ(acc.chirps_recorded(), 3);
 }
 
 TEST(SignalAccumulator, SaturatesAtFourBits) {
   SignalAccumulator acc(1);
-  for (int i = 0; i < 20; ++i) acc.record_chirp(bool_series({1}));
+  for (int i = 0; i < 20; ++i) record(acc, {1});
   EXPECT_EQ(acc.samples()[0], 15);  // 4-bit counter cap
   EXPECT_EQ(acc.chirps_recorded(), SignalAccumulator::kMaxChirps);
 }
