@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "acoustics/channel.hpp"
 #include "acoustics/chirp_pattern.hpp"
@@ -11,6 +13,7 @@
 #include "acoustics/tone_detector.hpp"
 #include "acoustics/units.hpp"
 #include "math/rng.hpp"
+#include "ranging/signal_detection.hpp"
 #include "reference/ranging.hpp"
 
 namespace {
@@ -215,6 +218,34 @@ TEST(Channel, EchoesAreWeakerAndLater) {
   EXPECT_GT(echoes_seen, 20);  // urban is echo-rich
 }
 
+// Fired-sample counts of one chirp window from both detector paths, each
+// drawn from its own Rng(seed): the shipped path (ToneDetectorModel::fire_runs
+// + SignalAccumulator::record_chirp_bernoulli, one chirp, so every counter is
+// 0 or 1) and the per-sample reference. The statistical checks below run on
+// both, so a shared drift away from the modelled rates fails them.
+struct FiredCounts {
+  double production = 0.0;
+  double reference = 0.0;
+};
+
+FiredCounts count_fired(const EnvironmentProfile& env, const ReceivedWindow& window,
+                        std::size_t n, const MicUnit& mic, std::uint64_t seed) {
+  FiredCounts counts;
+  const ToneDetectorModel model(env, 16000.0);
+  DetectorScratch scratch;
+  std::vector<resloc::math::BernoulliRun> runs;
+  model.fire_runs(window, n, mic, scratch, runs);
+  resloc::ranging::SignalAccumulator acc(n);
+  Rng production_rng(seed);
+  acc.record_chirp_bernoulli(production_rng, runs);
+  for (const std::uint8_t c : acc.samples()) counts.production += c;
+
+  Rng reference_rng(seed);
+  const auto out = resloc::reference::sample_window(env, 16000.0, window, n, mic, reference_rng);
+  counts.reference = static_cast<double>(std::count(out.begin(), out.end(), true));
+  return counts;
+}
+
 TEST(ToneDetector, StrongSignalDetectedOften) {
   auto env = EnvironmentProfile::grass();
   env.false_positive_rate = 0.0;
@@ -222,10 +253,9 @@ TEST(ToneDetector, StrongSignalDetectedOften) {
   window.start_s = 0.0;
   window.duration_s = 0.01;
   window.signals.push_back({0.0, 0.01, 30.0});  // very strong tone everywhere
-  Rng rng(10);
-  const auto out = resloc::reference::sample_window(env, 16000.0, window, 160, MicUnit{}, rng);
-  const auto hits = static_cast<std::size_t>(std::count(out.begin(), out.end(), true));
-  EXPECT_GT(hits, 130u);  // ~95% hit rate
+  const auto hits = count_fired(env, window, 160, MicUnit{}, 10);
+  EXPECT_GT(hits.production, 130.0);  // ~95% hit rate
+  EXPECT_GT(hits.reference, 130.0);
 }
 
 TEST(ToneDetector, NoSignalRespectsFalsePositiveRate) {
@@ -234,10 +264,9 @@ TEST(ToneDetector, NoSignalRespectsFalsePositiveRate) {
   env.noise_burst_rate_hz = 0.0;
   ReceivedWindow window;
   window.duration_s = 1.0;
-  Rng rng(11);
-  const auto out = resloc::reference::sample_window(env, 16000.0, window, 16000, MicUnit{}, rng);
-  const auto hits = static_cast<double>(std::count(out.begin(), out.end(), true));
-  EXPECT_NEAR(hits / 16000.0, 0.05, 0.01);
+  const auto hits = count_fired(env, window, 16000, MicUnit{}, 11);
+  EXPECT_NEAR(hits.production / 16000.0, 0.05, 0.01);
+  EXPECT_NEAR(hits.reference / 16000.0, 0.05, 0.01);
 }
 
 TEST(ToneDetector, NoiseBurstElevatesFalsePositives) {
@@ -246,10 +275,9 @@ TEST(ToneDetector, NoiseBurstElevatesFalsePositives) {
   ReceivedWindow window;
   window.duration_s = 0.1;
   window.bursts.push_back({0.0, 0.1});
-  Rng rng(12);
-  const auto out = resloc::reference::sample_window(env, 16000.0, window, 1600, MicUnit{}, rng);
-  const auto hits = static_cast<double>(std::count(out.begin(), out.end(), true));
-  EXPECT_GT(hits / 1600.0, 0.2);
+  const auto hits = count_fired(env, window, 1600, MicUnit{}, 12);
+  EXPECT_GT(hits.production / 1600.0, 0.2);
+  EXPECT_GT(hits.reference / 1600.0, 0.2);
 }
 
 TEST(ToneDetector, FaultyMicIsNoisy) {
@@ -260,10 +288,9 @@ TEST(ToneDetector, FaultyMicIsNoisy) {
   window.duration_s = 0.1;
   MicUnit faulty;
   faulty.faulty = true;
-  Rng rng(13);
-  const auto out = resloc::reference::sample_window(env, 16000.0, window, 1600, faulty, rng);
-  const auto hits = static_cast<double>(std::count(out.begin(), out.end(), true));
-  EXPECT_GT(hits / 1600.0, 0.08);
+  const auto hits = count_fired(env, window, 1600, faulty, 13);
+  EXPECT_GT(hits.production / 1600.0, 0.08);
+  EXPECT_GT(hits.reference / 1600.0, 0.08);
 }
 
 TEST(SignalSynth, CleanToneHasExpectedAmplitude) {
