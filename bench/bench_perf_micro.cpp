@@ -52,7 +52,7 @@ void BM_DetectSignal(benchmark::State& state) {
   for (std::size_t i = 700; i < 900; ++i) samples[i] = 5;
   const ranging::DetectionParams params{2, 32, 6};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ranging::detect_signal(samples, params));
+    benchmark::DoNotOptimize(ranging::SignalScanner(samples, params).next());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1100);
 }

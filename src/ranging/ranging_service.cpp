@@ -177,19 +177,17 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
       config_.baseline ? detail::kBaselineDetection : config_.detection;
   const std::vector<std::uint8_t>& samples = scratch.accumulator.samples();
 
-  // One resumable pass over the accumulated counters: the scanner keeps its
-  // sliding window count across pattern-verification rejections, so the whole
-  // rejection loop is O(n) instead of restarting detect_signal after every
-  // rejected candidate (O(window * rejections)).
+  // One resumable pass over the accumulated counters' threshold bitmask:
+  // pattern-verification rejections resume the scan instead of restarting it.
   int index;
   {
     RESLOC_SPAN("ranging/detection/scan");
-    SignalScanner scanner(samples, detection);
+    SignalScanner& scanner = scratch.scanner;
+    scanner.reset(samples, detection);
     index = scanner.next();
     if (!config_.baseline && config_.verify_pattern) {
       while (index >= 0 &&
-             !verify_preceding_silence(samples, index, config_.silence_gap_samples,
-                                       detection.threshold, config_.silence_max_noisy)) {
+             !scanner.quiet_before(index, config_.silence_gap_samples, config_.silence_max_noisy)) {
         ++attempt.rejected_detections;
         index = scanner.next();
       }

@@ -120,15 +120,16 @@ struct RangingAttempt {
 
 /// Reusable working buffers for measure(). A campaign loop keeps one per
 /// worker thread and passes it to every pair, so the per-sequence vectors
-/// (emission schedule, received window, 4-bit counters, DSP buffers) are
-/// allocated once instead of once per pair -- the same buffer reuse the mote
-/// firmware's fixed RAM layout implies (Section 3.6.2).
+/// (emission schedule, received window, 4-bit counters and their scan mask,
+/// DSP buffers) are allocated once instead of once per pair -- the same
+/// buffer reuse the mote firmware's fixed RAM layout implies (Section 3.6.2).
 struct RangingScratch {
   std::vector<double> starts;
   std::vector<acoustics::Emission> emissions;
   acoustics::ReceivedWindow received;
   acoustics::DetectorScratch detector;
   SignalAccumulator accumulator{0};
+  SignalScanner scanner;
   /// Software-detector mode only: per-sample tone amplitudes, the cached tone
   /// table sin(2*pi*f*i/fs), and the Goertzel detector itself. The table and
   /// detector are keyed by the (frequency, sample rate, noise scale) they were

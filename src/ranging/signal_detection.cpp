@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "math/simd_dispatch.hpp"
+
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "SignalScanner's counter packing loads eight counters per little-endian word"
+#endif
 
 #if RESLOC_X86_SIMD
 #include <immintrin.h>
@@ -79,6 +84,31 @@ void accumulate_mask(std::uint8_t* s, const std::uint64_t* mask, std::size_t n) 
   }
 }
 
+/// Bit i of mask[i / 64] = (s[i] >= threshold), eight bytes per step: with
+/// each byte's high bit forced on, subtracting t <= 128 cannot borrow across
+/// bytes and keeps the high bit iff b >= t (or b >= 128); for t > 128, b >= t
+/// iff b >= 128 and b - 128 >= t - 128. A multiply gathers the high bits.
+void pack_qualifying(const std::uint8_t* s, std::size_t n, int threshold, std::uint64_t* mask) {
+  constexpr std::uint64_t kLow = 0x0101010101010101;
+  constexpr std::uint64_t kHigh = kLow << 7;
+  const auto t = static_cast<std::uint64_t>(std::min(std::max(threshold, 0), 256));
+  const bool low = t <= 128;
+  const std::uint64_t sub = (low ? t : t - 128) * kLow;
+  std::fill(mask, mask + (n + 63) / 64, std::uint64_t{0});
+  for (std::size_t i = 0; i < n; i += 8) {
+    std::uint64_t x = 0;
+    if (n - i >= 8) {
+      std::memcpy(&x, s + i, 8);  // byte k in bits 8k..8k+7 (little-endian host)
+    } else {
+      for (std::size_t k = 0; i + k < n; ++k) x |= std::uint64_t{s[i + k]} << (8 * k);
+    }
+    const std::uint64_t d = (x | kHigh) - sub;
+    const std::uint64_t hi = (low ? d | x : d & x) & kHigh;
+    mask[i / 64] |= (((hi >> 7) * 0x0102040810204080) >> 56) << (i % 64);
+  }
+  if (n % 64 != 0) mask[n / 64] &= (std::uint64_t{1} << (n % 64)) - 1;
+}
+
 }  // namespace
 
 SignalAccumulator::SignalAccumulator(std::size_t num_samples) { reset(num_samples); }
@@ -107,80 +137,48 @@ void SignalAccumulator::record_chirp_bernoulli(
   accumulate_mask(samples_.data(), fired_mask_.data(), n);
 }
 
-int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params) {
-  return detect_signal(samples, params, 0);
+void SignalScanner::reset(const std::vector<std::uint8_t>& samples, const DetectionParams& params) {
+  qualifying_.resize((samples.size() + 63) / 64);
+  params_ = params;
+  n_ = static_cast<int>(samples.size());
+  start_ = 0;
+  pack_qualifying(samples.data(), samples.size(), params.threshold, qualifying_.data());
 }
 
-int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params,
-                  int start_index) {
-  const int n = static_cast<int>(samples.size());
-  const int m = params.window;
-  if (m <= 0 || start_index < 0 || start_index + m > n) return -1;
-
-  const auto qualifies = [&](int i) { return samples[static_cast<std::size_t>(i)] >= params.threshold; };
-
-  // Prime the sliding count over the first window [start_index, start_index + m).
+int SignalScanner::count_qualifying(int lo, int hi) const {
+  auto w = static_cast<std::size_t>(lo / 64);
+  const auto last = static_cast<std::size_t>((hi - 1) / 64);
+  std::uint64_t bits = qualifying_[w] & (~std::uint64_t{0} << (lo % 64));
   int count = 0;
-  for (int i = start_index; i < start_index + m; ++i) {
-    if (qualifies(i)) ++count;
-  }
-  if (count >= params.min_detections && qualifies(start_index)) return start_index;
-
-  // Slide: window [start, start + m).
-  for (int start = start_index + 1; start + m <= n; ++start) {
-    if (qualifies(start - 1)) --count;
-    if (qualifies(start + m - 1)) ++count;
-    if (count >= params.min_detections && qualifies(start)) return start;
-  }
-  return -1;
+  for (; w < last; bits = qualifying_[++w]) count += __builtin_popcountll(bits);
+  if (hi % 64 != 0) bits &= (std::uint64_t{1} << (hi % 64)) - 1;
+  return count + __builtin_popcountll(bits);
 }
-
-SignalScanner::SignalScanner(const std::vector<std::uint8_t>& samples,
-                             const DetectionParams& params)
-    : samples_(samples), params_(params) {}
 
 int SignalScanner::next() {
-  const int n = static_cast<int>(samples_.size());
   const int m = params_.window;
   if (m <= 0) return -1;
-
-  const auto qualifies = [&](int i) {
-    return samples_[static_cast<std::size_t>(i)] >= params_.threshold;
-  };
-
-  // Invariant: whenever primed_, count_ is the number of qualifying samples
-  // in [start_, start_ + m). The count is primed once and slid one position
-  // per examined window -- including across next() boundaries, which is what
-  // makes the whole rejection loop O(n) instead of O(window * rejections).
-  while (start_ + m <= n) {
-    if (!primed_) {
-      count_ = 0;
-      for (int i = start_; i < start_ + m; ++i) {
-        if (qualifies(i)) ++count_;
-      }
-      primed_ = true;
-    }
-    const bool hit = count_ >= params_.min_detections && qualifies(start_);
-    if (start_ + 1 + m <= n) {  // slide to [start_ + 1, start_ + 1 + m)
-      if (qualifies(start_)) --count_;
-      if (qualifies(start_ + m)) ++count_;
-    }
-    const int found = start_;
-    ++start_;
-    if (hit) return found;
+  // A window starting at s qualifies when s itself qualifies and at least
+  // min_detections of [s, s + m) do, so only qualifying starts are examined:
+  // jump to the next set bit, then popcount its window.
+  const int last_start = n_ - m;
+  while (start_ <= last_start) {
+    auto w = static_cast<std::size_t>(start_ / 64);
+    std::uint64_t bits = qualifying_[w] & (~std::uint64_t{0} << (start_ % 64));
+    while (bits == 0 && ++w < qualifying_.size()) bits = qualifying_[w];
+    if (bits == 0) break;
+    const int s = static_cast<int>(w * 64) + __builtin_ctzll(bits);
+    if (s > last_start) break;
+    start_ = s + 1;
+    if (count_qualifying(s, s + m) >= params_.min_detections) return s;
   }
   return -1;
 }
 
-bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
-                              int threshold, int max_noisy) {
+bool SignalScanner::quiet_before(int index, int gap, int max_noisy) const {
   if (index < 0) return false;
-  const int start = std::max(0, index - gap);
-  int noisy = 0;
-  for (int i = start; i < index; ++i) {
-    if (samples[static_cast<std::size_t>(i)] >= threshold) ++noisy;
-  }
-  return noisy <= max_noisy;
+  const int lo = std::max(0, index - gap);
+  return (lo < index ? count_qualifying(lo, index) : 0) <= max_noisy;
 }
 
 }  // namespace resloc::ranging

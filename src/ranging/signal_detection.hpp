@@ -18,7 +18,7 @@
 
 namespace resloc::ranging {
 
-/// Detection thresholds used by detect_signal. Defaults are the calibrated
+/// Detection thresholds used by SignalScanner. Defaults are the calibrated
 /// values from the grass experiment (Section 3.6): sums from 10 chirps must
 /// exceed T=2 in at least k=6 of m=32 consecutive samples.
 struct DetectionParams {
@@ -71,52 +71,44 @@ class SignalAccumulator {
   int chirps_ = 0;
 };
 
-/// detect-signal from Figure 3: returns the index of the first sample of the
-/// first window of `params.window` consecutive samples containing at least
-/// `params.min_detections` samples with accumulated count >= params.threshold,
-/// where the window's first sample itself qualifies (it marks the signal
-/// start). Returns -1 if no window qualifies.
-///
-/// (The paper's pseudocode is 1-indexed mote code; this is the 0-indexed
-/// equivalent with the same sliding-count structure.)
-int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params);
-
-/// detect_signal restricted to windows starting at or after `start_index`;
-/// used to re-scan past a candidate rejected by pattern verification.
-int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params,
-                  int start_index);
-
-/// Resumable detect_signal: one pass over the accumulated buffer that yields
-/// successive candidate indices without re-priming the sliding count. Each
-/// next() call returns the same index the equivalent restart-based scan
-/// `detect_signal(samples, params, prev + 1)` would -- window qualification
-/// at a given start position depends only on the buffer, not on scan history
-/// -- but the whole rejection loop costs O(n) total instead of
-/// O(window * rejections). The referenced buffer must outlive the scanner
-/// and stay unmodified between next() calls.
+/// detect-signal from Figure 3 (0-indexed), resumable: next() yields, in
+/// ascending order, the first sample of every window of `params.window`
+/// consecutive samples that holds at least `params.min_detections` samples
+/// with count >= params.threshold and whose first sample qualifies (it marks
+/// the signal start) -- each the index the paper's scan restarted at the
+/// previous result + 1 returns (tests/reference keeps that scan as the
+/// oracle). The counters are packed once into one bit per sample (count >=
+/// T); next() jumps between qualifying starts with count-trailing-zeros and
+/// counts each window with popcount.
 class SignalScanner {
  public:
-  SignalScanner(const std::vector<std::uint8_t>& samples, const DetectionParams& params);
+  SignalScanner() = default;
+  SignalScanner(const std::vector<std::uint8_t>& samples, const DetectionParams& params) {
+    reset(samples, params);
+  }
+
+  /// Restarts the scan over `samples`, reusing the mask's storage.
+  void reset(const std::vector<std::uint8_t>& samples, const DetectionParams& params);
 
   /// Next candidate start index at or after the previous result + 1
   /// (first call: at or after 0), or -1 once exhausted.
   int next();
 
- private:
-  const std::vector<std::uint8_t>& samples_;
-  DetectionParams params_;
-  int start_ = 0;   ///< next window start to examine
-  int count_ = 0;   ///< qualifying samples in [start_, start_ + window)
-  bool primed_ = false;
-};
+  /// Pattern verification (Section 3.5): a genuine detection at `index`
+  /// follows the pattern's silence, so true when the `gap` samples before it
+  /// hold at most `max_noisy` qualifying samples (false for index < 0);
+  /// failures are echo tails or noise ("due to noise or echoes that are not
+  /// part of the pattern").
+  bool quiet_before(int index, int gap, int max_noisy) const;
 
-/// Pattern verification (Section 3.5): the emitted pattern is chirps preceded
-/// by silence, so a genuine detection at `index` must be preceded by a quiet
-/// gap. Returns true when the `gap` samples before `index` contain fewer than
-/// `max_noisy` samples meeting the threshold. Detections failing this are
-/// echo tails or noise (false detections "due to noise or echoes that are not
-/// part of the pattern").
-bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
-                              int threshold, int max_noisy);
+ private:
+  /// Qualifying samples in [lo, hi), lo < hi <= n.
+  int count_qualifying(int lo, int hi) const;
+
+  std::vector<std::uint64_t> qualifying_;  ///< bit i of word i / 64: count_i >= T
+  DetectionParams params_;
+  int n_ = 0;
+  int start_ = 0;  ///< next window start to examine
+};
 
 }  // namespace resloc::ranging

@@ -60,6 +60,43 @@ std::vector<bool> sample_window(const acoustics::EnvironmentProfile& env, double
   return out;
 }
 
+int detect_signal(const std::vector<std::uint8_t>& samples, const ranging::DetectionParams& params,
+                  int start_index) {
+  const int n = static_cast<int>(samples.size());
+  const int m = params.window;
+  if (m <= 0 || start_index < 0 || start_index + m > n) return -1;
+
+  const auto qualifies = [&](int i) {
+    return samples[static_cast<std::size_t>(i)] >= params.threshold;
+  };
+
+  // Prime the sliding count over the first window [start_index, start_index + m).
+  int count = 0;
+  for (int i = start_index; i < start_index + m; ++i) {
+    if (qualifies(i)) ++count;
+  }
+  if (count >= params.min_detections && qualifies(start_index)) return start_index;
+
+  // Slide: window [start, start + m).
+  for (int start = start_index + 1; start + m <= n; ++start) {
+    if (qualifies(start - 1)) --count;
+    if (qualifies(start + m - 1)) ++count;
+    if (count >= params.min_detections && qualifies(start)) return start;
+  }
+  return -1;
+}
+
+bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
+                              int threshold, int max_noisy) {
+  if (index < 0) return false;
+  const int start = std::max(0, index - gap);
+  int noisy = 0;
+  for (int i = start; i < index; ++i) {
+    if (samples[static_cast<std::size_t>(i)] >= threshold) ++noisy;
+  }
+  return noisy <= max_noisy;
+}
+
 namespace {
 
 /// Goertzel front end: synthesizes each sample (tone envelope on the tone
@@ -176,13 +213,13 @@ ranging::RangingAttempt measure_per_sample(const ranging::RangingService& servic
 
   const ranging::DetectionParams detection =
       config.baseline ? rd::kBaselineDetection : config.detection;
-  int index = ranging::detect_signal(scratch.counts, detection, 0);
+  int index = detect_signal(scratch.counts, detection, 0);
   if (!config.baseline && config.verify_pattern) {
     while (index >= 0 &&
-           !ranging::verify_preceding_silence(scratch.counts, index, config.silence_gap_samples,
-                                              detection.threshold, config.silence_max_noisy)) {
+           !verify_preceding_silence(scratch.counts, index, config.silence_gap_samples,
+                                     detection.threshold, config.silence_max_noisy)) {
       ++attempt.rejected_detections;
-      index = ranging::detect_signal(scratch.counts, detection, index + 1);
+      index = detect_signal(scratch.counts, detection, index + 1);
     }
   }
   if (index >= 0) {

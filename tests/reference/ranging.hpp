@@ -47,6 +47,23 @@ std::vector<bool> sample_window(const acoustics::EnvironmentProfile& env, double
                                 const acoustics::ReceivedWindow& window, std::size_t num_samples,
                                 const acoustics::MicUnit& mic, math::Rng& rng);
 
+/// The restart-based detect-signal of Figure 3: the index of the first
+/// sample of the first window of `params.window` consecutive samples, starting
+/// at or after `start_index`, that holds at least `params.min_detections`
+/// samples with count >= params.threshold and whose first sample qualifies;
+/// -1 if none. One sliding count, primed at `start_index` -- the oracle of
+/// ranging::SignalScanner, whose next() must return what this returns
+/// restarted at the previous result + 1.
+int detect_signal(const std::vector<std::uint8_t>& samples, const ranging::DetectionParams& params,
+                  int start_index = 0);
+
+/// Pattern verification byte by byte, the oracle of
+/// ranging::SignalScanner::quiet_before: true when the `gap` samples before
+/// `index` hold at most `max_noisy` samples with count >= threshold (false
+/// for index < 0).
+bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
+                              int threshold, int max_noisy);
+
 /// Working buffers of measure_per_sample, reused across calls with one
 /// service (a campaign worker keeps one).
 struct MeasureScratch {

@@ -545,24 +545,38 @@ TEST(MatchedFilterBlock, MarksAPlateauAtEachPickedPeakClippedAtTheWindow) {
 }
 
 TEST(SignalScanner, YieldsSameCandidatesAsRestartScan) {
+  // Buffers up to 1,000 samples (mostly not a multiple of the 64-bit mask
+  // word), windows up to 100 samples (wider than one word), sparse to dense
+  // fill, and thresholds from 0 (every sample qualifies) to 5 (above every
+  // count).
   Rng rng(31, 12);
-  for (int trial = 0; trial < 300; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 1000));
+    const double density = rng.uniform(0.0, 1.0);
     std::vector<std::uint8_t> samples(n);
-    for (auto& s : samples) s = static_cast<std::uint8_t>(rng.uniform_int(0, 4));
+    for (auto& s : samples) {
+      s = static_cast<std::uint8_t>(rng.bernoulli(density) ? rng.uniform_int(1, 4) : 0);
+    }
     ranging::DetectionParams params;
-    params.threshold = static_cast<int>(rng.uniform_int(1, 3));
-    params.window = static_cast<int>(rng.uniform_int(1, 40));
+    params.threshold = static_cast<int>(rng.uniform_int(0, 5));
+    params.window = static_cast<int>(rng.uniform_int(1, 100));
     params.min_detections = static_cast<int>(rng.uniform_int(1, params.window));
     ranging::SignalScanner scanner(samples, params);
-    int expect = ranging::detect_signal(samples, params, 0);
+    int expect = resloc::reference::detect_signal(samples, params, 0);
     int guard = 0;
     for (;;) {
       const int got = scanner.next();
       ASSERT_EQ(got, expect) << "trial=" << trial;
+      // The pattern check over the same mask, gap and noise budget random.
+      const int gap = static_cast<int>(rng.uniform_int(0, 120));
+      const int max_noisy = static_cast<int>(rng.uniform_int(-1, 8));
+      ASSERT_EQ(scanner.quiet_before(got, gap, max_noisy),
+                resloc::reference::verify_preceding_silence(samples, got, gap, params.threshold,
+                                                            max_noisy))
+          << "trial=" << trial << " index=" << got;
       if (got < 0) break;
-      expect = ranging::detect_signal(samples, params, got + 1);
-      ASSERT_LT(++guard, 1000);
+      expect = resloc::reference::detect_signal(samples, params, got + 1);
+      ASSERT_LE(++guard, static_cast<int>(n));  // at most one hit per start
     }
     // Exhausted scanners stay exhausted.
     EXPECT_EQ(scanner.next(), -1);

@@ -104,7 +104,7 @@ TEST_P(MedianBounds, FilterOutputWithinInputRange) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MedianBounds, ::testing::Range(0, 10));
 
-// --- detect_signal: detection index never precedes the first qualifying
+// --- detect-signal: detection index never precedes the first qualifying
 //     sample and is stable under appending quiet samples ---
 
 class DetectSignalStability : public ::testing::TestWithParam<int> {};
@@ -120,14 +120,14 @@ TEST_P(DetectSignalStability, AppendQuietSamplesNoChange) {
         static_cast<std::uint8_t>(rng.uniform_int(2, 9));
   }
   const resloc::ranging::DetectionParams params{2, 16, 5};
-  const int detected = resloc::ranging::detect_signal(samples, params);
+  const int detected = resloc::ranging::SignalScanner(samples, params).next();
   if (detected >= 0) {
     EXPECT_GE(detected, 0);
     EXPECT_GE(samples[static_cast<std::size_t>(detected)], params.threshold);
     // First sample before `detected` in a fully-quiet prefix can't qualify.
     std::vector<std::uint8_t> extended = samples;
     extended.resize(400, 0);
-    EXPECT_EQ(resloc::ranging::detect_signal(extended, params), detected);
+    EXPECT_EQ(resloc::ranging::SignalScanner(extended, params).next(), detected);
   }
 }
 

@@ -33,6 +33,22 @@ TEST(SignalAccumulator, SaturatesAtFourBits) {
   EXPECT_EQ(acc.chirps_recorded(), SignalAccumulator::kMaxChirps);
 }
 
+/// The scanner's first candidate at or after `start_index`: the paper's
+/// detect-signal restarted there.
+int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params,
+                  int start_index = 0) {
+  SignalScanner scanner(samples, params);
+  int index = scanner.next();
+  while (index >= 0 && index < start_index) index = scanner.next();
+  return index;
+}
+
+/// The scanner's pattern verification at accumulation threshold `threshold`.
+bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
+                              int threshold, int max_noisy) {
+  return SignalScanner(samples, {threshold, 1, 1}).quiet_before(index, gap, max_noisy);
+}
+
 TEST(DetectSignal, FindsWindowStart) {
   // Counts: quiet until index 10, then strong.
   std::vector<std::uint8_t> samples(40, 0);
