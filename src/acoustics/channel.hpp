@@ -9,6 +9,23 @@
 //   6. echoes (delayed, attenuated copies; echoes of *earlier* chirps can
 //      arrive before the direct signal of the current chirp and cause the
 //      underestimates seen in Figure 2).
+//
+// Each chirp's power-up jitter and echoes are one event in the air that
+// every chirp window of a ranging exchange hears, so realize_exchange()
+// draws every chirp's intervals once per exchange and each window takes the
+// slice it overlaps with clip_window() (no draws). Windows never overlap at
+// the default range, so each draws its own noise bursts.
+//
+// Channel v2, the declared draw order of one exchange:
+//   1. the chirp schedule (chirp_start_times_into);
+//   2. realize_exchange, per chirp in schedule order: a
+//      gaussian(0, actuation_jitter_s) onset jitter, then, with r =
+//      echo_rate, while r > 0 and bernoulli(min(r, 1)): r -= 1, an
+//      exponential(1 / echo_delay_mean_s) echo delay and a gaussian(0, 2)
+//      echo SNR offset (the fixed echo draws nothing);
+//   3. per chirp window in schedule order: a gaussian(0, sync_jitter_s) sync
+//      error, draw_noise_bursts' exponential(noise_burst_rate_hz) gaps until
+//      one passes the window end, then the detector's draws.
 #pragma once
 
 #include <vector>
@@ -18,12 +35,6 @@
 #include "math/rng.hpp"
 
 namespace resloc::acoustics {
-
-/// One chirp emission at the source, in source-local time.
-struct Emission {
-  double start_s = 0.0;
-  double duration_s = 0.008;
-};
 
 /// A time interval during which a tone (direct or echo) is audible, with its
 /// SNR at the receiver.
@@ -74,7 +85,7 @@ struct ChannelJitter {
 /// time. Everything else in the received SNR -- speaker level, shadowing,
 /// mic sensitivity, noise floor -- varies per unit or per attempt and is
 /// composed on top in exactly the association order propagation.hpp uses,
-/// so cached and uncached windows are bit-identical.
+/// so cached and uncached realizations are bit-identical.
 struct LinkResponse {
   double distance_m = 0.0;
   double spreading_db = 0.0;  ///< 20 * log10(max(d, 10 cm) / 10 cm)
@@ -85,27 +96,31 @@ struct LinkResponse {
 /// Computes the reusable channel response for one link distance.
 LinkResponse link_response(double distance_m, const EnvironmentProfile& env);
 
-/// Builds the received window for one receiver at `distance_m` from the
-/// source. `emissions` must include every chirp whose direct signal or echo
-/// can fall inside the window (i.e. also the previous chirp).
-ReceivedWindow receive(const std::vector<Emission>& emissions, double window_start_s,
-                       double window_duration_s, double distance_m, const SpeakerUnit& speaker,
-                       const MicUnit& mic, const EnvironmentProfile& env,
-                       const ChannelJitter& jitter, resloc::math::Rng& rng);
+/// The audible intervals of one ranging exchange at one receiver: every
+/// chirp's direct signal (a ramp-up and a full-level segment), its fixed echo
+/// and its random echoes, drawn once and shared by all chirp windows.
+struct ExchangeChannel {
+  std::vector<SignalInterval> signals;  ///< ascending start_s
+  std::vector<double> reach_s;          ///< largest end_s of signals[0..i]
+};
 
-/// receive() into a caller-owned window, reusing its signal/burst vectors
-/// across a campaign's pairs. Draw-for-draw identical to receive().
-void receive_into(ReceivedWindow& window, const std::vector<Emission>& emissions,
-                  double window_start_s, double window_duration_s, double distance_m,
-                  const SpeakerUnit& speaker, const MicUnit& mic, const EnvironmentProfile& env,
-                  const ChannelJitter& jitter, resloc::math::Rng& rng);
+/// Realizes one exchange's channel (step 2 of channel v2) into `exchange`,
+/// reusing its vectors: chirps of `chirp_duration_s` emitted at `starts`
+/// (source-local time) over `link` = link_response(distance, env).
+void realize_exchange(ExchangeChannel& exchange, const std::vector<double>& starts,
+                      double chirp_duration_s, const LinkResponse& link, const SpeakerUnit& speaker,
+                      const MicUnit& mic, const EnvironmentProfile& env,
+                      const ChannelJitter& jitter, resloc::math::Rng& rng);
 
-/// receive_into() with the distance-dependent response precomputed (usually
-/// by a sim::ChannelResponseCache). Value- and draw-identical to the
-/// distance-taking overload for link == link_response(distance_m, env).
-void receive_into(ReceivedWindow& window, const std::vector<Emission>& emissions,
-                  double window_start_s, double window_duration_s, const LinkResponse& link,
-                  const SpeakerUnit& speaker, const MicUnit& mic, const EnvironmentProfile& env,
-                  const ChannelJitter& jitter, resloc::math::Rng& rng);
+/// Sets `window` to [window_start_s, window_start_s + window_duration_s)
+/// holding exactly the exchange intervals that overlap it (end_s > start and
+/// start_s < end), in ascending start order, and no bursts. Draws nothing.
+void clip_window(ReceivedWindow& window, const ExchangeChannel& exchange, double window_start_s,
+                 double window_duration_s);
+
+/// Appends the window's transient noise bursts: a Poisson process at
+/// env.noise_burst_rate_hz over the window (nothing when the rate is 0).
+void draw_noise_bursts(ReceivedWindow& window, const EnvironmentProfile& env,
+                       resloc::math::Rng& rng);
 
 }  // namespace resloc::acoustics

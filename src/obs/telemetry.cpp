@@ -245,7 +245,7 @@ SpanScope::~SpanScope() {
 }
 
 void SpanChain::enter(SpanId id) {
-  if (!active_) return;
+  if (!active_ || (running_ && id == id_)) return;
   const std::uint64_t now = now_ns();
   if (running_) buffer().record_span(id_, start_ns_, now);
   id_ = id;

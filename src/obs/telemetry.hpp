@@ -185,9 +185,10 @@ class SpanScope {
 /// enter() ends the running span and starts the next at one clock read, and
 /// end() (or the destructor) ends the last. It records the same spans as one
 /// SpanScope per stage, each ending where the next starts, for k + 1 clock
-/// reads instead of 2k: the per-chirp stages of the block-DSP measure path
-/// are short enough that the second read is a visible share of the
-/// enabled-mode cost. Inert when telemetry is disabled at construction.
+/// reads instead of 2k: the stages of the block-DSP measure path are short
+/// enough that the second read is a visible share of the enabled-mode cost.
+/// Entering the running stage again continues it (no read, no new span).
+/// Inert when telemetry is disabled at construction.
 class SpanChain {
  public:
   SpanChain() : active_(enabled()) {}

@@ -105,56 +105,48 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
   acoustics::ChirpPattern pattern = config_.pattern;
   if (config_.baseline) pattern.num_chirps = 1;
 
-  {
-    RESLOC_SPAN("ranging/synthesis/schedule");
-    acoustics::chirp_start_times_into(pattern, rng, scratch.starts);
-    scratch.emissions.clear();
-    scratch.emissions.reserve(scratch.starts.size());
-    for (double s : scratch.starts) {
-      scratch.emissions.push_back({s, pattern.chirp_duration_s});
-    }
-  }
-
   const double window_duration_s =
       static_cast<double>(window_samples_) / config_.tdoa.sample_rate_hz;
   const double calibration_bias_s =
       config_.tdoa.delta_const_true_s - config_.tdoa.delta_const_calibrated_s;
 
   // The distance-dependent channel response: supplied by the campaign's
-  // per-trial cache, or computed here once per measure (the per-chirp
-  // receive_into used to redo the log10 spreading term for every window).
+  // per-trial cache, or computed here once per measure.
   const acoustics::LinkResponse link_local =
       link != nullptr ? *link : acoustics::link_response(true_distance_m, config_.environment);
 
   scratch.dsp.resize(window_samples_);
 
-  // Accumulate the binary detector output over all chirps, each window
-  // aligned by the radio sync of that chirp. Echoes from *earlier* chirps
-  // fall into later windows naturally because every emission is visible to
-  // every window. On the hardware path the stages run back to back (reset,
-  // then channel / accumulate per chirp), so one span chain shares each
-  // boundary's clock read; the sampled-audio stages end the chain first.
+  // One span chain times the stages back to back, sharing each boundary's
+  // clock read: schedule, the exchange's channel realization (channel v2,
+  // see channel.hpp), accumulation over every chirp window, scan.
   obs::SpanChain stages;
-  // Zeroing the 4-bit counters is an O(window) accumulator pass.
+  RESLOC_SPAN_ENTER(stages, "ranging/synthesis/schedule");
+  acoustics::chirp_start_times_into(pattern, rng, scratch.starts);
+  RESLOC_SPAN_ENTER(stages, "ranging/channel");
+  acoustics::realize_exchange(scratch.exchange, scratch.starts, pattern.chirp_duration_s,
+                              link_local, speaker, mic, config_.environment,
+                              config_.channel_jitter, rng);
   RESLOC_SPAN_ENTER(stages, "ranging/detection/accumulate");
   scratch.accumulator.reset(window_samples_);
-  for (const acoustics::Emission& emission : scratch.emissions) {
-    obs::add(obs::Counter::kChirpWindows);
-    // The channel stage of one exchange: the receiver-side onset estimate
-    // (true start shifted by the calibration bias plus the per-exchange
-    // clock-sync jitter) and the window's link rasterization.
-    RESLOC_SPAN_ENTER(stages, "ranging/channel");
+  obs::add(obs::Counter::kChirpWindows, scratch.starts.size());
+  for (const double start_s : scratch.starts) {
+    // The window's set-up: the receiver-side onset estimate (true start
+    // shifted by the calibration bias plus the per-chirp clock-sync jitter),
+    // the exchange's intervals clipped to the window, and the window's own
+    // noise bursts. Two draws and a binary search, so it runs inside the
+    // accumulate stage: timing it as a stage of its own cost more clock reads
+    // than the work.
+    RESLOC_SPAN_ENTER(stages, "ranging/detection/accumulate");
     const double sync_error_s =
         calibration_bias_s + rng.gaussian(0.0, config_.tdoa.sync_jitter_s);
-    const double window_start_s = emission.start_s - sync_error_s;
-    acoustics::receive_into(scratch.received, scratch.emissions, window_start_s,
-                            window_duration_s, link_local, speaker, mic, config_.environment,
-                            config_.channel_jitter, rng);
+    acoustics::clip_window(scratch.received, scratch.exchange, start_s - sync_error_s,
+                           window_duration_s);
+    acoustics::draw_noise_bursts(scratch.received, config_.environment, rng);
     if (mode_ == DetectorMode::kHardware) {
       // The window's threshold runs (a per-interval cost, not per-sample),
       // then the fused Bernoulli mask draw + accumulate: together they
       // consume exactly one uniform per sample.
-      RESLOC_SPAN_ENTER(stages, "ranging/detection/accumulate");
       detector_.fire_runs(scratch.received, window_samples_, mic, scratch.detector,
                           scratch.dsp.fire_runs);
       scratch.accumulator.record_chirp_bernoulli(rng, scratch.dsp.fire_runs);
@@ -171,7 +163,6 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
     RESLOC_SPAN("ranging/detection/accumulate");
     scratch.accumulator.record_chirp_block(scratch.dsp.fired.data(), window_samples_);
   }
-  stages.end();
 
   const DetectionParams detection =
       config_.baseline ? detail::kBaselineDetection : config_.detection;
@@ -179,20 +170,18 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
 
   // One resumable pass over the accumulated counters' threshold bitmask:
   // pattern-verification rejections resume the scan instead of restarting it.
-  int index;
-  {
-    RESLOC_SPAN("ranging/detection/scan");
-    SignalScanner& scanner = scratch.scanner;
-    scanner.reset(samples, detection);
-    index = scanner.next();
-    if (!config_.baseline && config_.verify_pattern) {
-      while (index >= 0 &&
-             !scanner.quiet_before(index, config_.silence_gap_samples, config_.silence_max_noisy)) {
-        ++attempt.rejected_detections;
-        index = scanner.next();
-      }
+  RESLOC_SPAN_ENTER(stages, "ranging/detection/scan");
+  SignalScanner& scanner = scratch.scanner;
+  scanner.reset(samples, detection);
+  int index = scanner.next();
+  if (!config_.baseline && config_.verify_pattern) {
+    while (index >= 0 &&
+           !scanner.quiet_before(index, config_.silence_gap_samples, config_.silence_max_noisy)) {
+      ++attempt.rejected_detections;
+      index = scanner.next();
     }
   }
+  stages.end();
 
   if (index >= 0) {
     attempt.detection_index = index;

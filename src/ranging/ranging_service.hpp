@@ -120,12 +120,12 @@ struct RangingAttempt {
 
 /// Reusable working buffers for measure(). A campaign loop keeps one per
 /// worker thread and passes it to every pair, so the per-sequence vectors
-/// (emission schedule, received window, 4-bit counters and their scan mask,
-/// DSP buffers) are allocated once instead of once per pair -- the same
-/// buffer reuse the mote firmware's fixed RAM layout implies (Section 3.6.2).
+/// (emission schedule, exchange channel, received window, 4-bit counters and
+/// their scan mask, DSP buffers) are allocated once instead of once per pair
+/// -- the buffer reuse the mote firmware's fixed RAM layout implies (3.6.2).
 struct RangingScratch {
   std::vector<double> starts;
-  std::vector<acoustics::Emission> emissions;
+  acoustics::ExchangeChannel exchange;
   acoustics::ReceivedWindow received;
   acoustics::DetectorScratch detector;
   SignalAccumulator accumulator{0};

@@ -174,8 +174,6 @@ ranging::RangingAttempt measure_per_sample(const ranging::RangingService& servic
   acoustics::ChirpPattern pattern = config.pattern;
   if (config.baseline) pattern.num_chirps = 1;
   acoustics::chirp_start_times_into(pattern, rng, scratch.starts);
-  scratch.emissions.clear();
-  for (double s : scratch.starts) scratch.emissions.push_back({s, pattern.chirp_duration_s});
 
   const double window_duration_s = static_cast<double>(n) / config.tdoa.sample_rate_hz;
   const double calibration_bias_s =
@@ -185,12 +183,16 @@ ranging::RangingAttempt measure_per_sample(const ranging::RangingService& servic
 
   scratch.counts.assign(n, 0);
   int chirps = 0;
-  for (const acoustics::Emission& emission : scratch.emissions) {
+  // Channel v2 (acoustics/channel.hpp): one realization per exchange, then
+  // per window its sync error, its clip of that realization and its bursts.
+  acoustics::realize_exchange(scratch.exchange, scratch.starts, pattern.chirp_duration_s, link,
+                              speaker, mic, config.environment, config.channel_jitter, rng);
+  for (const double start_s : scratch.starts) {
     const double sync_error_s =
         calibration_bias_s + rng.gaussian(0.0, config.tdoa.sync_jitter_s);
-    acoustics::receive_into(scratch.received, scratch.emissions, emission.start_s - sync_error_s,
-                            window_duration_s, link, speaker, mic, config.environment,
-                            config.channel_jitter, rng);
+    acoustics::clip_window(scratch.received, scratch.exchange, start_s - sync_error_s,
+                           window_duration_s);
+    acoustics::draw_noise_bursts(scratch.received, config.environment, rng);
     switch (service.detector_mode()) {
       case ranging::DetectorMode::kHardware:
         sample_window_into(config.environment, config.tdoa.sample_rate_hz, scratch.received, n,

@@ -68,7 +68,7 @@ bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int inde
 /// service (a campaign worker keeps one).
 struct MeasureScratch {
   std::vector<double> starts;
-  std::vector<acoustics::Emission> emissions;
+  acoustics::ExchangeChannel exchange;
   acoustics::ReceivedWindow received;
   DetectorBuffers detector;
   std::vector<bool> fired;

@@ -149,6 +149,22 @@ TEST(ChirpPattern, RandomDelaysDecorrelate) {
   EXPECT_TRUE(differs);
 }
 
+// One exchange's channel realized, then clipped to one window with that
+// window's bursts drawn: the channel v2 steps RangingService runs per window.
+ReceivedWindow receive_window(const std::vector<double>& starts, double chirp_duration_s,
+                              double window_start_s, double window_duration_s, double distance_m,
+                              const SpeakerUnit& speaker, const MicUnit& mic,
+                              const EnvironmentProfile& env, const ChannelJitter& jitter,
+                              Rng& rng) {
+  ExchangeChannel exchange;
+  realize_exchange(exchange, starts, chirp_duration_s, link_response(distance_m, env), speaker,
+                   mic, env, jitter, rng);
+  ReceivedWindow window;
+  clip_window(window, exchange, window_start_s, window_duration_s);
+  draw_noise_bursts(window, env, rng);
+  return window;
+}
+
 TEST(Channel, DirectSignalArrivesAtTravelTime) {
   auto env = EnvironmentProfile::grass();
   env.echo_rate = 0.0;
@@ -157,8 +173,8 @@ TEST(Channel, DirectSignalArrivesAtTravelTime) {
   jitter.actuation_jitter_s = 0.0;
   Rng rng(5);
   const double d = 17.0;
-  const auto window = receive({{0.0, 0.008}}, 0.0, 0.2, d, SpeakerUnit{}, MicUnit{}, env,
-                              jitter, rng);
+  const auto window = receive_window({0.0}, 0.008, 0.0, 0.2, d, SpeakerUnit{}, MicUnit{}, env,
+                                     jitter, rng);
   // Ramp-up segment plus full-level segment.
   ASSERT_EQ(window.signals.size(), 2u);
   const double travel = d / env.speed_of_sound_mps;
@@ -175,8 +191,8 @@ TEST(Channel, SignalsOutsideWindowAreDropped) {
   env.noise_burst_rate_hz = 0.0;
   Rng rng(6);
   // Emission whose sound arrives after the window closes.
-  const auto window = receive({{10.0, 0.008}}, 0.0, 0.05, 5.0, SpeakerUnit{}, MicUnit{}, env,
-                              ChannelJitter{}, rng);
+  const auto window = receive_window({10.0}, 0.008, 0.0, 0.05, 5.0, SpeakerUnit{}, MicUnit{},
+                                     env, ChannelJitter{}, rng);
   EXPECT_TRUE(window.signals.empty());
 }
 
@@ -185,8 +201,8 @@ TEST(Channel, UrbanProducesEchoes) {
   Rng rng(8);
   std::size_t echo_windows = 0;
   for (int i = 0; i < 100; ++i) {
-    const auto window = receive({{0.0, 0.008}}, 0.0, 0.3, 10.0, SpeakerUnit{}, MicUnit{}, env,
-                                ChannelJitter{}, rng);
+    const auto window = receive_window({0.0}, 0.008, 0.0, 0.3, 10.0, SpeakerUnit{}, MicUnit{},
+                                       env, ChannelJitter{}, rng);
     if (window.signals.size() > 1) ++echo_windows;
   }
   EXPECT_GT(echo_windows, 30u);  // echo_rate 0.9 -> most windows see an echo
@@ -203,7 +219,7 @@ TEST(Channel, EchoesAreWeakerAndLater) {
     ChannelJitter jitter;
     jitter.actuation_jitter_s = 0.0;
     const auto window =
-        receive({{0.0, 0.008}}, 0.0, 0.5, d, SpeakerUnit{}, MicUnit{}, env, jitter, rng);
+        receive_window({0.0}, 0.008, 0.0, 0.5, d, SpeakerUnit{}, MicUnit{}, env, jitter, rng);
     // The strongest interval is the full-level direct body; anything clearly
     // below it is an echo and must start no earlier than the direct signal.
     const double direct_start = d / env.speed_of_sound_mps;
@@ -216,6 +232,105 @@ TEST(Channel, EchoesAreWeakerAndLater) {
     }
   }
   EXPECT_GT(echoes_seen, 20);  // urban is echo-rich
+}
+
+bool same_interval(const SignalInterval& a, const SignalInterval& b) {
+  return a.start_s == b.start_s && a.end_s == b.end_s && a.snr_db == b.snr_db;
+}
+
+TEST(Channel, ClipKeepsExactlyTheOverlappingIntervals) {
+  Rng rng(10, 4);
+  for (int trial = 0; trial < 400; ++trial) {
+    auto env = EnvironmentProfile::urban();
+    env.echo_rate = rng.uniform(0.0, 3.0);
+    if (rng.bernoulli(0.5)) env.fixed_echo_lag_s = rng.uniform(0.001, 0.05);
+    // Chirps up to 0.4 s long against gaps of at most 0.2 s, so intervals
+    // that start early often reach past several later starts.
+    std::vector<double> starts;
+    double t = rng.uniform(-0.1, 0.1);
+    const auto k = rng.uniform_int(1, 12);
+    for (std::int64_t i = 0; i < k; ++i) {
+      starts.push_back(t);
+      t += rng.uniform(0.0, 0.2);
+    }
+    const double chirp_s = rng.bernoulli(0.5) ? rng.uniform(0.01, 0.4) : 0.008;
+    ExchangeChannel exchange;
+    realize_exchange(exchange, starts, chirp_s, link_response(rng.uniform(0.0, 40.0), env),
+                     SpeakerUnit{}, MicUnit{}, env, ChannelJitter{}, rng);
+    ASSERT_FALSE(exchange.signals.empty());
+    const double first = exchange.signals.front().start_s;
+    double last = first;
+    for (const SignalInterval& s : exchange.signals) last = std::max(last, s.end_s);
+
+    for (int w = 0; w < 40; ++w) {
+      double start;
+      const double duration = rng.uniform(0.0, 0.3);
+      switch (w % 5) {
+        case 0: start = first - duration; break;  // ends where the first starts
+        case 1: start = first + rng.uniform(-0.05, 0.05); break;
+        case 2: start = last; break;  // starts where the last ends
+        case 3: start = last - rng.uniform(0.0, 0.05); break;
+        default: start = rng.uniform(first - 0.5, last + 0.1); break;
+      }
+      ReceivedWindow window;
+      window.bursts.push_back({0.0, 1.0});  // cleared by the clip
+      clip_window(window, exchange, start, duration);
+      std::vector<SignalInterval> expect;
+      for (const SignalInterval& s : exchange.signals) {
+        if (s.end_s > start && s.start_s < start + duration) expect.push_back(s);
+      }
+      ASSERT_EQ(window.signals.size(), expect.size()) << "trial=" << trial << " w=" << w;
+      for (std::size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_TRUE(same_interval(window.signals[i], expect[i])) << "trial=" << trial;
+      }
+      EXPECT_TRUE(window.bursts.empty());
+      EXPECT_EQ(window.start_s, start);
+      EXPECT_EQ(window.duration_s, duration);
+    }
+  }
+}
+
+TEST(Channel, EveryWindowHearsTheSameChirps) {
+  // Windows long enough to span several chirps, opened per chirp the way
+  // RangingService does (sync error, clip, bursts). Wherever two windows
+  // overlap they must hear the same intervals: one onset jitter and one set
+  // of echoes per emission, not one per window.
+  const auto env = EnvironmentProfile::urban();
+  const ChirpPattern pattern;
+  Rng rng(21);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::vector<double> starts = chirp_start_times(pattern, rng);
+    ExchangeChannel exchange;
+    realize_exchange(exchange, starts, pattern.chirp_duration_s, link_response(12.0, env),
+                     SpeakerUnit{}, MicUnit{}, env, ChannelJitter{}, rng);
+    std::vector<ReceivedWindow> windows(starts.size());
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      clip_window(windows[i], exchange, starts[i] - rng.gaussian(0.0, 1e-4), 0.9);
+      draw_noise_bursts(windows[i], env, rng);
+    }
+    const auto heard_in = [](const ReceivedWindow& heard, const ReceivedWindow& span) {
+      std::vector<SignalInterval> out;
+      for (const SignalInterval& s : heard.signals) {
+        if (s.end_s > span.start_s && s.start_s < span.start_s + span.duration_s) {
+          out.push_back(s);
+        }
+      }
+      return out;
+    };
+    int shared = 0;
+    for (std::size_t a = 0; a < windows.size(); ++a) {
+      for (std::size_t b = a + 1; b < windows.size(); ++b) {
+        const auto from_a = heard_in(windows[a], windows[b]);
+        const auto from_b = heard_in(windows[b], windows[a]);
+        ASSERT_EQ(from_a.size(), from_b.size()) << "trial=" << trial << " a=" << a << " b=" << b;
+        for (std::size_t i = 0; i < from_a.size(); ++i) {
+          EXPECT_TRUE(same_interval(from_a[i], from_b[i])) << "trial=" << trial;
+        }
+        shared += static_cast<int>(from_a.size());
+      }
+    }
+    EXPECT_GT(shared, 0);
+  }
 }
 
 // Fired-sample counts of one chirp window from both detector paths, each

@@ -164,6 +164,7 @@ TEST_F(ObsTest, SpanChainSharesBoundaryClockReads) {
     RESLOC_SPAN_ENTER(chain, "test/chain_a");  // t=100
     RESLOC_SPAN_ENTER(chain, "test/chain_b");  // t=200 ends a, starts b
     RESLOC_SPAN_ENTER(chain, "test/chain_a");  // t=300 ends b, starts a
+    RESLOC_SPAN_ENTER(chain, "test/chain_a");  // a is running: continues, no read
     chain.end();                               // t=400
     chain.end();                               // nothing running: no read
     RESLOC_SPAN_ENTER(chain, "test/chain_b");  // t=500
