@@ -30,7 +30,7 @@ int main() {
   // Corrupt the first (near-collinear w.r.t. the third) anchor's distance.
   anchors[0].distance_m += 4.0;
 
-  const auto check = core::check_intersection_consistency(anchors, {});
+  const auto check = core::check_intersection_consistency(anchors);
   std::printf("anchors: %zu   pairwise intersection points: %zu\n", anchors.size(),
               check.intersection_points.size());
   std::printf("dominant cluster size: %zu   centroid: (%.2f, %.2f)  [true node: (%.1f, %.1f)]\n",

@@ -29,7 +29,6 @@ int main() {
   options.local_lss.independent_inits = 8;
   options.local_lss.gd.max_iterations = 2500;
   options.local_lss.target_stress_per_edge = 0.5;
-  options.method = core::TransformMethod::kClosedForm;  // mote-friendly
   const core::NodeId root = 0;
 
   // Graph-driven: the algorithm, free of radio effects.

@@ -50,13 +50,12 @@ LocalMap decode_map(NodeId owner, const std::vector<double>& payload) {
 
 class AlignmentApp : public resloc::net::NodeApp {
  public:
-  AlignmentApp(LocalMap own_map, bool is_root, const DistributedLssOptions& options,
-               ProtocolState& state, resloc::math::Rng rng)
+  AlignmentApp(LocalMap own_map, bool is_root, double max_transform_rmse_m,
+               ProtocolState& state)
       : own_map_(std::move(own_map)),
         is_root_(is_root),
-        options_(options),
-        state_(state),
-        rng_(std::move(rng)) {}
+        max_transform_rmse_m_(max_transform_rmse_m),
+        state_(state) {}
 
   void on_start(Network& net, resloc::net::NodeId self) override {
     // Phase A: stagger local-map broadcasts so the shared medium is not
@@ -97,7 +96,7 @@ class AlignmentApp : public resloc::net::NodeApp {
     if (!own_map_.coord_of(sender).has_value() && sender != own_map_.owner) return;
 
     const std::vector<NodeId> shared = sender_map.shared_members(own_map_);
-    if (shared.size() < options_.min_shared_members) return;
+    if (shared.size() < kMinSharedMembers) return;
 
     std::vector<Vec2> source;  // sender frame
     std::vector<Vec2> target;  // own frame
@@ -105,12 +104,11 @@ class AlignmentApp : public resloc::net::NodeApp {
       source.push_back(*sender_map.coord_of(m));
       target.push_back(*own_map_.coord_of(m));
     }
-    const TransformEstimate estimate =
-        estimate_transform(source, target, options_.method, rng_);
+    const TransformEstimate estimate = estimate_transform_closed_form(source, target);
     if (!estimate.valid) return;
     const double rmse =
         std::sqrt(estimate.sum_squared_error / static_cast<double>(shared.size()));
-    if (rmse > options_.max_transform_rmse_m) return;
+    if (rmse > max_transform_rmse_m_) return;
     from_sender_[sender] = estimate.transform;
   }
 
@@ -149,9 +147,8 @@ class AlignmentApp : public resloc::net::NodeApp {
 
   LocalMap own_map_;
   bool is_root_;
-  DistributedLssOptions options_;
+  double max_transform_rmse_m_;
   ProtocolState& state_;
-  resloc::math::Rng rng_;
   std::map<NodeId, Transform2D> from_sender_;
   bool aligned_ = false;
 };
@@ -171,8 +168,8 @@ AlignmentProtocolResult run_alignment_protocol(const std::vector<LocalMap>& maps
   Network net(radio, master.split());
   for (NodeId id = 0; id < n; ++id) {
     net.add_node(true_positions[id],
-                 std::make_unique<AlignmentApp>(maps[id], id == root, options, state,
-                                                master.split()));
+                 std::make_unique<AlignmentApp>(maps[id], id == root,
+                                                options.max_transform_rmse_m, state));
   }
   net.start();
   net.run();

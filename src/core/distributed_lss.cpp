@@ -17,12 +17,11 @@ DistributedLssResult localize_distributed(const MeasurementSet& measurements, No
   for (NodeId node = 0; node < n; ++node) {
     maps.push_back(build_local_map(node, measurements, options.local_lss, rng));
   }
-  return align_local_maps(std::move(maps), root, options, rng);
+  return align_local_maps(std::move(maps), root, options);
 }
 
 DistributedLssResult align_local_maps(std::vector<LocalMap> maps, NodeId root,
-                                      const DistributedLssOptions& options,
-                                      resloc::math::Rng& rng) {
+                                      const DistributedLssOptions& options) {
   DistributedLssResult out;
   const std::size_t n = maps.size();
   out.result.positions.assign(n, std::nullopt);
@@ -53,7 +52,7 @@ DistributedLssResult align_local_maps(std::vector<LocalMap> maps, NodeId root,
 
       // Shared members with coordinates in both local frames.
       const std::vector<NodeId> shared = child_map.shared_members(parent_map);
-      if (shared.size() < options.min_shared_members) continue;
+      if (shared.size() < kMinSharedMembers) continue;
 
       std::vector<Vec2> source;  // child frame
       std::vector<Vec2> target;  // parent frame
@@ -64,8 +63,7 @@ DistributedLssResult align_local_maps(std::vector<LocalMap> maps, NodeId root,
         target.push_back(*parent_map.coord_of(m));
       }
 
-      const TransformEstimate estimate =
-          estimate_transform(source, target, options.method, rng);
+      const TransformEstimate estimate = estimate_transform_closed_form(source, target);
       if (!estimate.valid) continue;
       const double rmse =
           std::sqrt(estimate.sum_squared_error / static_cast<double>(shared.size()));

@@ -6,7 +6,7 @@
 // root along a breadth-first tree of neighbor relations (the network flood of
 // Step 3 explores the same edges). The event-driven implementation on the
 // network simulator lives in alignment_protocol.hpp; the two agree when given
-// the same local maps and transform method.
+// the same local maps.
 #pragma once
 
 #include <optional>
@@ -18,19 +18,17 @@
 
 namespace resloc::core {
 
+/// Minimum shared members required to align two local maps; below 3 the
+/// reflection/rotation is under-determined and alignment is refused. Two maps
+/// are aligned by the closed-form transform (Section 4.3.1: the method a mote
+/// can afford).
+inline constexpr std::size_t kMinSharedMembers = 3;
+
 /// Distributed-LSS configuration.
 struct DistributedLssOptions {
   /// LSS settings for the per-node local maps (the soft constraint applies
   /// within each neighborhood too).
   LssOptions local_lss;
-
-  /// Transform estimation method (Section 4.3.1 offers both).
-  TransformMethod method = TransformMethod::kClosedForm;
-
-  /// Minimum shared members required to align two local maps (default 3);
-  /// below 3 the reflection/rotation is under-determined and alignment is
-  /// refused.
-  std::size_t min_shared_members = 3;
 
   /// Reject a pairwise transform whose per-shared-member RMS residual
   /// exceeds this (meters); large residuals signal a folded local map whose
@@ -62,7 +60,6 @@ DistributedLssResult localize_distributed(const MeasurementSet& measurements, No
 /// Alignment-only entry point over prebuilt local maps (used by tests, the
 /// event-driven protocol, and the ablation benches).
 DistributedLssResult align_local_maps(std::vector<LocalMap> maps, NodeId root,
-                                      const DistributedLssOptions& options,
-                                      resloc::math::Rng& rng);
+                                      const DistributedLssOptions& options);
 
 }  // namespace resloc::core

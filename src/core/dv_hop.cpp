@@ -8,16 +8,16 @@ namespace resloc::core {
 namespace {
 constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
 
-/// BFS hop counts from `source` over the measurement connectivity graph.
+/// BFS hop counts from `source` over the measurement connectivity graph (an
+/// unlimited flood).
 std::vector<std::size_t> hop_counts_from(NodeId source, const MeasurementSet& measurements,
-                                         std::size_t n, std::size_t max_hops) {
+                                         std::size_t n) {
   std::vector<std::size_t> hops(n, kUnreachable);
   std::deque<NodeId> frontier{source};
   hops[source] = 0;
   while (!frontier.empty()) {
     const NodeId current = frontier.front();
     frontier.pop_front();
-    if (max_hops > 0 && hops[current] >= max_hops) continue;
     for (const auto& [neighbor, dist] : measurements.neighbors(current)) {
       (void)dist;
       if (hops[neighbor] != kUnreachable) continue;
@@ -42,7 +42,7 @@ DvHopResult localize_dv_hop(const Deployment& deployment, const MeasurementSet& 
   // Phase 1: each anchor floods hop counts.
   std::vector<std::vector<std::size_t>> from_anchor(a);
   for (std::size_t k = 0; k < a; ++k) {
-    from_anchor[k] = hop_counts_from(deployment.anchors[k], measurements, n, options.max_hops);
+    from_anchor[k] = hop_counts_from(deployment.anchors[k], measurements, n);
     for (std::size_t node = 0; node < n; ++node) out.hop_counts[node][k] = from_anchor[k][node];
   }
 

@@ -22,8 +22,6 @@ namespace resloc::core {
 
 /// DV-hop configuration.
 struct DvHopOptions {
-  /// Maximum hop radius considered (flood TTL); 0 = unlimited.
-  std::size_t max_hops = 0;
   /// Position fit settings (the final multilateration step).
   MultilaterationOptions fit;
 };

@@ -7,8 +7,22 @@ namespace resloc::core {
 using resloc::math::Circle;
 using resloc::math::Vec2;
 
+namespace {
+
+/// Cluster linkage radius ("e.g., beyond 1m range" in the paper).
+constexpr double kClusterRadiusM = 1.0;
+/// Anchors are kept when at least one of their intersection points lies
+/// within this distance of the dominant cluster.
+constexpr double kAnchorKeepRadiusM = 1.0;
+/// Never drop below this many anchors; with fewer consistent anchors the
+/// check keeps all anchors instead (a caveat the paper notes: scarce data
+/// can make suspicious measurements worth retaining).
+constexpr std::size_t kMinAnchors = 3;
+
+}  // namespace
+
 IntersectionCheckResult check_intersection_consistency(
-    const std::vector<AnchorObservation>& anchors, const IntersectionCheckOptions& options) {
+    const std::vector<AnchorObservation>& anchors) {
   IntersectionCheckResult result;
   const std::size_t n = anchors.size();
 
@@ -34,7 +48,7 @@ IntersectionCheckResult check_intersection_consistency(
   }
 
   result.cluster =
-      resloc::math::largest_cluster(result.intersection_points, options.cluster_radius_m);
+      resloc::math::largest_cluster(result.intersection_points, kClusterRadiusM);
   std::vector<Vec2> cluster_points;
   cluster_points.reserve(result.cluster.size());
   for (std::size_t idx : result.cluster) cluster_points.push_back(result.intersection_points[idx]);
@@ -43,7 +57,7 @@ IntersectionCheckResult check_intersection_consistency(
   // An anchor survives when one of its intersection points sits inside or
   // near the dominant cluster.
   std::vector<bool> keep(n, false);
-  const double keep_r_sq = options.anchor_keep_radius_m * options.anchor_keep_radius_m;
+  const double keep_r_sq = kAnchorKeepRadiusM * kAnchorKeepRadiusM;
   for (std::size_t point_idx = 0; point_idx < result.intersection_points.size(); ++point_idx) {
     const Vec2& p = result.intersection_points[point_idx];
     bool near_cluster = false;
@@ -62,7 +76,7 @@ IntersectionCheckResult check_intersection_consistency(
   for (std::size_t i = 0; i < n; ++i) {
     if (keep[i]) result.consistent_anchors.push_back(i);
   }
-  if (result.consistent_anchors.size() < options.min_anchors) {
+  if (result.consistent_anchors.size() < kMinAnchors) {
     // Too few survivors: scarce data beats suspicious data (paper's caveat).
     result.consistent_anchors.resize(n);
     for (std::size_t i = 0; i < n; ++i) result.consistent_anchors[i] = i;

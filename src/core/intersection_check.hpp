@@ -32,26 +32,14 @@ struct IntersectionCheckResult {
   std::vector<resloc::math::Vec2> intersection_points;
   /// Indices (into intersection_points) of the dominant cluster.
   std::vector<std::size_t> cluster;
-  /// Centroid of the dominant cluster; the "mode of the intersection points"
-  /// position estimate the paper suggests for large anchor counts.
+  /// Centroid of the dominant cluster: the "mode of the intersection points"
+  /// the paper suggests as a position estimate for large anchor counts
+  /// (a diagnostic here; multilateration always minimizes).
   resloc::math::Vec2 cluster_centroid;
-};
-
-/// Parameters of the check.
-struct IntersectionCheckOptions {
-  /// Cluster linkage radius ("e.g., beyond 1m range" in the paper).
-  double cluster_radius_m = 1.0;
-  /// Anchors are kept when at least one of their intersection points lies
-  /// within this distance of the dominant cluster.
-  double anchor_keep_radius_m = 1.0;
-  /// Never drop below this many anchors; with fewer consistent anchors than
-  /// this, the check keeps all anchors instead (a caveat the paper notes:
-  /// scarce data can make suspicious measurements worth retaining).
-  std::size_t min_anchors = 3;
 };
 
 /// Runs the intersection consistency check over the anchor observations.
 IntersectionCheckResult check_intersection_consistency(
-    const std::vector<AnchorObservation>& anchors, const IntersectionCheckOptions& options = {});
+    const std::vector<AnchorObservation>& anchors);
 
 }  // namespace resloc::core

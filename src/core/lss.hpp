@@ -44,7 +44,6 @@ struct LssOptions {
                                           .max_iterations = 4000,
                                           .relative_tolerance = 1e-12,
                                           .gradient_tolerance = 1e-7,
-                                          .adaptive = true,
                                           .record_trace = false};
 
   /// Perturbation-restart schedule (Section 4.2.1: each round reseeds from

@@ -8,6 +8,13 @@ using resloc::math::Vec2;
 
 namespace {
 
+/// Fewest usable anchors that still earn a kDegraded fix (allow_degraded).
+constexpr std::size_t kDegradedMinAnchors = 2;
+/// Progressive localization: weight of a promoted (localized non-anchor)
+/// anchor, and the round cap.
+constexpr double kProgressiveWeight = 0.5;
+constexpr int kMaxProgressiveRounds = 10;
+
 /// Weighted range-residual objective and gradient for one node.
 resloc::math::Objective make_objective(const std::vector<AnchorObservation>& anchors) {
   return [&anchors](const std::vector<double>& x, std::vector<double>& grad) {
@@ -53,13 +60,7 @@ std::optional<Vec2> multilaterate(const std::vector<AnchorObservation>& anchors,
   const std::vector<AnchorObservation>* used = &anchors;
   std::vector<AnchorObservation> filtered;
   if (options.use_intersection_check) {
-    const IntersectionCheckResult check =
-        check_intersection_consistency(anchors, options.intersection);
-    if (options.use_intersection_mode_estimate &&
-        check.consistent_anchors.size() >= options.mode_min_anchors &&
-        !check.cluster.empty()) {
-      return check.cluster_centroid;
-    }
+    const IntersectionCheckResult check = check_intersection_consistency(anchors);
     filtered.reserve(check.consistent_anchors.size());
     for (std::size_t idx : check.consistent_anchors) filtered.push_back(anchors[idx]);
     if (filtered.size() < options.min_anchors) return std::nullopt;
@@ -107,7 +108,7 @@ LocalizationResult localize_by_multilateration(const Deployment& deployment,
     return observations;
   };
 
-  const int rounds = options.progressive ? options.max_progressive_rounds : 1;
+  const int rounds = options.progressive ? kMaxProgressiveRounds : 1;
   for (int round = 0; round < rounds; ++round) {
     bool any_localized = false;
     // Collect this round's results first so in-round order doesn't matter.
@@ -128,25 +129,25 @@ LocalizationResult localize_by_multilateration(const Deployment& deployment,
       result.status[node] = LocalizationStatus::kOk;
       if (options.progressive) {
         anchor_pos[node] = position;
-        anchor_weight[node] = options.progressive_weight;
+        anchor_weight[node] = kProgressiveWeight;
       }
     }
     if (!any_localized) break;
   }
 
   // Degraded pass: after full-confidence localization settles, nodes that
-  // remain unplaced but see at least `degraded_min_anchors` usable anchors
+  // remain unplaced but see at least kDegradedMinAnchors usable anchors
   // get an under-constrained fix, flagged kDegraded. Runs last so a node that
   // could have been fully localized in a later progressive round is never
   // demoted; degraded fixes never join the anchor pool.
   if (options.allow_degraded) {
     MultilaterationOptions degraded = options;
-    degraded.min_anchors = options.degraded_min_anchors;
+    degraded.min_anchors = kDegradedMinAnchors;
     degraded.use_intersection_check = false;
     for (NodeId node = 0; node < n; ++node) {
       if (result.positions[node].has_value()) continue;
       const auto observations = collect_observations(node);
-      if (observations.size() < options.degraded_min_anchors) continue;
+      if (observations.size() < kDegradedMinAnchors) continue;
       const auto fit = multilaterate(observations, degraded, rng);
       if (fit) {
         result.positions[node] = *fit;

@@ -26,38 +26,26 @@ struct MultilaterationOptions {
 
   /// Run the intersection consistency check before minimizing.
   bool use_intersection_check = false;
-  IntersectionCheckOptions intersection;
-
-  /// Estimate the position as the dominant intersection cluster's centroid
-  /// ("we may take the mode of the intersection points ... instead of
-  /// minimizing the error if the number of anchors is large enough") when at
-  /// least `mode_min_anchors` (default 5) consistent anchors are available.
-  bool use_intersection_mode_estimate = false;
-  std::size_t mode_min_anchors = 5;
 
   /// Degrade instead of giving up: a node with fewer than `min_anchors` but
-  /// at least `degraded_min_anchors` usable anchors still receives a fix,
-  /// flagged LocalizationStatus::kDegraded in the result (the solve is
+  /// at least two usable anchors still receives a fix, flagged
+  /// LocalizationStatus::kDegraded in the result (the solve is
   /// under-constrained -- with two anchors the position is one of two mirror
   /// points). Degraded fixes never join the progressive anchor pool. Off by
   /// default so the paper-faithful behavior (and its goldens) are untouched.
   bool allow_degraded = false;
-  std::size_t degraded_min_anchors = 2;
 
   /// Progressive localization: localized non-anchors become anchors for
-  /// later rounds, with weight scaled by `progressive_weight` (default 0.5).
-  /// The paper's reported experiments use a single round with constant
-  /// weight 1, so both toggles default off.
+  /// later rounds (at most 10) with weight 0.5. The paper's reported
+  /// experiments use a single round with constant weight 1, so this defaults
+  /// off.
   bool progressive = false;
-  double progressive_weight = 0.5;
-  int max_progressive_rounds = 10;
 
   /// Gradient-descent tuning for the position fit.
   resloc::math::GradientDescentOptions gd{.step_size = 0.05,
                                           .max_iterations = 2000,
                                           .relative_tolerance = 1e-12,
                                           .gradient_tolerance = 1e-9,
-                                          .adaptive = true,
                                           .record_trace = false};
   resloc::math::RestartOptions restarts{.rounds = 3, .perturbation_stddev = 2.0};
 };

@@ -90,16 +90,4 @@ TransformEstimate estimate_transform_exact(const std::vector<Vec2>& source,
   return best;
 }
 
-TransformEstimate estimate_transform(const std::vector<Vec2>& source,
-                                     const std::vector<Vec2>& target, TransformMethod method,
-                                     resloc::math::Rng& rng) {
-  switch (method) {
-    case TransformMethod::kExactMinimization:
-      return estimate_transform_exact(source, target, rng);
-    case TransformMethod::kClosedForm:
-    default:
-      return estimate_transform_closed_form(source, target);
-  }
-}
-
 }  // namespace resloc::core

@@ -29,26 +29,17 @@ struct TransformEstimate {
   bool valid = false;
 };
 
-/// Method selector for distributed localization.
-enum class TransformMethod {
-  kExactMinimization,
-  kClosedForm,
-};
-
-/// Closed-form (centroid + covariance) estimation. Needs >= 2 shared points
-/// for a meaningful rotation; with fewer the result is translation-only.
+/// Closed-form (centroid + covariance) estimation -- the method distributed
+/// localization uses. Needs >= 2 shared points for a meaningful rotation;
+/// with fewer the result is translation-only.
 TransformEstimate estimate_transform_closed_form(const std::vector<resloc::math::Vec2>& source,
                                                  const std::vector<resloc::math::Vec2>& target);
 
 /// Exact estimation: gradient descent over (theta, tx, ty) for each
-/// reflection hypothesis.
+/// reflection hypothesis. The paper's comparison point for the closed form
+/// (bench_ablation_transform_method).
 TransformEstimate estimate_transform_exact(const std::vector<resloc::math::Vec2>& source,
                                            const std::vector<resloc::math::Vec2>& target,
                                            resloc::math::Rng& rng);
-
-/// Dispatch on method.
-TransformEstimate estimate_transform(const std::vector<resloc::math::Vec2>& source,
-                                     const std::vector<resloc::math::Vec2>& target,
-                                     TransformMethod method, resloc::math::Rng& rng);
 
 }  // namespace resloc::core

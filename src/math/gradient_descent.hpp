@@ -31,7 +31,10 @@ using Objective = std::function<double(const std::vector<double>& x, std::vector
 
 /// Tuning knobs for a single gradient-descent run.
 struct GradientDescentOptions {
-  /// Initial step size alpha in Equation 1.
+  /// Initial step size alpha in Equation 1. The step adapts: a step that
+  /// would increase the error is halved and retried (backtracking), and an
+  /// accepted first try grows it by 10%. Plain fixed-step descent diverges
+  /// easily on the LSS stress surface.
   double step_size = 1e-3;
   /// Upper bound on iterations for one descent run.
   int max_iterations = 5000;
@@ -39,11 +42,6 @@ struct GradientDescentOptions {
   double relative_tolerance = 1e-9;
   /// Stop when the gradient inf-norm falls below this.
   double gradient_tolerance = 1e-9;
-  /// When true, backtrack (halve the step and retry) on steps that increase
-  /// the error, and grow the step slightly on success. Plain fixed-step
-  /// descent diverges easily on the LSS stress surface, so this is on by
-  /// default; turn it off to study the paper's raw update rule.
-  bool adaptive = true;
   /// Record E after every accepted iteration (for Figure 23 style traces).
   bool record_trace = false;
 };
@@ -110,34 +108,27 @@ GradientDescentResult minimize(ObjectiveFn&& objective, std::vector<double> x0,
     double candidate_error = objective(candidate, candidate_grad);
     obs::add(obs::Counter::kGdEvaluations);
 
-    if (options.adaptive) {
-      // Backtrack: shrink the step until the error stops increasing (or the
-      // step collapses, which we treat as convergence). The predicate is
-      // written !(candidate <= error) rather than (candidate > error) so a
-      // non-finite candidate also backtracks: NaN compares false to
-      // everything, and the > form would silently *accept* a NaN step. For
-      // finite values the two forms are identical.
-      int backtracks = 0;
-      while (!(candidate_error <= error) && backtracks < 40) {
-        step *= 0.5;
-        for (std::size_t i = 0; i < n; ++i) candidate[i] = result.x[i] - step * grad[i];
-        candidate_error = objective(candidate, candidate_grad);
-        obs::add(obs::Counter::kGdEvaluations);
-        ++backtracks;
-      }
-      obs::add(obs::Counter::kGdBacktracks, static_cast<std::uint64_t>(backtracks));
-      if (!(candidate_error <= error)) {
-        if (!std::isfinite(candidate_error)) result.non_finite = true;
-        result.converged = true;  // no descent direction progress possible
-        break;
-      }
-      if (backtracks == 0) step *= 1.1;  // reward: cautiously grow the step
-    } else if (!std::isfinite(candidate_error)) {
-      // Fixed-step descent walked off the finite surface: stop at the last
-      // finite iterate instead of accepting the poisoned step.
-      result.non_finite = true;
+    // Backtrack: shrink the step until the error stops increasing (or the
+    // step collapses, which we treat as convergence). The predicate is
+    // written !(candidate <= error) rather than (candidate > error) so a
+    // non-finite candidate also backtracks: NaN compares false to
+    // everything, and the > form would silently *accept* a NaN step. For
+    // finite values the two forms are identical.
+    int backtracks = 0;
+    while (!(candidate_error <= error) && backtracks < 40) {
+      step *= 0.5;
+      for (std::size_t i = 0; i < n; ++i) candidate[i] = result.x[i] - step * grad[i];
+      candidate_error = objective(candidate, candidate_grad);
+      obs::add(obs::Counter::kGdEvaluations);
+      ++backtracks;
+    }
+    obs::add(obs::Counter::kGdBacktracks, static_cast<std::uint64_t>(backtracks));
+    if (!(candidate_error <= error)) {
+      if (!std::isfinite(candidate_error)) result.non_finite = true;
+      result.converged = true;  // no descent direction progress possible
       break;
     }
+    if (backtracks == 0) step *= 1.1;  // reward: cautiously grow the step
 
     const double improvement = error - candidate_error;
     result.x.swap(candidate);

@@ -23,19 +23,16 @@ LocalizationPipeline::LocalizationPipeline(PipelineConfig config) : config_(std:
 core::MeasurementSet LocalizationPipeline::measure(const core::Deployment& deployment,
                                                    resloc::math::Rng& rng,
                                                    std::size_t* augmented_edges,
-                                                   std::size_t* skipped_pairs,
-                                                   double* mean_abs_detection_offset) const {
+                                                   std::size_t* skipped_pairs) const {
   RESLOC_SPAN("pipeline/measure");
   core::MeasurementSet measurements;
   std::size_t skipped = 0;
-  double offset_samples = 0.0;
   switch (config_.source) {
     case MeasurementSource::kAcousticRanging: {
       const sim::FieldExperimentData data =
           sim::run_field_experiment(deployment, config_.campaign, rng);
       measurements = data.to_measurement_set(deployment.size());
       skipped = data.skipped_pairs;
-      offset_samples = data.mean_abs_detection_offset_samples();
       break;
     }
     case MeasurementSource::kSyntheticGaussian:
@@ -46,14 +43,10 @@ core::MeasurementSet LocalizationPipeline::measure(const core::Deployment& deplo
   if (skipped_pairs != nullptr) {
     *skipped_pairs = skipped;
   }
-  if (mean_abs_detection_offset != nullptr) {
-    *mean_abs_detection_offset = offset_samples;
-  }
 
   std::size_t added = 0;
   if (config_.augment_missing) {
-    added = sim::augment_with_gaussian(measurements, deployment, config_.noise, rng,
-                                       config_.max_augmented);
+    added = sim::augment_with_gaussian(measurements, deployment, config_.noise, rng);
   }
   if (augmented_edges != nullptr) {
     *augmented_edges = added;
@@ -65,16 +58,13 @@ PipelineRun LocalizationPipeline::run(const core::Deployment& deployment,
                                       resloc::math::Rng& rng) const {
   std::size_t augmented = 0;
   std::size_t skipped = 0;
-  double offset_samples = 0.0;
   const auto measure_start = std::chrono::steady_clock::now();
-  core::MeasurementSet measurements =
-      measure(deployment, rng, &augmented, &skipped, &offset_samples);
+  core::MeasurementSet measurements = measure(deployment, rng, &augmented, &skipped);
   const double measure_wall_s = seconds_since(measure_start);
   PipelineRun out = run_on_measurements(deployment, std::move(measurements), rng);
   out.measure_wall_s = measure_wall_s;
   out.augmented_edges = augmented;
   out.skipped_pairs = skipped;
-  out.mean_abs_detection_offset_samples = offset_samples;
   return out;
 }
 
@@ -144,7 +134,7 @@ PipelineRun LocalizationPipeline::run_on_measurements(const core::Deployment& de
       }
       case Solver::kDistributedLss: {
         const core::DistributedLssResult dist = core::localize_distributed(
-            out.measurements, config_.distributed_root, config_.distributed, rng);
+            out.measurements, /*root=*/0, config_.distributed, rng);
         out.estimates = dist.result;
         out.estimates.positions.resize(deployment.size());
         break;

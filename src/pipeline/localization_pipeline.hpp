@@ -70,18 +70,15 @@ struct PipelineConfig {
   /// Synthetic noise model (kSyntheticGaussian, and the augmentation pass).
   sim::GaussianNoiseModel noise;
 
-  /// Fill in synthetic measurements for in-range pairs the campaign missed
-  /// (the Figure 15 / Figure 25 augmentation). `max_augmented` bounds how
-  /// many are added; 0 = unbounded.
+  /// Fill in synthetic measurements for every in-range pair the campaign
+  /// missed (the Figure 15 / Figure 25 augmentation).
   bool augment_missing = false;
-  std::size_t max_augmented = 0;
 
   /// Per-solver options; only the selected solver's block is read.
   core::MultilaterationOptions multilateration;
   core::LssOptions lss;
+  /// Distributed LSS aligns every map into node 0's frame.
   core::DistributedLssOptions distributed;
-  /// Root node whose frame the distributed alignment propagates from.
-  core::NodeId distributed_root = 0;
 
   /// Centralized-LSS initialization strategy (see LssInit). kDvHopSeeded is
   /// what the large-scale sweeps use; the default reproduces the paper.
@@ -100,12 +97,6 @@ struct PipelineRun {
   /// its range cutoff (kAcousticRanging only; 0 for the synthetic source).
   /// Nonzero values explain sparse measurement sets on large fields.
   std::size_t skipped_pairs = 0;
-  /// Mean |detection offset| of the campaign's raw estimates, in detector
-  /// samples (kAcousticRanging only; 0 for the synthetic source). The
-  /// per-trial detector-accuracy diagnostic the `detectors` sweep reports:
-  /// ~1 for the NCC matched filter on clean fields, tens to hundreds when a
-  /// detector latches echoes instead of first arrivals.
-  double mean_abs_detection_offset_samples = 0.0;
   /// Per-node position estimates; nullopt = the solver could not place the
   /// node (no measurements, unreachable from the root, too few anchors, ...).
   core::LocalizationResult estimates;
@@ -150,13 +141,10 @@ class LocalizationPipeline {
 
   /// Measurement acquisition only (campaign or synthetic, plus augmentation).
   /// `skipped_pairs`, when given, receives the campaign's out-of-range pair
-  /// count (see PipelineRun::skipped_pairs); `mean_abs_detection_offset`
-  /// likewise receives the campaign's mean |detection offset| in samples
-  /// (see PipelineRun::mean_abs_detection_offset_samples).
+  /// count (see PipelineRun::skipped_pairs).
   core::MeasurementSet measure(const core::Deployment& deployment, resloc::math::Rng& rng,
                                std::size_t* augmented_edges = nullptr,
-                               std::size_t* skipped_pairs = nullptr,
-                               double* mean_abs_detection_offset = nullptr) const;
+                               std::size_t* skipped_pairs = nullptr) const;
 
   /// Solve + evaluate over a caller-provided measurement set (e.g. replayed
   /// field data). The deployment supplies ground truth and anchor positions.

@@ -76,9 +76,6 @@ class MatchedFilterNcc {
   /// rasterization), in ascending order.
   const std::vector<std::size_t>& peaks() const { return peaks_; }
 
-  double threshold() const { return threshold_; }
-  int peak_plateau() const { return peak_plateau_; }
-
  private:
   /// Fills ncc_ and peaks_ for one window; returns false when the window is
   /// shorter than the template (no scan possible).

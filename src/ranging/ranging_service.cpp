@@ -176,7 +176,7 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
   int index = scanner.next();
   if (!config_.baseline && config_.verify_pattern) {
     while (index >= 0 &&
-           !scanner.quiet_before(index, config_.silence_gap_samples, config_.silence_max_noisy)) {
+           !scanner.quiet_before(index, kSilenceGapSamples, kSilenceMaxNoisy)) {
       ++attempt.rejected_detections;
       index = scanner.next();
     }
@@ -197,8 +197,8 @@ void RangingService::prepare_goertzel(RangingScratch& scratch) const {
   const double fs = config_.tdoa.sample_rate_hz;
 
   // Tone table sin(2*pi*f*i/fs) and the Goertzel detector, cached in the
-  // scratch under the (frequency, sample rate, noise scale) they were built
-  // for; rebuilt only if the scratch migrates to a differently-tuned service.
+  // scratch under the (frequency, sample rate) they were built for; rebuilt
+  // only if the scratch migrates to a differently-tuned service.
   // The table's absolute phase is irrelevant to the single-bin power.
   const double frequency_hz = config_.pattern.tone_frequency_hz;
   const bool retuned =
@@ -210,23 +210,12 @@ void RangingService::prepare_goertzel(RangingScratch& scratch) const {
       scratch.tone_table[i] = std::sin(step * static_cast<double>(i));
     }
   }
-  if (retuned || !scratch.goertzel || scratch.noise_scale != config_.software_noise_scale) {
-    scratch.goertzel.emplace(frequency_hz, fs, SlidingDftFilter::kWindow,
-                             config_.software_noise_scale);
+  if (retuned || !scratch.goertzel) {
+    scratch.goertzel.emplace(frequency_hz, fs);
     scratch.tone_frequency_hz = frequency_hz;
     scratch.sample_rate_hz = fs;
-    scratch.noise_scale = config_.software_noise_scale;
   } else {
     scratch.goertzel->reset();
-  }
-}
-
-void RangingService::prepare_ncc(RangingScratch& scratch) const {
-  // The scanner is cached under its tuning like the Goertzel detector above;
-  // its prefix-sum buffers are reused across pairs.
-  if (!scratch.ncc || scratch.ncc->threshold() != config_.ncc_threshold ||
-      scratch.ncc->peak_plateau() != config_.ncc_peak_plateau) {
-    scratch.ncc.emplace(config_.ncc_threshold, config_.ncc_peak_plateau);
   }
 }
 
@@ -302,7 +291,7 @@ void RangingService::ncc_sample_window(const acoustics::MicUnit& mic, resloc::ma
   }
 
   // Correlate and mark picked onsets.
-  prepare_ncc(scratch);
+  if (!scratch.ncc) scratch.ncc.emplace();
   const auto chirp_samples =
       static_cast<std::size_t>(std::llround(config_.pattern.chirp_duration_s * fs));
   {

@@ -80,15 +80,10 @@ struct RangingConfig {
   bool baseline = false;
 
   /// Preceding-silence pattern verification (refined mode only; default on).
-  /// A candidate onset is rejected when more than `silence_max_noisy`
-  /// (default 2) of the `silence_gap_samples` (default 48, i.e. 3 ms at
-  /// 16 kHz) samples before it meet the detection threshold.
+  /// A candidate onset is rejected when more than kSilenceMaxNoisy of the
+  /// kSilenceGapSamples samples before it meet the detection threshold (see
+  /// signal_detection.hpp).
   bool verify_pattern = true;
-  int silence_gap_samples = 48;
-  int silence_max_noisy = 2;
-
-  /// Noise-subtraction margin of the software detector (see DftToneDetector).
-  double software_noise_scale = 6.0;
 
   /// Detector front end (see DetectorMode). kHardware by default.
   /// kGoertzel is software tone detection (Section 3.7): platforms without a
@@ -102,12 +97,6 @@ struct RangingConfig {
   /// sliding recurrence and the cached tone tables (bench_ranging_goertzel
   /// measures the naive direct-DFT alternative at ~96x the cost).
   DetectorMode detector_mode = DetectorMode::kHardware;
-
-  /// NCC detection threshold (kMatchedFilter only; see MatchedFilterNcc).
-  double ncc_threshold = MatchedFilterNcc::kDefaultThreshold;
-  /// Samples marked per picked NCC peak; must be >= detection.min_detections
-  /// for a lone plateau to satisfy the window-density test.
-  int ncc_peak_plateau = MatchedFilterNcc::kDefaultPeakPlateau;
 };
 
 /// Diagnostic output of one measurement attempt.
@@ -132,20 +121,19 @@ struct RangingScratch {
   SignalScanner scanner;
   /// Software-detector mode only: per-sample tone amplitudes, the cached tone
   /// table sin(2*pi*f*i/fs), and the Goertzel detector itself. The table and
-  /// detector are keyed by the (frequency, sample rate, noise scale) they were
-  /// built for, so a scratch migrating between differently-tuned services
-  /// rebuilds them instead of silently filtering the wrong band; within one
-  /// service they are built once and reused across every pair.
+  /// detector are keyed by the (frequency, sample rate) they were built for,
+  /// so a scratch migrating between differently-tuned services rebuilds them
+  /// instead of silently filtering the wrong band; within one service they
+  /// are built once and reused across every pair.
   std::vector<double> amplitude;
   std::vector<double> tone_table;
   double tone_frequency_hz = 0.0;
   double sample_rate_hz = 0.0;
-  double noise_scale = 0.0;
   std::optional<GoertzelToneDetector> goertzel;
   /// Matched-filter mode only: the synthesized window audio, the NCC scanner
-  /// (keyed by its threshold/plateau like the Goertzel cache above), and the
-  /// template source. The synthesizer is the same engine the synthesis path
-  /// uses, so detection correlates against literally the cached chirp tables.
+  /// (its prefix-sum buffers reused across pairs), and the template source.
+  /// The synthesizer is the same engine the synthesis path uses, so
+  /// detection correlates against literally the cached chirp tables.
   std::vector<double> audio;
   std::optional<MatchedFilterNcc> ncc;
   acoustics::WaveformSynthesizer synth;
@@ -217,9 +205,6 @@ class RangingService {
   /// Builds or retunes the scratch's cached tone table + Goertzel detector
   /// for this service and resets the detector for a fresh window.
   void prepare_goertzel(RangingScratch& scratch) const;
-
-  /// Builds or retunes the scratch's cached NCC scanner for this service.
-  void prepare_ncc(RangingScratch& scratch) const;
 
   RangingConfig config_;
   std::size_t window_samples_;

@@ -71,6 +71,12 @@ class SignalAccumulator {
   int chirps_ = 0;
 };
 
+/// Preceding-silence pattern check (Section 3.5): the pattern's 3 ms gap is
+/// 48 samples at 16 kHz, and a genuine onset may have at most 2 qualifying
+/// samples inside it.
+inline constexpr int kSilenceGapSamples = 48;
+inline constexpr int kSilenceMaxNoisy = 2;
+
 /// detect-signal from Figure 3 (0-indexed), resumable: next() yields, in
 /// ascending order, the first sample of every window of `params.window`
 /// consecutive samples that holds at least `params.min_detections` samples

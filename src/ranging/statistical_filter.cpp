@@ -14,27 +14,26 @@ constexpr double kMadToSigma = 1.4826;
 
 /// Consistency vote on a *sorted* measurement list: keeps the inlier run of
 /// the best-supported candidate, or empties the list when no candidate
-/// reaches min_votes. Two pointers over the sorted values count each
+/// reaches kConsistencyMinVotes. Two pointers over the sorted values count each
 /// candidate's inliers in O(n); the strict > comparison keeps the first
 /// (smallest) best candidate, making the winner -- and therefore the output
 /// -- independent of the caller's input order.
-void consistency_vote(std::vector<double>& sorted, double tolerance_m,
-                      std::size_t min_votes, bool* vote_failed) {
+void consistency_vote(std::vector<double>& sorted, bool* vote_failed) {
   const std::size_t n = sorted.size();
   std::size_t best_begin = 0;
   std::size_t best_count = 0;
   std::size_t lo = 0;
   std::size_t hi = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    while (sorted[i] - sorted[lo] > tolerance_m) ++lo;
+    while (sorted[i] - sorted[lo] > kConsistencyToleranceM) ++lo;
     if (hi < i + 1) hi = i + 1;
-    while (hi < n && sorted[hi] - sorted[i] <= tolerance_m) ++hi;
+    while (hi < n && sorted[hi] - sorted[i] <= kConsistencyToleranceM) ++hi;
     if (hi - lo > best_count) {
       best_count = hi - lo;
       best_begin = lo;
     }
   }
-  if (best_count < min_votes) {
+  if (best_count < kConsistencyMinVotes) {
     *vote_failed = true;
     sorted.clear();
     return;
@@ -44,16 +43,16 @@ void consistency_vote(std::vector<double>& sorted, double tolerance_m,
   sorted.erase(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(best_begin));
 }
 
-/// MAD rejection on >= 3 samples: drops values beyond threshold robust
-/// sigmas from the median. Keeps everything when the spread estimate would
-/// be degenerate.
-void mad_reject(std::vector<double>& values, double threshold, double floor_m) {
+/// MAD rejection on >= 3 samples: drops values beyond kMadThreshold robust
+/// sigmas from the median.
+void mad_reject(std::vector<double>& values) {
   if (values.size() < 3) return;
   const double center = *resloc::math::median(std::vector<double>(values));
   const double spread = *resloc::math::mad(values);
-  const double sigma = std::max(kMadToSigma * spread, floor_m);
+  const double sigma = std::max(kMadToSigma * spread, kMadFloorM);
+  const double limit = kMadThreshold * sigma;
   values.erase(std::remove_if(values.begin(), values.end(),
-                              [&](double x) { return std::abs(x - center) > threshold * sigma; }),
+                              [&](double x) { return std::abs(x - center) > limit; }),
                values.end());
 }
 
@@ -84,8 +83,7 @@ std::optional<double> filter_measurements(std::vector<double> measurements,
   bool vote_failed = false;
   if (policy.consistency_vote) {
     std::sort(measurements.begin(), measurements.end());
-    consistency_vote(measurements, policy.consistency_tolerance_m,
-                     policy.consistency_min_votes, &vote_failed);
+    consistency_vote(measurements, &vote_failed);
   }
   if (stats != nullptr) {
     stats->after_vote = measurements.size();
@@ -94,19 +92,18 @@ std::optional<double> filter_measurements(std::vector<double> measurements,
   if (measurements.empty()) return std::nullopt;
 
   if (policy.mad_reject) {
-    mad_reject(measurements, policy.mad_threshold, policy.mad_floor_m);
+    mad_reject(measurements);
   }
   if (stats != nullptr) stats->after_mad = measurements.size();
   if (measurements.empty()) return std::nullopt;
 
   FilterKind kind = policy.kind;
   if (kind == FilterKind::kAuto) {
-    kind = measurements.size() >= policy.mode_min_samples ? FilterKind::kMode
-                                                          : FilterKind::kMedian;
+    kind = measurements.size() >= kModeMinSamples ? FilterKind::kMode : FilterKind::kMedian;
   }
   switch (kind) {
     case FilterKind::kMode:
-      return resloc::math::binned_mode(measurements, policy.mode_bin_width_m);
+      return resloc::math::binned_mode(measurements, kModeBinWidthM);
     case FilterKind::kMedian:
     default:
       return resloc::math::median(std::move(measurements));

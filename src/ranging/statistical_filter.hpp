@@ -8,6 +8,7 @@
 // effective."
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -22,14 +23,28 @@ enum class FilterKind {
   kAuto,
 };
 
+/// Bin width (meters) used by the mode estimate; chirp-quantization noise is
+/// a few cm, so decimeter bins group true-distance detections.
+inline constexpr double kModeBinWidthM = 0.25;
+/// Minimum sample count before kAuto switches from median to mode.
+inline constexpr std::size_t kModeMinSamples = 7;
+
+/// Consistency-vote tolerance (meters): a measurement votes for every
+/// candidate within this distance of it.
+inline constexpr double kConsistencyToleranceM = 0.5;
+/// Minimum votes (including the candidate itself) for a usable consensus.
+inline constexpr std::size_t kConsistencyMinVotes = 2;
+
+/// MAD rejection drops measurements farther than kMadThreshold robust sigmas
+/// from the median; the robust sigma is 1.4826 * MAD floored at kMadFloorM
+/// (sample quantization is ~2 cm, so exact-duplicate lists have MAD 0 and
+/// need the floor to keep near-duplicates).
+inline constexpr double kMadThreshold = 3.5;
+inline constexpr double kMadFloorM = 0.05;
+
 /// Statistical filter configuration.
 struct FilterPolicy {
   FilterKind kind = FilterKind::kAuto;
-  /// Bin width (meters) used by the mode estimate; chirp-quantization noise
-  /// is a few cm, so decimeter bins group true-distance detections.
-  double mode_bin_width_m = 0.25;
-  /// Minimum sample count before kAuto switches from median to mode.
-  std::size_t mode_min_samples = 7;
   /// Cap on how many measurements are used (earliest first); the paper's
   /// Figure 4 uses "median filtering of up to five measurements".
   std::size_t max_samples = 0;  ///< 0 = use all
@@ -42,30 +57,20 @@ struct FilterPolicy {
 
   /// RANSAC-style consistency vote across the pair's repeated measurements
   /// (rounds): every measurement is a candidate, votes are the measurements
-  /// within `consistency_tolerance_m` of it, and the candidate with the most
+  /// within kConsistencyToleranceM of it, and the candidate with the most
   /// votes wins (exact ties break toward the smallest value, so the outcome
   /// is independent of input order). Only the winner's inliers reach the
-  /// estimator. If even the winner has fewer than `consistency_min_votes`
+  /// estimator. If even the winner has fewer than kConsistencyMinVotes
   /// votes, the pair has no self-consistent distance at all -- echo-dominated
   /// long links produce exactly this signature, because the pattern's random
   /// inter-chirp delays decorrelate echo detections across rounds -- and the
   /// filter returns std::nullopt rather than averaging garbage (the Section
   /// 3.5 "discard inconsistent" rule applied within one direction).
   bool consistency_vote = false;
-  double consistency_tolerance_m = 0.5;
-  /// Minimum votes (including the candidate itself) for a usable consensus;
-  /// 1 accepts lone measurements (vote becomes a no-op on singletons).
-  std::size_t consistency_min_votes = 2;
 
-  /// MAD-based outlier rejection: measurements farther than
-  /// `mad_threshold` robust sigmas from the median are dropped, where the
-  /// robust sigma is 1.4826 * MAD floored at `mad_floor_m` (sample
-  /// quantization is ~2 cm, so exact-duplicate lists have MAD 0 and need the
-  /// floor to keep near-duplicates). Applied only to lists of >= 3; with
-  /// fewer there is no meaningful spread estimate.
+  /// MAD-based outlier rejection (kMadThreshold, kMadFloorM). Applied only to
+  /// lists of >= 3; with fewer there is no meaningful spread estimate.
   bool mad_reject = false;
-  double mad_threshold = 3.5;
-  double mad_floor_m = 0.05;
 };
 
 /// Where each measurement of one filter_measurements call went -- the
@@ -74,7 +79,7 @@ struct FilterStats {
   std::size_t input = 0;       ///< considered (after the max_samples cut)
   std::size_t after_vote = 0;  ///< survivors of the consistency vote
   std::size_t after_mad = 0;   ///< survivors of MAD rejection
-  bool vote_failed = false;    ///< no candidate reached consistency_min_votes
+  bool vote_failed = false;    ///< no candidate reached kConsistencyMinVotes
   /// NaN/inf inputs scrubbed before any stage ran. Always zero for real
   /// acoustic detections; injected corruption (fault layer) produces them,
   /// and they must never reach std::sort (NaN comparators are UB).

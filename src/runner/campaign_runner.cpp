@@ -156,9 +156,8 @@ TrialOutcome CampaignRunner::run_trial(const SweepSpec& spec, const TrialSpec& t
       const auto measure_start = std::chrono::steady_clock::now();
       std::size_t augmented = 0;
       std::size_t skipped = 0;
-      double offset_samples = 0.0;
       core::MeasurementSet measurements =
-          pipe.measure(deployment, pipeline_rng, &augmented, &skipped, &offset_samples);
+          pipe.measure(deployment, pipeline_rng, &augmented, &skipped);
       const double measure_wall_s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - measure_start)
               .count();

@@ -1,7 +1,6 @@
 #include "sim/field_experiment.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/telemetry.hpp"
 #include "sim/campaign_turns.hpp"
@@ -24,6 +23,20 @@ constexpr std::uint64_t kMeasurementStreamTag = 0x3EA5;
 /// substreams internally (see fault/fault_injector.hpp).
 constexpr std::uint64_t kFaultStreamTag = 0xFA17;
 
+/// Per-link shadowing: each unordered pair draws a constant excess
+/// attenuation from N(0, this) dB once per campaign, applied symmetrically in
+/// both directions. Models the paper's geographically varying conditions
+/// ("taller than average grass absorbing the signal more", bushes, ground
+/// undulation) that silence mid-range links and make real field data much
+/// sparser than line-of-sight physics predicts. Drawn on demand from the
+/// pair's own substream -- O(1) memory, identical value every time the link
+/// is used.
+constexpr double kLinkShadowingStddevDb = 5.0;
+
+/// Bidirectional agreement tolerance (Section 3.5 consistency check): a pair
+/// whose two directions disagree by more than this is discarded.
+constexpr double kBidirectionalToleranceM = 1.0;
+
 }  // namespace
 
 MeasurementSet FieldExperimentData::to_measurement_set(std::size_t node_count) const {
@@ -42,19 +55,6 @@ std::vector<double> FieldExperimentData::raw_errors() const {
   return errors;
 }
 
-double FieldExperimentData::mean_abs_detection_offset_samples() const {
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (const auto& s : samples) {
-    // Injected NaN corruption yields a non-finite offset; one poisoned
-    // sample must not turn the whole campaign diagnostic into NaN.
-    if (!std::isfinite(s.detection_offset_samples)) continue;
-    sum += std::abs(s.detection_offset_samples);
-    ++count;
-  }
-  return count > 0 ? sum / static_cast<double>(count) : 0.0;
-}
-
 namespace detail {
 
 Campaign::Campaign(const resloc::core::Deployment& deployment_in,
@@ -67,7 +67,7 @@ Campaign::Campaign(const resloc::core::Deployment& deployment_in,
   speakers.reserve(n);
   mics.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    speakers.push_back(config.units.sample_speaker(config.nominal_speaker_db, rng));
+    speakers.push_back(config.units.sample_speaker(resloc::acoustics::kLoudspeakerDb, rng));
     mics.push_back(config.units.sample_mic(rng));
   }
 
@@ -95,7 +95,7 @@ double Campaign::shadowing_db(NodeId a, NodeId b) const {
   const NodeId lo = std::min(a, b);
   const NodeId hi = std::max(a, b);
   resloc::math::Rng stream = shadow_base.fork(static_cast<std::uint64_t>(lo) * n + hi);
-  return stream.gaussian(0.0, config.link_shadowing_stddev_db);
+  return stream.gaussian(0.0, kLinkShadowingStddevDb);
 }
 
 std::size_t Campaign::turn_count() const {
@@ -109,21 +109,18 @@ FieldExperimentData finish_campaign(const Campaign& campaign, std::size_t skippe
   std::size_t estimate_count = 0;
   for (const auto& turn : turns) estimate_count += turn.size();
   data.samples.reserve(estimate_count);
-  const resloc::ranging::TdoaParams& tdoa = campaign.config.ranging.tdoa;
-  const double samples_per_meter = tdoa.sample_rate_hz / tdoa.speed_of_sound_mps;
   for (std::size_t turn = 0; turn < turns.size(); ++turn) {
     const auto source = static_cast<NodeId>(turn % campaign.n);
     for (const TurnEstimate& e : turns[turn]) {
       data.raw.add(source, e.receiver, e.measured_m);
-      data.samples.push_back({source, e.receiver, e.true_distance_m, e.measured_m,
-                              (e.measured_m - e.true_distance_m) * samples_per_meter});
+      data.samples.push_back({source, e.receiver, e.true_distance_m, e.measured_m});
     }
   }
 
   {
     RESLOC_SPAN("ranging/filtering");
-    data.filtered = data.raw.symmetric_estimates(campaign.config.filter,
-                                                 campaign.config.bidirectional_tolerance_m);
+    data.filtered =
+        data.raw.symmetric_estimates(campaign.config.filter, kBidirectionalToleranceM);
   }
   obs::add(obs::Counter::kFilteredPairs, data.filtered.size());
   return data;

@@ -38,26 +38,13 @@ namespace resloc::sim {
 struct FieldExperimentConfig {
   resloc::ranging::RangingConfig ranging;
   resloc::acoustics::UnitVariationModel units;
-  double nominal_speaker_db = resloc::acoustics::kLoudspeakerDb;
   /// Measurement rounds; each round, every node emits one chirp sequence.
   int rounds = 3;
   /// Statistical filter applied per directed pair before symmetrization.
   resloc::ranging::FilterPolicy filter;
-  /// Bidirectional agreement tolerance (Section 3.5 consistency check).
-  double bidirectional_tolerance_m = 1.0;
   /// Pairs farther apart than this are not simulated at all (outside any
   /// plausible acoustic or radio range; keeps the campaign tractable).
   double simulate_within_m = 45.0;
-
-  /// Per-link shadowing: each unordered pair draws a constant excess
-  /// attenuation from N(0, this) dB once per campaign, applied symmetrically
-  /// in both directions. Models the paper's geographically varying
-  /// conditions ("taller than average grass absorbing the signal more",
-  /// bushes, ground undulation) that silence mid-range links and make real
-  /// field data much sparser than line-of-sight physics predicts. Drawn
-  /// on demand from the pair's own substream -- O(1) memory, identical
-  /// value every time the link is used.
-  double link_shadowing_stddev_db = 5.0;
 
   /// Worker threads for the measurement loop; <= 1 runs sequentially. Each
   /// (round, source) turn is an independent task on its own RNG substream
@@ -81,12 +68,6 @@ struct RangingSample {
   resloc::core::NodeId receiver = 0;
   double true_distance_m = 0.0;
   double measured_m = 0.0;
-  /// Detection-offset diagnostic: (measured - true) converted to detector
-  /// samples via fs / v_sound (~2.1 cm per sample at the paper's 16 kHz /
-  /// 340 m/s). This is the detector-accuracy currency of the bench and the
-  /// offset harness: +160 here means the detector latched an arrival 160
-  /// samples (10 ms) after the true one -- the fixed-echo signature.
-  double detection_offset_samples = 0.0;
 };
 
 /// Campaign output.
@@ -107,11 +88,6 @@ struct FieldExperimentData {
 
   /// Raw estimate errors (measured - true) for histogram benches.
   std::vector<double> raw_errors() const;
-
-  /// Mean |detection_offset_samples| over all raw estimates (0 when none):
-  /// the campaign-level detector accuracy figure the `detectors` sweep and
-  /// bench_detector_accuracy report per detector mode.
-  double mean_abs_detection_offset_samples() const;
 };
 
 /// Runs the campaign. Units are sampled per node from `config.units` using

@@ -120,8 +120,7 @@ void goertzel_window(const ranging::RangingConfig& config, std::size_t n,
   scratch.noise.resize(n);
   rng.fill_gaussian_block(scratch.noise.data(), n);
 
-  ranging::GoertzelToneDetector detector(frequency_hz, fs, ranging::SlidingDftFilter::kWindow,
-                                         config.software_noise_scale);
+  ranging::GoertzelToneDetector detector(frequency_hz, fs);
   scratch.fired.assign(n, false);
   for (std::size_t i = 0; i < n; ++i) {
     const double sigma = scratch.burst[i] != 0 ? rd::kBurstNoiseSigma : 1.0;
@@ -148,10 +147,7 @@ void ncc_window(const ranging::RangingConfig& config, std::size_t n,
     scratch.audio[i] = scratch.amplitude[i] * tpl.sin_t[i] + sigma * scratch.noise[i];
   }
 
-  if (!scratch.ncc || scratch.ncc->threshold() != config.ncc_threshold ||
-      scratch.ncc->peak_plateau() != config.ncc_peak_plateau) {
-    scratch.ncc.emplace(config.ncc_threshold, config.ncc_peak_plateau);
-  }
+  if (!scratch.ncc) scratch.ncc.emplace();
   const auto chirp_samples =
       static_cast<std::size_t>(std::llround(config.pattern.chirp_duration_s * fs));
   scratch.marks.resize(n);
@@ -218,8 +214,8 @@ ranging::RangingAttempt measure_per_sample(const ranging::RangingService& servic
   int index = detect_signal(scratch.counts, detection, 0);
   if (!config.baseline && config.verify_pattern) {
     while (index >= 0 &&
-           !verify_preceding_silence(scratch.counts, index, config.silence_gap_samples,
-                                     detection.threshold, config.silence_max_noisy)) {
+           !verify_preceding_silence(scratch.counts, index, ranging::kSilenceGapSamples,
+                                     detection.threshold, ranging::kSilenceMaxNoisy)) {
       ++attempt.rejected_detections;
       index = detect_signal(scratch.counts, detection, index + 1);
     }

@@ -65,9 +65,7 @@ TEST(TransformEstimation, InvalidInputs) {
   Rng rng(4);
   EXPECT_FALSE(estimate_transform_closed_form({}, {}).valid);
   EXPECT_FALSE(estimate_transform_exact({}, {}, rng).valid);
-  EXPECT_FALSE(estimate_transform({{1.0, 1.0}}, {{1.0, 1.0}, {2.0, 2.0}},
-                                  TransformMethod::kClosedForm, rng)
-                   .valid);
+  EXPECT_FALSE(estimate_transform_closed_form({{1.0, 1.0}}, {{1.0, 1.0}, {2.0, 2.0}}).valid);
 }
 
 TEST(LocalMap, MembershipAndLookup) {
@@ -164,7 +162,7 @@ TEST(DistributedLss, DisconnectedComponentUnlocalized) {
 }
 
 TEST(DistributedLss, TooFewSharedMembersBlocksAlignment) {
-  // A 2-node chain: each local map has 2 members -> below min_shared_members.
+  // A 2-node chain: each local map has 2 members -> below kMinSharedMembers.
   MeasurementSet meas(2);
   meas.add(0, 1, 10.0);
   Rng rng(9);
@@ -195,8 +193,7 @@ TEST(DistributedLss, TransformGuardRejectsCorruptMaps) {
   }
   auto guarded = opt;
   guarded.max_transform_rmse_m = 1.0;
-  Rng rng2(13);
-  const auto result = align_local_maps(maps, 0, guarded, rng2);
+  const auto result = align_local_maps(maps, 0, guarded);
   // Node 5's own frame is garbage; with the guard its transform is refused,
   // so it stays unlocalized rather than poisoning the alignment.
   EXPECT_FALSE(result.result.positions[5].has_value());

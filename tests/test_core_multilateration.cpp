@@ -76,7 +76,7 @@ TEST(IntersectionCheck, DropsInconsistentAnchor) {
   const Vec2 node{10.0, 10.0};
   auto anchors = observe({{0.0, 0.0}, {20.0, 0.0}, {0.0, 20.0}}, node);
   anchors.push_back({{40.0, 40.0}, 15.0, 1.0});  // true distance is 42.4
-  const auto result = check_intersection_consistency(anchors, {});
+  const auto result = check_intersection_consistency(anchors);
   EXPECT_EQ(result.consistent_anchors.size(), 3u);
   for (std::size_t idx : result.consistent_anchors) EXPECT_NE(idx, 3u);
   EXPECT_LT(resloc::math::distance(result.cluster_centroid, node), 1.0);
@@ -85,7 +85,7 @@ TEST(IntersectionCheck, DropsInconsistentAnchor) {
 TEST(IntersectionCheck, KeepsAllWhenConsistent) {
   const Vec2 node{10.0, 10.0};
   const auto anchors = observe({{0.0, 0.0}, {20.0, 0.0}, {0.0, 20.0}, {20.0, 20.0}}, node);
-  const auto result = check_intersection_consistency(anchors, {});
+  const auto result = check_intersection_consistency(anchors);
   EXPECT_EQ(result.consistent_anchors.size(), 4u);
 }
 
@@ -93,7 +93,7 @@ TEST(IntersectionCheck, FallsBackWhenTooFewSurvive) {
   // All circles disjoint: no intersection points at all -> keep everything.
   std::vector<AnchorObservation> anchors{
       {{0.0, 0.0}, 1.0, 1.0}, {{100.0, 0.0}, 1.0, 1.0}, {{0.0, 100.0}, 1.0, 1.0}};
-  const auto result = check_intersection_consistency(anchors, {});
+  const auto result = check_intersection_consistency(anchors);
   EXPECT_EQ(result.consistent_anchors.size(), 3u);
   EXPECT_TRUE(result.intersection_points.empty());
 }
@@ -107,7 +107,7 @@ TEST(IntersectionCheck, CollinearAnchorsAmplifyError) {
   anchors.push_back({{20.0, -0.1}, 10.0 + 0.4, 1.0});  // small error, near-collinear
   anchors.push_back({{10.0, 15.0}, 15.0, 1.0});
   anchors.push_back({{10.0, -15.0}, 15.0, 1.0});
-  const auto result = check_intersection_consistency(anchors, {});
+  const auto result = check_intersection_consistency(anchors);
   // The cluster still forms near the node.
   EXPECT_LT(resloc::math::distance(result.cluster_centroid, node), 2.5);
 }

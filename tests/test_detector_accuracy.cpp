@@ -290,8 +290,6 @@ TEST(DetectorAccuracy, RobustFiltersCutLongLinkErrorTailOnEchoHostileCampaign) {
   plain.kind = resloc::ranging::FilterKind::kMedian;
   resloc::ranging::FilterPolicy robust = plain;
   robust.consistency_vote = true;
-  robust.consistency_tolerance_m = 0.5;
-  robust.consistency_min_votes = 2;
   robust.mad_reject = true;
 
   struct Band {

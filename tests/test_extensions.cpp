@@ -151,16 +151,4 @@ TEST(DvHop, DisconnectedNodesNotLocalized) {
   EXPECT_FALSE(run.result.positions[4].has_value());
 }
 
-TEST(DvHop, MaxHopsLimitsFlood) {
-  core::Deployment d;
-  for (int i = 0; i < 6; ++i) d.positions.push_back(Vec2{i * 10.0, 0.0});
-  d.anchors = {0, 1, 2};
-  const auto meas = connectivity(d, 12.0);
-  core::DvHopOptions options;
-  options.max_hops = 2;
-  Rng rng(5);
-  const auto run = core::localize_dv_hop(d, meas, options, rng);
-  EXPECT_EQ(run.hop_counts[5][0], std::numeric_limits<std::size_t>::max());
-}
-
 }  // namespace

@@ -33,21 +33,21 @@ TEST(GradientDescent, AdaptiveStepSurvivesHugeInitialStep) {
   };
   GradientDescentOptions options;
   options.step_size = 1000.0;  // would diverge without backtracking
-  options.adaptive = true;
   options.max_iterations = 500;
   const auto result = minimize(objective, {5.0}, options);
   EXPECT_NEAR(result.x[0], 0.0, 1e-3);
 }
 
 TEST(GradientDescent, FixedStepMatchesEquationOne) {
-  // One iteration of the paper's update rule: x1 = x0 - alpha * grad.
+  // One iteration of the paper's update rule: x1 = x0 - alpha * grad. The
+  // first step lowers the error, so the backtracking line search accepts it
+  // unchanged.
   const Objective objective = [](const std::vector<double>& x, std::vector<double>& g) {
     g[0] = 2.0 * x[0];
     return x[0] * x[0];
   };
   GradientDescentOptions options;
   options.step_size = 0.25;
-  options.adaptive = false;
   options.max_iterations = 1;
   const auto result = minimize(objective, {4.0}, options);
   EXPECT_DOUBLE_EQ(result.x[0], 4.0 - 0.25 * 8.0);

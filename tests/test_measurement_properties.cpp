@@ -47,7 +47,7 @@ TEST(StatisticalFilter, SingleMeasurementPassesThroughUnchanged) {
   mode.kind = FilterKind::kMode;
   const auto out = resloc::ranging::filter_measurements({7.25}, mode);
   ASSERT_TRUE(out.has_value());
-  EXPECT_NEAR(*out, 7.25, mode.mode_bin_width_m / 2.0 + 1e-12);
+  EXPECT_NEAR(*out, 7.25, resloc::ranging::kModeBinWidthM / 2.0 + 1e-12);
 }
 
 TEST(StatisticalFilter, MedianResistsMinorityOutliers) {
@@ -74,15 +74,21 @@ TEST(StatisticalFilter, AllOutlierInputStillReturnsAValueInRange) {
 }
 
 TEST(StatisticalFilter, AutoSwitchesToModeOnceEnoughSamples) {
-  // Below mode_min_samples kAuto behaves as median; at or above it, as mode.
+  // Below kModeMinSamples kAuto behaves as median; at or above it, as mode.
   FilterPolicy policy;
   policy.kind = FilterKind::kAuto;
-  policy.mode_min_samples = 5;
   // Four samples: median of {9, 10, 10, 30} = 10; mode would also be 10 --
   // use an input where the two disagree: {1, 10, 10.2, 30}: median 10.1.
   const auto few = resloc::ranging::filter_measurements({1.0, 10.0, 10.2, 30.0}, policy);
   ASSERT_TRUE(few.has_value());
   EXPECT_NEAR(*few, 10.1, 1e-9);
+  // Six samples, one short of kModeMinSamples: still the median (10.16),
+  // where the mode would pick the 10.0-10.25 bin's center (10.125).
+  static_assert(resloc::ranging::kModeMinSamples == 7);
+  const auto six =
+      resloc::ranging::filter_measurements({1.0, 10.0, 10.02, 10.3, 30.0, 31.0}, policy);
+  ASSERT_TRUE(six.has_value());
+  EXPECT_NEAR(*six, 10.16, 1e-9);
   // Seven samples, bimodal with the true-distance bin denser: the mode picks
   // the dense decimeter bin even though outliers drag the median upward.
   const auto many = resloc::ranging::filter_measurements(
@@ -159,8 +165,6 @@ TEST(RobustFilter, VoteIsOrderIndependent) {
   resloc::math::Rng rng(0xD15C);
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 0.5;
-  policy.consistency_min_votes = 2;
   std::vector<double> v = {10.0, 10.2, 10.4, 25.8, 25.9, 3.0, 10.1};
   const auto reference = resloc::ranging::filter_measurements(v, policy);
   ASSERT_TRUE(reference.has_value());
@@ -180,7 +184,6 @@ TEST(RobustFilter, VotePicksTheLargerClusterAndDropsTheRest) {
   // minority is gone from the estimate entirely rather than dragging it.
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 0.5;
   resloc::ranging::FilterStats stats;
   const auto out = resloc::ranging::filter_measurements(
       {10.0, 25.8, 10.1, 25.9, 25.7, 10.2, 25.85}, policy, &stats);
@@ -191,24 +194,17 @@ TEST(RobustFilter, VotePicksTheLargerClusterAndDropsTheRest) {
 }
 
 TEST(RobustFilter, VoteWithNoConsensusReturnsNullopt) {
-  // Every reading in its own cluster: no candidate reaches min_votes = 2, so
+  // Every reading in its own cluster: no candidate reaches the two votes, so
   // the pair has no self-consistent distance and must be dropped -- the
   // mechanism that cuts echo-dominated long links out of a campaign.
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 0.5;
-  policy.consistency_min_votes = 2;
   resloc::ranging::FilterStats stats;
   const auto out =
       resloc::ranging::filter_measurements({5.0, 12.0, 19.0, 26.0}, policy, &stats);
   EXPECT_FALSE(out.has_value());
   EXPECT_TRUE(stats.vote_failed);
   EXPECT_EQ(stats.after_vote, 0u);
-  // min_votes = 1 accepts lone clusters again (vote degrades to a no-op of
-  // keeping the first singleton).
-  policy.consistency_min_votes = 1;
-  EXPECT_TRUE(
-      resloc::ranging::filter_measurements({5.0, 12.0, 19.0, 26.0}, policy).has_value());
 }
 
 TEST(RobustFilter, VoteTieBreaksTowardSmallestValue) {
@@ -218,7 +214,6 @@ TEST(RobustFilter, VoteTieBreaksTowardSmallestValue) {
   // is the direct path; later consistent clusters are echoes.
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 0.5;
   const auto out =
       resloc::ranging::filter_measurements({25.8, 10.0, 10.1, 25.9}, policy);
   ASSERT_TRUE(out.has_value());
@@ -226,17 +221,16 @@ TEST(RobustFilter, VoteTieBreaksTowardSmallestValue) {
 }
 
 TEST(RobustFilter, StatsTrackEveryStage) {
-  // vote keeps the 4-strong cluster (plus nothing else), then MAD inside the
-  // cluster cuts the straggler at 10.9: input 6 -> after_vote 5 -> after_mad 4.
+  // vote keeps the 4-strong cluster plus the straggler at 10.4 (inside the
+  // 0.5 m tolerance) and drops 30.0; MAD then cuts the straggler, 0.38 m off
+  // the median against a 3.5 x 0.05 m floored sigma:
+  // input 6 -> after_vote 5 -> after_mad 4.
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 1.0;
   policy.mad_reject = true;
-  policy.mad_threshold = 3.5;
-  policy.mad_floor_m = 0.02;
   resloc::ranging::FilterStats stats;
   const auto out = resloc::ranging::filter_measurements(
-      {10.0, 10.05, 9.95, 10.02, 10.9, 30.0}, policy, &stats);
+      {10.0, 10.05, 9.95, 10.02, 10.4, 30.0}, policy, &stats);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(stats.input, 6u);
   EXPECT_EQ(stats.after_vote, 5u);
@@ -252,8 +246,6 @@ TEST(RobustFilter, RobustReportAggregatesAcrossTable) {
   for (const double m : {5.0, 15.0, 25.0}) table.add(2, 3, m);
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 0.5;
-  policy.consistency_min_votes = 2;
   const auto report = table.robust_report(policy);
   EXPECT_EQ(report.measurements, 7u);
   EXPECT_EQ(report.directed_pairs, 2u);

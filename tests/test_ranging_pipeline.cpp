@@ -81,11 +81,10 @@ TEST(StatisticalFilter, MaxSamplesLimitsWindow) {
 TEST(StatisticalFilter, AutoSwitchesToModeWithEnoughSamples) {
   FilterPolicy policy;
   policy.kind = FilterKind::kAuto;
-  policy.mode_min_samples = 5;
-  policy.mode_bin_width_m = 0.5;
   // 4 samples -> median (average of the central pair).
   const auto median_result = filter_measurements({10.0, 10.1, 9.9, 20.0}, policy);
-  // 7 samples -> mode; outliers cannot move the dominant bin.
+  // 7 samples (kModeMinSamples) -> mode; outliers cannot move the dominant
+  // bin.
   const auto mode_result =
       filter_measurements({10.0, 10.1, 9.9, 10.05, 9.95, 20.0, 30.0}, policy);
   ASSERT_TRUE(median_result && mode_result);
@@ -100,7 +99,6 @@ TEST(StatisticalFilter, ModeNeedsMoreSamplesThanMedian) {
   // median fails too, but with 5 honest + 2 outliers mode nails it.
   FilterPolicy mode_policy;
   mode_policy.kind = FilterKind::kMode;
-  mode_policy.mode_bin_width_m = 0.5;
   const auto bad = filter_measurements({10.0, 20.0, 20.1}, mode_policy);
   ASSERT_TRUE(bad.has_value());
   EXPECT_GT(*bad, 15.0);  // two correlated outliers dominate 1 honest sample

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,8 @@
 #include "core/types.hpp"
 #include "eval/aggregate.hpp"
 #include "fault/fault_plan.hpp"
+#include "obs/telemetry.hpp"
+#include "ranging/ranging_service.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/sweep_spec.hpp"
 #include "sim/scenario_registry.hpp"
@@ -170,6 +173,27 @@ TEST(Resilience, UnknownFaultKindIsAConfigStageFailure) {
   EXPECT_FALSE(result.trials[0].ok);
   EXPECT_EQ(result.trials[0].failure, FailureReason::kConfig);
   EXPECT_NE(result.trials[0].error.find("not_a_fault"), std::string::npos);
+}
+
+TEST(Resilience, MeasurementStageThrowIsAMeasurementFailure) {
+  // An out-of-range detector mode on the base config passes the config stage
+  // (no detector axis resolves it) and throws from the RangingService
+  // constructor inside pipe.measure: the runner must classify the trial as a
+  // measurement-stage failure, not a config or solver one.
+  SweepSpec spec = acoustic_fault_sweep();
+  spec.base.campaign.ranging.detector_mode = static_cast<resloc::ranging::DetectorMode>(99);
+  resloc::obs::set_enabled(true);
+  const std::uint64_t before =
+      resloc::obs::snapshot().counter(resloc::obs::Counter::kTrialFailMeasurement);
+  const CampaignResult result = CampaignRunner(RunnerOptions{1}).run(spec);
+  const std::uint64_t after =
+      resloc::obs::snapshot().counter(resloc::obs::Counter::kTrialFailMeasurement);
+  resloc::obs::set_enabled(false);
+  ASSERT_EQ(result.trials.size(), 1u);
+  EXPECT_FALSE(result.trials[0].ok);
+  EXPECT_EQ(result.trials[0].failure, FailureReason::kMeasurement);
+  EXPECT_NE(result.trials[0].error.find("99"), std::string::npos);
+  EXPECT_EQ(after, before + 1);
 }
 
 TEST(Resilience, NonStdExceptionsAreIsolatedAndClassified) {
