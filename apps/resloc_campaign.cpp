@@ -609,16 +609,16 @@ int main(int argc, char** argv) {
   if (!trace_path.empty() || !metrics_path.empty()) {
     const resloc::obs::TelemetrySnapshot snap = resloc::obs::snapshot();
     if (!trace_path.empty()) {
-      const std::string trace = resloc::obs::to_chrome_trace_json(snap);
       std::string trace_error;
-      if (!resloc::obs::validate_chrome_trace(trace, &trace_error)) {
-        // A trace that fails its own schema check is a telemetry bug, not a
-        // campaign failure -- fail loudly so CI catches it.
+      if (!resloc::obs::check_span_nesting(snap, &trace_error)) {
+        // Spans that do not nest are a telemetry bug, not a campaign
+        // failure -- fail loudly so CI catches it.
         std::fprintf(stderr, "error: emitted trace failed validation: %s\n",
                      trace_error.c_str());
         return 1;
       }
-      io_ok &= resloc::eval::write_text_file(trace_path, trace);
+      io_ok &= resloc::eval::write_text_file(trace_path,
+                                             resloc::obs::to_chrome_trace_json(snap));
       std::size_t events = 0;
       for (const auto& t : snap.threads) events += t.events.size();
       std::printf("trace (%zu spans%s): %s\n", events,

@@ -29,7 +29,6 @@
 #include "eval/aggregate.hpp"
 #include "math/rng.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace_export.hpp"
 #include "sim/field_experiment.hpp"
 #include "sim/scenario_registry.hpp"
 #include "sim/scenarios.hpp"

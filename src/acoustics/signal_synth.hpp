@@ -88,9 +88,6 @@ class WaveformSynthesizer {
                                  const std::vector<ChirpPlacement>& chirps,
                                  std::size_t num_samples, resloc::math::Rng& rng);
 
-  /// Cached (sample rate, frequency) tone templates currently held.
-  std::size_t cached_templates() const { return templates_.size(); }
-
   /// The (rate, frequency) tone template extended to at least `length`
   /// samples, as a read-only view. The pointers are invalidated by any later
   /// call that creates or extends a template (same lifetime rule as

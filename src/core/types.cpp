@@ -68,15 +68,6 @@ double MeasurementSet::average_degree() const {
   return 2.0 * static_cast<double>(edges_.size()) / static_cast<double>(node_count_);
 }
 
-const char* localization_status_name(LocalizationStatus status) {
-  switch (status) {
-    case LocalizationStatus::kUnlocalized: return "unlocalized";
-    case LocalizationStatus::kOk: return "ok";
-    case LocalizationStatus::kDegraded: return "degraded";
-  }
-  return "unknown";
-}
-
 LocalizationStatus LocalizationResult::status_of(NodeId id) const {
   if (id < status.size()) return status[id];
   const bool placed = id < positions.size() && positions[id].has_value();

@@ -109,9 +109,6 @@ enum class LocalizationStatus : std::uint8_t {
   kDegraded = 2,     ///< low-confidence fix (e.g. under-constrained solve)
 };
 
-/// Stable report name ("unlocalized", "ok", "degraded").
-const char* localization_status_name(LocalizationStatus status);
-
 /// Output of a localization algorithm: estimated position per node, or
 /// nullopt where the algorithm could not localize the node.
 struct LocalizationResult {

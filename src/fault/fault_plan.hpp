@@ -10,7 +10,9 @@
 // any thread count and independent of query order.
 //
 // Fault taxonomy (one knob per failure mode):
-//   network   -- packet_loss_probability, loss bursts (radio jamming windows)
+//   network   -- packet_loss_probability, loss bursts (radio jamming windows);
+//                read only where a net::Network is built (apply_to_radio),
+//                which no campaign does, so they are inert in every sweep
 //   node      -- node_crash_rate (down for the rest of the campaign),
 //                node_sleep_rate (down for a contiguous round window)
 //   sensor    -- faulty_mic_rate (persistent wide-band noise; drives the
@@ -34,7 +36,8 @@ namespace resloc::fault {
 
 /// Per-campaign fault configuration. All rates default to 0 (no faults).
 struct FaultPlan {
-  // --- Network faults (consumed via apply_to_radio / net::Network). ---
+  // --- Network faults (consumed via apply_to_radio / net::Network; no
+  // campaign builds a Network, so a sweep never reads these). ---
   /// Probability an in-range radio delivery is dropped.
   double packet_loss_probability = 0.0;
   /// Poisson arrival rate of channel-wide loss bursts (jamming windows).

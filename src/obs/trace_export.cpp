@@ -1,8 +1,6 @@
 #include "obs/trace_export.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -55,229 +53,6 @@ std::vector<std::pair<std::string, StageTotal>> sorted_stages(
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return rows;
 }
-
-// --- Minimal JSON parser (validation only: structure, no number semantics
-// --- beyond double parsing). Recursive descent over the RFC 8259 grammar,
-// --- sufficient for the trace self-check without an external dependency.
-
-struct JsonValue {
-  enum Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    skip_ws();
-    if (!parse_value(out, error)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error = "trailing characters after top-level value at byte " + std::to_string(pos_);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  bool fail(std::string& error, const std::string& what) {
-    error = what + " at byte " + std::to_string(pos_);
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool parse_value(JsonValue& out, std::string& error) {
-    if (pos_ >= text_.size()) return fail(error, "unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(out, error);
-    if (c == '[') return parse_array(out, error);
-    if (c == '"') {
-      out.type = JsonValue::kString;
-      return parse_string(out.str, error);
-    }
-    if (c == 't' || c == 'f') return parse_literal(out, error);
-    if (c == 'n') return parse_literal(out, error);
-    return parse_number(out, error);
-  }
-
-  bool parse_literal(JsonValue& out, std::string& error) {
-    const auto match = [&](const char* word) {
-      const std::size_t len = std::string(word).size();
-      if (text_.compare(pos_, len, word) != 0) return false;
-      pos_ += len;
-      return true;
-    };
-    if (match("true")) {
-      out.type = JsonValue::kBool;
-      out.boolean = true;
-      return true;
-    }
-    if (match("false")) {
-      out.type = JsonValue::kBool;
-      out.boolean = false;
-      return true;
-    }
-    if (match("null")) {
-      out.type = JsonValue::kNull;
-      return true;
-    }
-    return fail(error, "invalid literal");
-  }
-
-  bool parse_number(JsonValue& out, std::string& error) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    const auto digits = [&]() {
-      const std::size_t before = pos_;
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-      return pos_ > before;
-    };
-    if (!digits()) return fail(error, "invalid number");
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (!digits()) return fail(error, "invalid number fraction");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (!digits()) return fail(error, "invalid number exponent");
-    }
-    out.type = JsonValue::kNumber;
-    out.number = std::strtod(text_.c_str() + start, nullptr);
-    return true;
-  }
-
-  bool parse_string(std::string& out, std::string& error) {
-    if (text_[pos_] != '"') return fail(error, "expected string");
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return fail(error, "unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return fail(error, "truncated \\u escape");
-            for (int i = 0; i < 4; ++i) {
-              if (!std::isxdigit(static_cast<unsigned char>(text_[pos_ + i]))) {
-                return fail(error, "invalid \\u escape");
-              }
-            }
-            pos_ += 4;
-            out += '?';  // code point identity is irrelevant to validation
-            break;
-          }
-          default: return fail(error, "unknown escape");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return fail(error, "unescaped control character in string");
-      } else {
-        out += c;
-      }
-    }
-    return fail(error, "unterminated string");
-  }
-
-  bool parse_array(JsonValue& out, std::string& error) {
-    out.type = JsonValue::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      JsonValue item;
-      skip_ws();
-      if (!parse_value(item, error)) return false;
-      out.array.push_back(std::move(item));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail(error, "unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or ']' in array");
-    }
-  }
-
-  bool parse_object(JsonValue& out, std::string& error) {
-    out.type = JsonValue::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail(error, "expected object key");
-      }
-      if (!parse_string(key, error)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return fail(error, "expected ':' after object key");
-      }
-      ++pos_;
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value, error)) return false;
-      out.object.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail(error, "unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or '}' in object");
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -409,77 +184,37 @@ std::string metrics_report_text(const TelemetrySnapshot& snap) {
   return out;
 }
 
-bool validate_chrome_trace(const std::string& json, std::string* error) {
+bool check_span_nesting(const TelemetrySnapshot& snap, std::string* error) {
   const auto fail = [&](const std::string& what) {
     if (error != nullptr) *error = what;
     return false;
   };
 
-  JsonValue root;
-  std::string parse_error;
-  JsonParser parser(json);
-  if (!parser.parse(root, parse_error)) return fail("invalid JSON: " + parse_error);
-  if (root.type != JsonValue::kObject) return fail("top-level value is not an object");
-  const JsonValue* events = root.find("traceEvents");
-  if (events == nullptr || events->type != JsonValue::kArray) {
-    return fail("missing traceEvents array");
-  }
-
-  // Whole nanoseconds: ts and dur are written with 3 decimals of a
-  // microsecond, and adding them as doubles can push a span's end a rounding
-  // error past the start of a sibling that begins exactly where it ends.
-  struct Interval {
-    long long start = 0;
-    long long end = 0;
-  };
-  const auto to_ns = [](double us) { return std::llround(us * 1000.0); };
-  std::map<double, std::vector<Interval>> by_tid;
-
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const JsonValue& e = events->array[i];
-    const std::string at = "traceEvents[" + std::to_string(i) + "]";
-    if (e.type != JsonValue::kObject) return fail(at + " is not an object");
-    const JsonValue* name = e.find("name");
-    const JsonValue* ph = e.find("ph");
-    const JsonValue* ts = e.find("ts");
-    const JsonValue* dur = e.find("dur");
-    const JsonValue* pid = e.find("pid");
-    const JsonValue* tid = e.find("tid");
-    if (name == nullptr || name->type != JsonValue::kString || name->str.empty()) {
-      return fail(at + " has no name");
-    }
-    if (ph == nullptr || ph->type != JsonValue::kString || ph->str != "X") {
-      return fail(at + " is not a complete ('X') event");
-    }
-    if (ts == nullptr || ts->type != JsonValue::kNumber || ts->number < 0.0) {
-      return fail(at + " has no non-negative ts");
-    }
-    if (dur == nullptr || dur->type != JsonValue::kNumber || dur->number < 0.0) {
-      return fail(at + " has no non-negative dur");
-    }
-    if (pid == nullptr || pid->type != JsonValue::kNumber) return fail(at + " has no pid");
-    if (tid == nullptr || tid->type != JsonValue::kNumber) return fail(at + " has no tid");
-    by_tid[tid->number].push_back(
-        Interval{to_ns(ts->number), to_ns(ts->number) + to_ns(dur->number)});
-  }
-
-  // Nesting check per thread: sorted by (start asc, end desc) -- parents
-  // first -- every span must either start after the enclosing span ends or
-  // end within it. Partial overlap on one thread cannot come from call
-  // nesting and means the trace is corrupt.
-  for (auto& [tid, intervals] : by_tid) {
-    std::sort(intervals.begin(), intervals.end(), [](const Interval& a, const Interval& b) {
-      if (a.start != b.start) return a.start < b.start;
-      return a.end > b.end;
-    });
-    std::vector<Interval> stack;
-    for (const Interval& iv : intervals) {
-      while (!stack.empty() && stack.back().end <= iv.start) stack.pop_back();
-      if (!stack.empty() && iv.end > stack.back().end) {
-        return fail("spans on tid " + std::to_string(static_cast<long long>(tid)) +
-                    " partially overlap (not properly nested)");
+  // Per thread, sorted by (start asc, end desc) -- parents first -- every
+  // span must either start at or after the enclosing span's end or end
+  // within it. Partial overlap on one thread cannot come from call nesting
+  // and means the recording is corrupt. The timestamps are exact integer
+  // nanoseconds, so siblings that touch (end == next start) are disjoint.
+  for (const ThreadSnapshot& t : snap.threads) {
+    const std::string at = "tid " + std::to_string(t.thread_index);
+    std::vector<SpanEvent> events = t.events;
+    for (const SpanEvent& e : events) {
+      if (e.end_ns < e.start_ns) return fail("a span on " + at + " ends before it starts");
+      if (e.id >= snap.span_names.size()) {
+        return fail("a span on " + at + " has unknown id " + std::to_string(e.id));
       }
-      stack.push_back(iv);
+    }
+    std::sort(events.begin(), events.end(), [](const SpanEvent& a, const SpanEvent& b) {
+      if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
+      return a.end_ns > b.end_ns;
+    });
+    std::vector<std::uint64_t> open_ends;
+    for (const SpanEvent& e : events) {
+      while (!open_ends.empty() && open_ends.back() <= e.start_ns) open_ends.pop_back();
+      if (!open_ends.empty() && e.end_ns > open_ends.back()) {
+        return fail("spans on " + at + " partially overlap (not properly nested)");
+      }
+      open_ends.push_back(e.end_ns);
     }
   }
   return true;

@@ -1,6 +1,6 @@
 // Telemetry serialization: Chrome trace-event JSON (chrome://tracing and
 // Perfetto load it directly), a metrics report (JSON + plain text), and a
-// self-check validator for the emitted trace.
+// nesting check on the recorded spans the trace is written from.
 //
 // Determinism split, stated explicitly in the report format: the
 // "deterministic" block carries counters and span counts (byte-identical per
@@ -29,12 +29,12 @@ std::string metrics_report_json(const TelemetrySnapshot& snap);
 /// Human-readable metrics summary (fixed-width tables) for stdout.
 std::string metrics_report_text(const TelemetrySnapshot& snap);
 
-/// Validates a Chrome trace produced by to_chrome_trace_json: well-formed
-/// JSON, a "traceEvents" array whose entries carry name/ph/ts/dur/pid/tid
-/// with ph == "X" and non-negative timings, and -- per tid -- events that
-/// nest properly (every pair of spans on a thread is either disjoint or
-/// contained; partial overlap means a corrupted trace). Returns true when
-/// valid; otherwise fills `error` (when given) with the first problem found.
-bool validate_chrome_trace(const std::string& json, std::string* error = nullptr);
+/// Checks the snapshot's recorded spans before they are exported: on each
+/// thread every pair of spans is either disjoint or contained (partial
+/// overlap means corrupt telemetry), no span ends before it starts, and every
+/// span id names an interned span. Compares the exact integer nanoseconds, so
+/// siblings that share a boundary are disjoint. Returns true when the spans
+/// pass; otherwise fills `error` (when given) with the first problem found.
+bool check_span_nesting(const TelemetrySnapshot& snap, std::string* error = nullptr);
 
 }  // namespace resloc::obs

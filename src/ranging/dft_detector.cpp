@@ -95,10 +95,9 @@ void GoertzelSlidingFilter::reset() {
   re_ = im_ = energy_ = 0.0;
 }
 
-GoertzelToneDetector::GoertzelToneDetector(double tone_frequency_hz, double sample_rate_hz,
-                                           std::size_t window, double noise_scale)
-    : filter_(window, nearest_bin(tone_frequency_hz, sample_rate_hz, window)),
-      noise_scale_(noise_scale) {}
+GoertzelToneDetector::GoertzelToneDetector(double tone_frequency_hz, double sample_rate_hz)
+    : filter_(SlidingDftFilter::kWindow,
+              nearest_bin(tone_frequency_hz, sample_rate_hz, SlidingDftFilter::kWindow)) {}
 
 double GoertzelToneDetector::step(double sample) {
   const double band_power = filter_.step(sample);
@@ -106,7 +105,7 @@ double GoertzelToneDetector::step(double sample) {
   // scaled by the correlation margin, plus the tiny absolute floor against
   // cancellation residue on an all-zero window.
   constexpr double kNumericFloor = 1e-6;
-  return band_power - noise_scale_ * filter_.window_energy() - kNumericFloor;
+  return band_power - kToneNoiseScale * filter_.window_energy() - kNumericFloor;
 }
 
 void GoertzelToneDetector::run_block(const double* x, std::size_t n, double* metric) {
@@ -152,8 +151,7 @@ BandPowers SlidingDftFilter::filter(double sample) {
   return {re4_ * re4_ + im4_ * im4_, (re6_ * re6_ + 3.0 * im6_ * im6_) / 2.0};
 }
 
-DftToneDetector::DftToneDetector(int band, double noise_scale)
-    : band_(band), noise_scale_(noise_scale) {
+DftToneDetector::DftToneDetector(int band) : band_(band) {
   assert(band == 4 || band == 6);
 }
 
@@ -167,20 +165,14 @@ double DftToneDetector::step(double sample) {
   // floor keeps sliding-update cancellation residue from reading as a
   // positive detection on an all-zero window.
   constexpr double kNumericFloor = 1e-6;
-  return band_power - noise_scale_ * filter_.window_energy() - kNumericFloor;
+  return band_power - kToneNoiseScale * filter_.window_energy() - kNumericFloor;
 }
 
 std::vector<double> DftToneDetector::run(const std::vector<double>& waveform) {
   std::vector<double> metric;
-  run_into(waveform, metric);
-  return metric;
-}
-
-void DftToneDetector::run_into(const std::vector<double>& waveform,
-                               std::vector<double>& metric) {
-  metric.clear();
   metric.reserve(waveform.size());
   for (double s : waveform) metric.push_back(step(s));
+  return metric;
 }
 
 int DftToneDetector::count_detections(const std::vector<double>& metric, int min_run,

@@ -61,6 +61,13 @@ class SlidingDftFilter {
   double energy_ = 0.0;
 };
 
+/// Margin both tone detectors apply to the Parseval noise estimate before
+/// subtracting it; higher values demand more dominant tones. For white noise
+/// the expected band power roughly equals the window energy, but adjacent
+/// sliding-window outputs are strongly correlated, so a margin of ~6x is
+/// needed to keep noise excursions from forming detection-length runs.
+inline constexpr double kToneNoiseScale = 6.0;
+
 /// Nearest DFT bin of `window` samples at `sample_rate_hz` to a target tone
 /// frequency (what a mote picks at compile time; exposed for tests/benches).
 int nearest_bin(double tone_frequency_hz, double sample_rate_hz, std::size_t window);
@@ -136,14 +143,13 @@ class GoertzelSlidingFilter {
 };
 
 /// Noise-subtracting tone detector for an arbitrary beacon frequency, built
-/// on the Goertzel sliding fast path. Drop-in analogue of DftToneDetector
-/// for tones off the two multiplication-free Figure 9 bands.
+/// on the Goertzel sliding fast path over the Figure 9 window. Drop-in
+/// analogue of DftToneDetector for tones off the two multiplication-free
+/// Figure 9 bands.
 class GoertzelToneDetector {
  public:
   explicit GoertzelToneDetector(double tone_frequency_hz = 4000.0,
-                                double sample_rate_hz = 16000.0,
-                                std::size_t window = SlidingDftFilter::kWindow,
-                                double noise_scale = 6.0);
+                                double sample_rate_hz = 16000.0);
 
   /// Feeds one sample; returns the noise-subtracted detection metric
   /// (positive indicates a tone). The test-only per-sample reference
@@ -162,30 +168,22 @@ class GoertzelToneDetector {
 
  private:
   GoertzelSlidingFilter filter_;
-  double noise_scale_;
 };
 
 /// Noise-subtracting tone detector built on the sliding DFT.
 class DftToneDetector {
  public:
   /// `band` selects which Figure 9 band carries the beacon: 4 for fs/4,
-  /// 6 for fs/6. `noise_scale` multiplies the Parseval noise estimate before
-  /// subtraction; higher values demand more dominant tones. For white noise
-  /// the expected band power roughly equals the window energy, but adjacent
-  /// sliding-window outputs are strongly correlated, so a margin of ~6x is
-  /// needed to keep noise excursions from forming detection-length runs.
-  DftToneDetector(int band = 4, double noise_scale = 6.0);
+  /// 6 for fs/6.
+  explicit DftToneDetector(int band = 4);
 
   /// Feeds one sample; returns the noise-subtracted detection metric
   /// (positive indicates a tone).
   double step(double sample);
 
-  /// Convenience: runs the detector over a whole waveform and returns the
-  /// per-sample metric series.
+  /// Runs the detector over a whole waveform and returns the per-sample
+  /// metric series.
   std::vector<double> run(const std::vector<double>& waveform);
-
-  /// run() into a caller-owned buffer, reused across campaign pairs.
-  void run_into(const std::vector<double>& waveform, std::vector<double>& metric);
 
   /// Counts distinct detections in a metric series: a detection is a run of
   /// at least `min_run` consecutive samples with metric > 0; runs separated
@@ -200,7 +198,6 @@ class DftToneDetector {
  private:
   SlidingDftFilter filter_;
   int band_;
-  double noise_scale_;
 };
 
 }  // namespace resloc::ranging

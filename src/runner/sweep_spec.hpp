@@ -70,7 +70,9 @@ struct SweepAxes {
   // non-sentinel. An unknown kind fails the trial loudly at config time. ---
 
   /// Fault-plan kinds (fault::fault_kind_names(): "none", "packet_loss",
-  /// "node_crash", ..., "all"); "" keeps the base plan.
+  /// "node_crash", ..., "all"); "" keeps the base plan. The campaign builds
+  /// no net::Network, so "packet_loss" (and the radio part of "all") ranges
+  /// a fault-free campaign.
   std::vector<std::string> fault_kinds = {""};
   /// Intensity multiplier handed to fault::plan_from_kind (1.0 = the kind's
   /// reference rates). Only read when fault_kind is non-sentinel.

@@ -54,11 +54,11 @@ struct FieldExperimentConfig {
 
   /// Fault-injection plan for the campaign (acoustic-layer faults: node
   /// availability, forced-faulty mics, stuck detectors, missed chirps,
-  /// corrupted distances; the radio-layer fields apply where a net::Network
-  /// is built, via fault::apply_to_radio). The default plan is inert: the
-  /// injector base is forked without advancing `rng` and no fault substream
-  /// is ever drawn, so a fault-free campaign is byte-identical to one built
-  /// before this field existed.
+  /// corrupted distances). The campaign builds no net::Network, so the
+  /// plan's radio-layer fields are not read here. The default plan is inert:
+  /// the injector base is forked without advancing `rng` and no fault
+  /// substream is ever drawn, so a fault-free campaign is byte-identical to
+  /// one built before this field existed.
   resloc::fault::FaultPlan faults;
 };
 

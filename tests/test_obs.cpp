@@ -5,14 +5,16 @@
 //     report's "deterministic" block);
 //   - enabling telemetry does not change a single byte of the campaign's
 //     JSON/CSV aggregates;
-//   - the Chrome trace export is valid and properly nested across 8 threads,
-//     and the validator actually rejects malformed traces;
+//   - spans recorded across 8 threads nest properly, and the nesting check
+//     actually rejects corrupt spans;
+//   - the Chrome trace and the metrics report are pinned byte for byte;
 //   - the per-thread span cap drops loudly (dropped_spans), never silently;
 //   - recent_spans_this_thread returns the failure-report context in order.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -280,9 +282,9 @@ TEST_F(ObsTest, TraceAcrossEightThreadsIsValidAndNested) {
   const obs::TelemetrySnapshot snap = obs::snapshot();
   EXPECT_EQ(snap.dropped_spans, 0u);
 
-  const std::string trace = obs::to_chrome_trace_json(snap);
   std::string error;
-  EXPECT_TRUE(obs::validate_chrome_trace(trace, &error)) << error;
+  EXPECT_TRUE(obs::check_span_nesting(snap, &error)) << error;
+  EXPECT_NE(obs::to_chrome_trace_json(snap).find("\"ph\": \"X\""), std::string::npos);
 
   // The metrics report renders from the same snapshot without tripping over
   // multi-thread data.
@@ -293,42 +295,139 @@ TEST_F(ObsTest, TraceAcrossEightThreadsIsValidAndNested) {
   EXPECT_FALSE(obs::metrics_report_text(snap).empty());
 }
 
-TEST_F(ObsTest, ValidatorRejectsMalformedTraces) {
+/// A hand-built snapshot: span ids 0 ("a") and 1 ("b"), one thread per
+/// entry of `threads`, each holding the given (id, start, end) events.
+obs::TelemetrySnapshot snapshot_of(const std::vector<std::vector<obs::SpanEvent>>& threads) {
+  obs::TelemetrySnapshot snap;
+  snap.span_names = {"a", "b"};
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    obs::ThreadSnapshot t;
+    t.thread_index = i;
+    t.events = threads[i];
+    snap.threads.push_back(t);
+  }
+  return snap;
+}
+
+TEST_F(ObsTest, SpanNestingCheck) {
   std::string error;
-  EXPECT_FALSE(obs::validate_chrome_trace("not json", &error));
-  EXPECT_FALSE(obs::validate_chrome_trace("{}", &error));
-  EXPECT_FALSE(obs::validate_chrome_trace(R"({"traceEvents": 3})", &error));
-  // Wrong phase.
-  EXPECT_FALSE(obs::validate_chrome_trace(
-      R"({"traceEvents": [{"name": "a", "cat": "resloc", "ph": "B", "pid": 1, "tid": 0, "ts": 0, "dur": 1}]})",
-      &error));
   // Partial overlap on one thread: [0, 10) vs [5, 15) neither nests nor is
-  // disjoint -- a corrupted trace.
-  EXPECT_FALSE(obs::validate_chrome_trace(
-      R"({"traceEvents": [)"
-      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 10},)"
-      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 5, "dur": 10}]})",
-      &error));
+  // disjoint -- corrupt spans.
+  EXPECT_FALSE(obs::check_span_nesting(snapshot_of({{{0, 0, 10}, {1, 5, 15}}}), &error));
+  EXPECT_NE(error.find("tid 0"), std::string::npos) << error;
   // The same pair on *different* threads is fine.
-  EXPECT_TRUE(obs::validate_chrome_trace(
-      R"({"traceEvents": [)"
-      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 10},)"
-      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 1, "ts": 5, "dur": 10}]})",
-      &error))
+  EXPECT_TRUE(obs::check_span_nesting(snapshot_of({{{0, 0, 10}}, {{1, 5, 15}}}), &error))
       << error;
-  // Siblings sharing a boundary (a SpanChain) are disjoint even where the
-  // doubles 0.1 + 0.2 overshoot 0.3; a 1 ns overlap is still caught.
-  EXPECT_TRUE(obs::validate_chrome_trace(
-      R"({"traceEvents": [)"
-      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0.1, "dur": 0.2},)"
-      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0.3, "dur": 1}]})",
-      &error))
+  // Siblings sharing a boundary exactly (a SpanChain) are disjoint, in any
+  // recording order and under an enclosing parent; a 1 ns overlap is caught.
+  EXPECT_TRUE(obs::check_span_nesting(
+      snapshot_of({{{1, 300, 1300}, {0, 100, 300}, {0, 100, 1300}}}), &error))
       << error;
-  EXPECT_FALSE(obs::validate_chrome_trace(
-      R"({"traceEvents": [)"
-      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0.1, "dur": 0.201},)"
-      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0.3, "dur": 1}]})",
-      &error));
+  EXPECT_FALSE(obs::check_span_nesting(snapshot_of({{{0, 100, 301}, {1, 300, 1300}}}), &error));
+  // A span that ends before it starts.
+  EXPECT_FALSE(obs::check_span_nesting(snapshot_of({{{0, 10, 9}}}), &error));
+  EXPECT_NE(error.find("ends before it starts"), std::string::npos) << error;
+  // A span id past the interned names.
+  EXPECT_FALSE(obs::check_span_nesting(snapshot_of({{{2, 0, 10}}}), &error));
+  EXPECT_NE(error.find("unknown id 2"), std::string::npos) << error;
+  // Containment and zero-length spans nest; no threads at all is fine.
+  EXPECT_TRUE(obs::check_span_nesting(
+      snapshot_of({{{0, 0, 100}, {1, 10, 20}, {1, 20, 20}, {0, 30, 100}}}), &error))
+      << error;
+  EXPECT_TRUE(obs::check_span_nesting(obs::TelemetrySnapshot{}, &error)) << error;
+}
+
+TEST_F(ObsTest, ChromeTraceAndMetricsBytesAreExact) {
+  const ManualClock clock(/*step_ns=*/250000);
+  obs::set_clock_source(&clock);
+  obs::set_enabled(true);
+  obs::set_capture_spans(true);
+
+  {
+    RESLOC_SPAN("test/outer");  // [250 us, 1000 us)
+    {
+      RESLOC_SPAN("test/\"quoted\" \\ name");  // [500 us, 750 us)
+    }
+  }
+  obs::add(obs::Counter::kMeasureCalls, 3);
+  // The clock is not thread-safe; the worker runs while this thread waits.
+  std::thread([] {
+    RESLOC_SPAN("test/\"quoted\" \\ name");  // [1250 us, 1500 us)
+    obs::add(obs::Counter::kChirpWindows, 2);
+  }).join();
+
+  obs::TelemetrySnapshot snap = obs::snapshot();
+  // Thread indices count every thread the process registered (earlier
+  // tests' pools included); number the two recording threads 0 and 1.
+  std::size_t next = 0;
+  for (obs::ThreadSnapshot& t : snap.threads) {
+    if (!t.events.empty()) t.thread_index = next++;
+  }
+  ASSERT_EQ(next, 2u);
+
+  EXPECT_EQ(obs::to_chrome_trace_json(snap),
+            "{\n"
+            "  \"displayTimeUnit\": \"ms\",\n"
+            "  \"traceEvents\": [\n"
+            "    {\"name\": \"test/\\\"quoted\\\" \\\\ name\", \"cat\": \"resloc\", \"ph\": "
+            "\"X\", \"pid\": 1, \"tid\": 0, \"ts\": 250.000, \"dur\": 250.000},\n"
+            "    {\"name\": \"test/outer\", \"cat\": \"resloc\", \"ph\": \"X\", \"pid\": 1, "
+            "\"tid\": 0, \"ts\": 0.000, \"dur\": 750.000},\n"
+            "    {\"name\": \"test/\\\"quoted\\\" \\\\ name\", \"cat\": \"resloc\", \"ph\": "
+            "\"X\", \"pid\": 1, \"tid\": 1, \"ts\": 1000.000, \"dur\": 250.000}\n"
+            "  ]\n"
+            "}\n");
+
+  EXPECT_EQ(obs::metrics_report_json(snap),
+            "{\n"
+            "  \"report\": \"resloc_metrics\",\n"
+            "  \"deterministic\": {\n"
+            "    \"counters\": {\n"
+            "      \"measure_calls\": 3,\n"
+            "      \"measure_detections\": 0,\n"
+            "      \"chirp_windows\": 2,\n"
+            "      \"campaign_turns\": 0,\n"
+            "      \"filtered_pairs\": 0,\n"
+            "      \"gd_evaluations\": 0,\n"
+            "      \"gd_iterations\": 0,\n"
+            "      \"gd_backtracks\": 0,\n"
+            "      \"gd_restart_rounds\": 0,\n"
+            "      \"lss_edge_terms\": 0,\n"
+            "      \"lss_constraint_pairs\": 0,\n"
+            "      \"lss_neighbor_rebuilds\": 0,\n"
+            "      \"runner_trials\": 0,\n"
+            "      \"runner_trial_failures\": 0,\n"
+            "      \"channel_cache_hits\": 0,\n"
+            "      \"channel_cache_misses\": 0,\n"
+            "      \"runner_trial_retries\": 0,\n"
+            "      \"trial_fail_scenario_build\": 0,\n"
+            "      \"trial_fail_config\": 0,\n"
+            "      \"trial_fail_measurement\": 0,\n"
+            "      \"trial_fail_solver\": 0,\n"
+            "      \"trial_fail_non_std\": 0\n"
+            "    },\n"
+            "    \"stage_counts\": {\n"
+            "      \"test/\\\"quoted\\\" \\\\ name\": 2,\n"
+            "      \"test/outer\": 1\n"
+            "    }\n"
+            "  },\n"
+            "  \"non_deterministic\": {\n"
+            "    \"note\": \"wall-clock durations vary run to run; only the deterministic "
+            "block above is byte-stable\",\n"
+            "    \"stages\": [\n"
+            "      {\"name\": \"test/\\\"quoted\\\" \\\\ name\", \"count\": 2, \"total_ms\": "
+            "0.500, \"mean_us\": 250.000},\n"
+            "      {\"name\": \"test/outer\", \"count\": 1, \"total_ms\": 0.750, \"mean_us\": "
+            "750.000}\n"
+            "    ],\n"
+            "    \"threads\": [\n"
+            "      {\"thread\": 0, \"stages\": {\"test/\\\"quoted\\\" \\\\ name\": 0.250, "
+            "\"test/outer\": 0.750}},\n"
+            "      {\"thread\": 1, \"stages\": {\"test/\\\"quoted\\\" \\\\ name\": 0.250}}\n"
+            "    ],\n"
+            "    \"dropped_spans\": 0\n"
+            "  }\n"
+            "}\n");
 }
 
 TEST_F(ObsTest, SpanCapDropsLoudly) {
@@ -347,9 +446,9 @@ TEST_F(ObsTest, SpanCapDropsLoudly) {
   for (const obs::ThreadSnapshot& t : snap.threads) retained += t.events.size();
   EXPECT_EQ(retained, 4u);
   EXPECT_EQ(snap.dropped_spans, 6u);
-  // The capped trace still exports and validates.
+  // The capped recording still passes the nesting check.
   std::string error;
-  EXPECT_TRUE(obs::validate_chrome_trace(obs::to_chrome_trace_json(snap), &error)) << error;
+  EXPECT_TRUE(obs::check_span_nesting(snap, &error)) << error;
 }
 
 TEST_F(ObsTest, RecentSpansGiveFailureContextInOrder) {
