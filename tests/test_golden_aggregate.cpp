@@ -149,6 +149,33 @@ TEST(GoldenAggregate, Acoustic3x3JsonMatchesFixture) {
   compare_against_golden("acoustic_3x3.json", acoustic_3x3().to_json());
 }
 
+// The same 3x3 campaign through the sampled-audio front ends (Goertzel and
+// NCC) on urban terrain, with the robust pre-filters (consistency vote + MAD
+// rejection) on: pins the synthesized-audio byte-stream, the detectors' tone
+// tables and the raw-estimate grouping behind the filtered edge set, none of
+// which the hardware-detector fixture above reaches.
+resloc::runner::CampaignResult acoustic_detectors_3x3() {
+  resloc::runner::SweepSpec spec;
+  spec.name = "acoustic_detectors_3x3";
+  spec.seed = 11;
+  spec.trials_per_cell = 2;
+  spec.base.source = resloc::pipeline::MeasurementSource::kAcousticRanging;
+  spec.base.campaign.filter.consistency_vote = true;
+  spec.base.campaign.filter.mad_reject = true;
+  spec.axes.solvers = {resloc::pipeline::Solver::kMultilateration,
+                       resloc::pipeline::Solver::kCentralizedLss};
+  spec.axes.scenarios = {"offset_grid"};
+  spec.axes.node_counts = {9};
+  spec.axes.anchor_counts = {4};
+  spec.axes.environments = {"urban"};
+  spec.axes.detectors = {"goertzel", "ncc"};
+  return resloc::runner::CampaignRunner(resloc::runner::RunnerOptions{2}).run(spec);
+}
+
+TEST(GoldenAggregate, AcousticDetectors3x3JsonMatchesFixture) {
+  compare_against_golden("acoustic_detectors_3x3.json", acoustic_detectors_3x3().to_json());
+}
+
 TEST(GoldenAggregate, EmptyCampaignSerializesStably) {
   // No fixture needed: the empty shape is asserted inline (it is the one
   // report consumers special-case).
