@@ -28,9 +28,9 @@
 // The allocation note: global new/delete are counted, and the grid
 // campaign's steady-state allocations per measurement attempt are reported --
 // the hot loop itself allocates nothing per pair (scratch reuse + reserved
-// aggregation); what remains is result storage (the raw MeasurementTable's
-// per-directed-pair nodes, the filter's per-pair scratch), i.e.
-// O(successful estimates), not O(n^2).
+// aggregation); what remains is result storage (the per-turn estimate
+// staging, the one raw-sample list and its sort keys, the filter's
+// per-direction scratch), i.e. O(successful estimates), not O(n^2).
 //
 // Results are printed and written as JSON (default BENCH_campaign.json, or
 // argv[1]) so CI can archive the perf trajectory alongside BENCH_lss.json.
@@ -201,7 +201,7 @@ bool samples_identical(const sim::FieldExperimentData& a, const sim::FieldExperi
   if (a.skipped_pairs != b.skipped_pairs) return false;
   return a.samples.empty() ||
          std::memcmp(a.samples.data(), b.samples.data(),
-                     a.samples.size() * sizeof(sim::RangingSample)) == 0;
+                     a.samples.size() * sizeof(ranging::RangingSample)) == 0;
 }
 
 struct SurveyDspPoint {
@@ -341,8 +341,8 @@ int main(int argc, char** argv) {
     std::printf(
         "\nallocation audit, n = 500 grid campaign: %zu allocations / %zu measurement\n"
         "attempts = %.2f per attempt (measure() itself allocates none -- scratch reuse;\n"
-        "the remainder is the raw MeasurementTable's per-directed-pair storage, the\n"
-        "statistical filter's per-pair scratch, and the reserved aggregation buffers --\n"
+        "the remainder is the per-turn estimate staging, the one raw-sample list and\n"
+        "its sort keys, and the statistical filter's per-direction scratch --\n"
         "all O(successful estimates), none O(n^2))\n",
         campaign_allocs, attempts, allocs_per_attempt);
   }

@@ -7,6 +7,8 @@
 // over-estimates from missed onsets. Median filtering collapses most of the
 // uncorrelated outliers.
 #include <cstdio>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -37,8 +39,10 @@ int main() {
 
   // --- Figure 2: raw single-measurement errors ---
   const auto raw = eval::summarize_ranging_errors(data.raw_errors());
+  std::set<std::pair<core::NodeId, core::NodeId>> directed_pairs;
+  for (const auto& s : data.samples) directed_pairs.insert({s.source, s.receiver});
   std::printf("raw measurements: %zu over %zu directed pairs\n", raw.count,
-              data.raw.directed_pair_count());
+              directed_pairs.size());
   std::printf("  mean error          %8.3f m\n", raw.mean_m);
   std::printf("  median |error|      %8.3f m\n", raw.median_abs_m);
   std::printf("  within +/-1 m       %7.1f %%\n", 100.0 * raw.within_1m_fraction);
@@ -72,7 +76,7 @@ int main() {
 
   // --- Figure 4: median filtering of up to five measurements ---
   std::vector<double> filtered_errors;
-  for (const auto& pair : data.raw.symmetric_estimates(config.filter, 1e9)) {
+  for (const auto& pair : ranging::symmetric_estimates(data.samples, config.filter, 1e9)) {
     const double true_d =
         math::distance(deployment.positions[pair.a], deployment.positions[pair.b]);
     filtered_errors.push_back(pair.distance_m - true_d);

@@ -34,9 +34,9 @@ int main() {
 
   // --- Figure 7: bidirectional pairs only ---
   ranging::FilterPolicy policy;  // default auto median/mode
-  const auto bidir = scenario.data.raw.bidirectional_only(policy, 1.0);
   std::vector<double> bidir_errors;
-  for (const auto& pair : bidir) {
+  for (const auto& pair : ranging::symmetric_estimates(scenario.data.samples, policy, 1.0)) {
+    if (!pair.bidirectional) continue;
     const double true_d = math::distance(scenario.deployment.positions[pair.a],
                                          scenario.deployment.positions[pair.b]);
     bidir_errors.push_back(pair.distance_m - true_d);

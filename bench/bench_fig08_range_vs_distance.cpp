@@ -19,7 +19,7 @@ int main() {
   const auto scenario = sim::grass_grid_scenario(0xF16'08, /*rounds=*/3);
 
   ranging::FilterPolicy policy;
-  const auto filtered_pairs = scenario.data.raw.symmetric_estimates(policy, 1.0);
+  const auto filtered_pairs = ranging::symmetric_estimates(scenario.data.samples, policy, 1.0);
 
   eval::Table table({"actual (m)", "raw n", "raw mean", "raw |e|>1m", "filt n", "filt mean",
                      "filt |e|>1m"});

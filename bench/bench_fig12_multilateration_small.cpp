@@ -5,6 +5,7 @@
 // measurements from the 5 loudspeaker-fitted anchors; pre-pattern-encoding
 // ranging with larger individual error magnitudes).
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/multilateration.hpp"
@@ -38,7 +39,7 @@ int main() {
   acoustics::UnitVariationModel units;
   units.speaker_stddev_db = 2.5;
 
-  ranging::MeasurementTable table;
+  std::vector<ranging::RangingSample> samples;
   for (core::NodeId anchor : deployment.anchors) {
     const auto speaker = units.sample_speaker(acoustics::kLoudspeakerDb, rng);
     for (core::NodeId node = 0; node < deployment.size(); ++node) {
@@ -48,7 +49,7 @@ int main() {
       const auto mic = units.sample_mic(rng);
       for (int round = 0; round < 5; ++round) {
         const auto est = service.measure(d, speaker, mic, rng);
-        if (est) table.add(anchor, node, *est);
+        if (est) samples.push_back({anchor, node, d, *est});
       }
     }
   }
@@ -56,7 +57,7 @@ int main() {
   ranging::FilterPolicy policy;
   policy.kind = ranging::FilterKind::kMedian;  // "the median operation was used"
   core::MeasurementSet measurements(deployment.size());
-  for (const auto& pair : table.symmetric_estimates(policy, 1e9)) {
+  for (const auto& pair : ranging::symmetric_estimates(samples, policy, 1e9)) {
     measurements.add(pair.a, pair.b, pair.distance_m);
   }
   std::printf("measured anchor links: %zu\n", measurements.edge_count());

@@ -90,7 +90,6 @@ int main(int argc, char** argv) {
   // the median ratio across pairs, immune to a co-tenant burst landing in
   // any one sample.
   constexpr int kCampaignsPerSample = 2;
-  obs::set_enabled(true);  // pays the one-time TSC calibration before timing
   obs::reset();
   std::vector<double> disabled_samples, enabled_samples, ratios;
   for (int r = 0; r < reps; ++r) {

@@ -1,20 +1,19 @@
 // Goertzel fast path vs the naive direct DFT: the hot-path numbers behind the
 // acoustic sweep axis.
 //
-// Three stages of the per-pair ranging cost are timed:
-//   1. single-bin tone filtering: DirectDftFilter (O(window) per sample, the
-//      cost a naive per-chirp-per-pair DFT pays) against GoertzelSlidingFilter
-//      (O(1) per sample), including a max |delta magnitude| equivalence check;
-//   2. waveform synthesis: per-sample std::sin against the cached chirp
-//      templates of WaveformSynthesizer;
-//   3. the full RangingService::measure() pair loop: fresh buffers per pair
+// Four stages of the per-pair ranging cost are timed:
+//   1. single-bin tone filtering: the test-only reference::DirectDftFilter
+//      (O(window) per sample, the cost a naive per-chirp-per-pair DFT pays)
+//      against GoertzelSlidingFilter (O(1) per sample), including a max
+//      |delta magnitude| equivalence check;
+//   2. the full RangingService::measure() pair loop: fresh buffers per pair
 //      against one reused RangingScratch. On the hardware-detector path the
 //      interval model dominates and reuse is roughly cost-neutral (the JSON
-//      records the honest number); the scratch's real payoff is stage 4;
-//   4. the same pair loop in software-detector mode (Section 3.7), where a
-//      fresh scratch per pair also rebuilds the tone table and the Goertzel
-//      detector that the reused scratch caches across pairs;
-//   5. the sampled-audio noise fill: ns per standard normal from
+//      records the honest number);
+//   3. the same pair loop in software-detector mode (Section 3.7), where a
+//      fresh scratch per pair also reallocates every per-window DSP buffer
+//      and the Goertzel detector copy (the tone tables live in the service);
+//   4. the sampled-audio noise fill: ns per standard normal from
 //      Rng::fill_gaussian_block (ziggurat over the lane-split uniform block)
 //      against scalar Rng::gaussian() (Box-Muller).
 //
@@ -34,6 +33,7 @@
 #include "ranging/dft_detector.hpp"
 #include "math/rng.hpp"
 #include "ranging/ranging_service.hpp"
+#include "reference/dft.hpp"
 #include "sim/scenarios.hpp"
 
 using namespace resloc;
@@ -75,15 +75,13 @@ int main(int argc, char** argv) {
   spec.tone_amplitude = 1.0;  // unit amplitude keeps the equivalence check tight
   spec.noise_stddev = 0.45;
   math::Rng rng(0xBE2C);
-  acoustics::WaveformSynthesizer synth;
-  std::vector<double> wave;
-  synth.synthesize_into(wave, spec, acoustics::periodic_chirps(kSamples / 420, 100, 420, 128),
-                        kSamples, rng);
+  const std::vector<double> wave = acoustics::synthesize_waveform(
+      spec, acoustics::periodic_chirps(kSamples / 420, 100, 420, 128), kSamples, rng);
 
   const int bin = ranging::nearest_bin(spec.tone_frequency_hz, spec.sample_rate_hz,
                                        ranging::SlidingDftFilter::kWindow);
   const double direct_s = best_of(5, [&] {
-    ranging::DirectDftFilter filter(ranging::SlidingDftFilter::kWindow, bin);
+    reference::DirectDftFilter filter(ranging::SlidingDftFilter::kWindow, bin);
     double sum = 0.0;
     for (double s : wave) sum += filter.step(s);
     g_sink = sum;
@@ -99,7 +97,7 @@ int main(int argc, char** argv) {
   // Equivalence: the fast path must not drift from the direct sum.
   double max_delta = 0.0;
   {
-    ranging::DirectDftFilter direct(ranging::SlidingDftFilter::kWindow, bin);
+    reference::DirectDftFilter direct(ranging::SlidingDftFilter::kWindow, bin);
     ranging::GoertzelSlidingFilter fast(ranging::SlidingDftFilter::kWindow, bin);
     for (double s : wave) {
       const double d = std::abs(std::sqrt(direct.step(s)) - std::sqrt(fast.step(s)));
@@ -115,29 +113,7 @@ int main(int argc, char** argv) {
   std::printf("  speedup             %8.2fx   (target >= 5x)\n", filter_speedup);
   std::printf("  max |delta magnitude|  %.3e  (bound 1e-9)\n", max_delta);
 
-  // --- Stage 2: waveform synthesis (std::sin vs cached templates) ---
-  const auto chirps = acoustics::periodic_chirps(64, 100, 420, 128);
-  constexpr std::size_t kSynthSamples = 1 << 15;
-  acoustics::WaveformSpec synth_spec;
-  synth_spec.tone_frequency_hz = 4300.0;
-  synth_spec.noise_stddev = 0.0;  // isolate the tone-generation cost
-  const double synth_sin_s = best_of(5, [&] {
-    math::Rng r(1);
-    g_sink = acoustics::synthesize_waveform(synth_spec, chirps, kSynthSamples, r)[500];
-  });
-  std::vector<double> reuse;
-  const double synth_tpl_s = best_of(5, [&] {
-    math::Rng r(1);
-    synth.synthesize_into(reuse, synth_spec, chirps, kSynthSamples, r);
-    g_sink = reuse[500];
-  });
-  const double synth_speedup = synth_sin_s / synth_tpl_s;
-  std::printf("\nwaveform synthesis, %zu samples, %zu chirps\n", kSynthSamples, chirps.size());
-  std::printf("  per-sample std::sin %8.2f us/capture\n", synth_sin_s * 1e6);
-  std::printf("  cached templates    %8.2f us/capture\n", synth_tpl_s * 1e6);
-  std::printf("  speedup             %8.2fx\n", synth_speedup);
-
-  // --- Stage 3: full ranging sequences with and without buffer reuse ---
+  // --- Stage 2: full ranging sequences with and without buffer reuse ---
   const ranging::RangingService service(sim::grass_refined_ranging());
   constexpr int kPairs = 150;
   const double measure_alloc_s = best_of(3, [&] {
@@ -165,7 +141,7 @@ int main(int argc, char** argv) {
   std::printf("  reused scratch      %8.2f us/pair\n", measure_scratch_s / kPairs * 1e6);
   std::printf("  speedup             %8.2fx\n", measure_speedup);
 
-  // --- Stage 4: software-detector (Section 3.7) pair loop ---
+  // --- Stage 3: software-detector (Section 3.7) pair loop ---
   ranging::RangingConfig sw_config = sim::grass_refined_ranging();
   sw_config.detector_mode = ranging::DetectorMode::kGoertzel;
   const ranging::RangingService sw_service(sw_config);
@@ -190,12 +166,12 @@ int main(int argc, char** argv) {
     g_sink = sum;
   });
   const double sw_speedup = sw_alloc_s / sw_scratch_s;
-  std::printf("\nsoftware-detector sequence, %d pairs (Goertzel + tone-table cache)\n", kSwPairs);
+  std::printf("\nsoftware-detector sequence, %d pairs (Goertzel)\n", kSwPairs);
   std::printf("  fresh buffers       %8.2f us/pair\n", sw_alloc_s / kSwPairs * 1e6);
   std::printf("  reused scratch      %8.2f us/pair\n", sw_scratch_s / kSwPairs * 1e6);
   std::printf("  speedup             %8.2fx\n", sw_speedup);
 
-  // --- Stage 5: sampled-audio noise fill (block ziggurat vs scalar) ---
+  // --- Stage 4: sampled-audio noise fill (block ziggurat vs scalar) ---
   constexpr std::size_t kNoiseBlock = 1163;  // one sampled-audio chirp window
   constexpr int kNoiseBlocks = 512;
   constexpr double kNormals = static_cast<double>(kNoiseBlock) * kNoiseBlocks;
@@ -235,9 +211,6 @@ int main(int argc, char** argv) {
   json += "  \"goertzel_ns_per_sample\": " + v(goertzel_s * per_sample_ns) + ",\n";
   json += "  \"filter_speedup\": " + v(filter_speedup) + ",\n";
   json += "  \"max_abs_magnitude_delta\": " + v(max_delta) + ",\n";
-  json += "  \"synth_sin_us_per_capture\": " + v(synth_sin_s * 1e6) + ",\n";
-  json += "  \"synth_template_us_per_capture\": " + v(synth_tpl_s * 1e6) + ",\n";
-  json += "  \"synth_speedup\": " + v(synth_speedup) + ",\n";
   json += "  \"measure_alloc_us_per_pair\": " + v(measure_alloc_s / kPairs * 1e6) + ",\n";
   json += "  \"measure_scratch_us_per_pair\": " + v(measure_scratch_s / kPairs * 1e6) + ",\n";
   json += "  \"measure_speedup\": " + v(measure_speedup) + ",\n";

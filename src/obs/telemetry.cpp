@@ -5,14 +5,6 @@
 #include <memory>
 #include <mutex>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <cpuid.h>
-#include <x86intrin.h>
-#define RESLOC_TSC_CLOCK 1
-#else
-#define RESLOC_TSC_CLOCK 0
-#endif
-
 namespace resloc::obs {
 
 namespace detail {
@@ -34,78 +26,7 @@ class SteadyClock final : public ClockSource {
 
 const SteadyClock g_steady_clock;
 
-#if RESLOC_TSC_CLOCK
-/// Calibration of the invariant-TSC fast path: one rdtsc + one multiply per
-/// read, about a quarter of a clock_gettime vdso call. With 30+ kernel-stage
-/// spans per measure after the block-DSP split, the two clock reads per span
-/// are most of the enabled-mode telemetry cost, so the read must be this
-/// cheap for the < 10% enabled gate to survive a fast measure path. The
-/// parameters live at namespace scope (written once, before g_tsc_active is
-/// set) so now_ns() can inline the conversion without a virtual call.
-struct TscParams {
-  std::uint64_t base_ns = 0;
-  std::uint64_t base_tsc = 0;
-  double ns_per_tick = 0.0;
-};
-TscParams g_tsc_params;
-
-/// True iff the *active* clock is the calibrated TSC default -- the
-/// non-virtual fast path of now_ns(). Cleared whenever a clock is injected.
-std::atomic<bool> g_tsc_active{false};
-
-inline std::uint64_t tsc_now_ns() {
-  return g_tsc_params.base_ns +
-         static_cast<std::uint64_t>(
-             static_cast<double>(__rdtsc() - g_tsc_params.base_tsc) *
-             g_tsc_params.ns_per_tick);
-}
-
-/// ClockSource facade over the same parameters, so clock_source() keeps
-/// returning an injectable-interface object that agrees with now_ns().
-class TscClock final : public ClockSource {
- public:
-  std::uint64_t now_ns() const override { return tsc_now_ns(); }
-};
-
-/// The calibrated TSC clock, or nullptr when the CPU lacks an invariant TSC
-/// (where rdtsc would drift with frequency scaling). Calibrates against the
-/// steady clock over a ~200 us window on first use -- a one-time cost paid
-/// when telemetry is first enabled, never on a span.
-const ClockSource* tsc_clock() {
-  static const ClockSource* const clock = []() -> const ClockSource* {
-    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (__get_cpuid_max(0x80000000u, nullptr) < 0x80000007u) return nullptr;
-    __get_cpuid(0x80000007u, &eax, &ebx, &ecx, &edx);
-    if ((edx & (1u << 8)) == 0) return nullptr;  // no invariant TSC
-    const std::uint64_t t0 = g_steady_clock.now_ns();
-    const std::uint64_t c0 = __rdtsc();
-    std::uint64_t t1 = t0;
-    while (t1 - t0 < 200'000) t1 = g_steady_clock.now_ns();
-    const std::uint64_t c1 = __rdtsc();
-    if (c1 <= c0) return nullptr;
-    g_tsc_params.base_ns = t1;
-    g_tsc_params.base_tsc = c1;
-    g_tsc_params.ns_per_tick =
-        static_cast<double>(t1 - t0) / static_cast<double>(c1 - c0);
-    static const TscClock tsc;
-    return &tsc;
-  }();
-  return clock;
-}
-#else
-std::atomic<bool> g_tsc_active{false};
-std::uint64_t tsc_now_ns() { return 0; }
-const ClockSource* tsc_clock() { return nullptr; }
-#endif
-
-/// The default clock: the TSC fast path where available, else steady_clock.
-const ClockSource& default_clock() {
-  const ClockSource* tsc = tsc_clock();
-  return tsc != nullptr ? *tsc : g_steady_clock;
-}
-
 std::atomic<const ClockSource*> g_clock{&g_steady_clock};
-std::atomic<bool> g_clock_injected{false};
 
 std::atomic<std::size_t> g_max_spans_per_thread{std::size_t{1} << 20};
 
@@ -164,27 +85,13 @@ ThreadBuffer& buffer() {
 
 const ClockSource& clock_source() { return *g_clock.load(std::memory_order_relaxed); }
 
-std::uint64_t now_ns() {
-  if (g_tsc_active.load(std::memory_order_relaxed)) return tsc_now_ns();
-  return g_clock.load(std::memory_order_relaxed)->now_ns();
-}
+std::uint64_t now_ns() { return g_clock.load(std::memory_order_relaxed)->now_ns(); }
 
 void set_clock_source(const ClockSource* clock) {
-  g_clock_injected.store(clock != nullptr, std::memory_order_relaxed);
-  g_tsc_active.store(clock == nullptr && tsc_clock() != nullptr,
-                     std::memory_order_relaxed);
-  g_clock.store(clock != nullptr ? clock : &default_clock(), std::memory_order_relaxed);
+  g_clock.store(clock != nullptr ? clock : &g_steady_clock, std::memory_order_relaxed);
 }
 
-void set_enabled(bool on) {
-  // Upgrade to the TSC fast path (calibrating it on the first enable) unless
-  // a test clock is injected; the one-time calibration never lands on a span.
-  if (on && !g_clock_injected.load(std::memory_order_relaxed)) {
-    g_clock.store(&default_clock(), std::memory_order_relaxed);
-    g_tsc_active.store(tsc_clock() != nullptr, std::memory_order_relaxed);
-  }
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
+void set_enabled(bool on) { detail::g_enabled.store(on, std::memory_order_relaxed); }
 
 void set_capture_spans(bool on) {
   detail::g_capture_spans.store(on, std::memory_order_relaxed);

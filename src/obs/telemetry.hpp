@@ -15,9 +15,9 @@
 //     workload they are byte-identical at any thread count.
 //   - Clock: a monotonic nanosecond source behind an injectable interface so
 //     tests can drive spans with a manual clock and assert exact durations.
-//     The production default upgrades to a calibrated invariant-TSC reader
-//     on first enable (x86-64), cutting the per-span clock cost to a
-//     fraction of a clock_gettime call.
+//     The production default is std::chrono::steady_clock (a vdso
+//     clock_gettime call); a hardware measure takes 7 reads across its 5
+//     spans, which the < 10% enabled gate prices.
 //
 // Determinism contract: telemetry never feeds back into the computation --
 // enabling it cannot change a single output byte (locked by test_obs).
@@ -59,10 +59,8 @@ class ClockSource {
 /// The active clock (defaults to a std::chrono::steady_clock wrapper).
 const ClockSource& clock_source();
 
-/// Current time on the active clock -- the span hot path. Equivalent to
-/// clock_source().now_ns() but skips the virtual dispatch when the active
-/// clock is the calibrated TSC default (the common enabled-mode case), which
-/// matters at two clock reads per span and ~34 spans per measure.
+/// Current time on the active clock -- the span hot path;
+/// clock_source().now_ns().
 std::uint64_t now_ns();
 
 /// Injects a clock; nullptr restores the default steady clock. The pointee

@@ -12,42 +12,6 @@ int nearest_bin(double tone_frequency_hz, double sample_rate_hz, std::size_t win
       std::lround(tone_frequency_hz / sample_rate_hz * static_cast<double>(window)));
 }
 
-double direct_bin_power(const double* samples, std::size_t count, std::size_t window, int bin,
-                        std::size_t phase0) {
-  double re = 0.0, im = 0.0;
-  const double step = 2.0 * resloc::math::kPi * static_cast<double>(bin) /
-                      static_cast<double>(window);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double angle = step * static_cast<double>((phase0 + i) % window);
-    re += samples[i] * std::cos(angle);
-    im -= samples[i] * std::sin(angle);
-  }
-  return re * re + im * im;
-}
-
-DirectDftFilter::DirectDftFilter(std::size_t window, int bin)
-    : samples_(window, 0.0), bin_(bin) {
-  assert(window > 0);
-}
-
-double DirectDftFilter::step(double sample) {
-  const double old = samples_[n_];
-  samples_[n_] = sample;
-  energy_ += sample * sample - old * old;
-  n_ = (n_ + 1) % samples_.size();
-  // Recompute the bin from scratch: O(window) multiplies per sample. Sample t
-  // lives at ring position t mod window, so the storage index doubles as the
-  // twiddle phase -- the same convention the sliding filter uses, making the
-  // two comparable term by term.
-  return direct_bin_power(samples_.data(), samples_.size(), samples_.size(), bin_);
-}
-
-void DirectDftFilter::reset() {
-  samples_.assign(samples_.size(), 0.0);
-  n_ = 0;
-  energy_ = 0.0;
-}
-
 GoertzelSlidingFilter::GoertzelSlidingFilter(std::size_t window, int bin)
     : samples_(window, 0.0), cos_(window), sin_(window), bin_(bin) {
   assert(window > 0);
@@ -76,7 +40,7 @@ double GoertzelSlidingFilter::step(double sample) {
 void GoertzelSlidingFilter::resync() {
   // Exact recomputation of the incremental sums; kills accumulated rounding
   // (and the energy sum's catastrophic-cancellation residue) so the filter
-  // tracks DirectDftFilter to ~1e-12 indefinitely.
+  // tracks the direct sum to ~1e-12 indefinitely.
   re_ = 0.0;
   im_ = 0.0;
   energy_ = 0.0;

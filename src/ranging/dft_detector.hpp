@@ -11,8 +11,6 @@
 // it from the DFT output; a positive result indicates detection of a tone").
 //
 // Beyond the Figure 9 bands, this header provides the campaign hot path:
-//   - DirectDftFilter: the O(window) per-sample reference that recomputes an
-//     arbitrary single bin by explicit summation each step,
 //   - GoertzelSlidingFilter: the O(1) per-sample single-bin recurrence (the
 //     sliding form of the Goertzel filter) with periodic exact resync so its
 //     output never drifts measurably from the direct sum,
@@ -72,37 +70,6 @@ inline constexpr double kToneNoiseScale = 6.0;
 /// frequency (what a mote picks at compile time; exposed for tests/benches).
 int nearest_bin(double tone_frequency_hz, double sample_rate_hz, std::size_t window);
 
-/// Single-bin power |X_k|^2 of `count` samples by direct summation. `phase0`
-/// offsets the twiddle index (used to keep the absolute-phase convention of
-/// the sliding filters); the magnitude is phase-origin independent.
-double direct_bin_power(const double* samples, std::size_t count, std::size_t window, int bin,
-                        std::size_t phase0 = 0);
-
-/// Reference sliding single-bin detector: recomputes the bin by direct
-/// summation over its ring on EVERY step -- O(window) per sample. This is the
-/// naive per-pair DFT cost the Goertzel recurrence replaces; it exists to be
-/// benchmarked against and to pin the fast path's numerics.
-class DirectDftFilter {
- public:
-  explicit DirectDftFilter(std::size_t window = SlidingDftFilter::kWindow, int bin = 9);
-
-  /// Consumes one sample and returns the current window's bin power.
-  double step(double sample);
-
-  /// Sum of squared samples in the current window (Parseval noise estimate).
-  double window_energy() const { return energy_; }
-
-  void reset();
-  std::size_t window() const { return samples_.size(); }
-  int bin() const { return bin_; }
-
- private:
-  std::vector<double> samples_;  ///< ring buffer; index = absolute index mod N
-  std::size_t n_ = 0;
-  int bin_;
-  double energy_ = 0.0;
-};
-
 /// Fast sliding single-bin filter: the Goertzel recurrence in its sliding
 /// form. With the twiddle phase anchored to the absolute sample index, the
 /// sample entering the window and the sample leaving it share one twiddle
@@ -111,7 +78,9 @@ class DirectDftFilter {
 /// -- the generalization of the Figure 9 trick to bins whose roots of unity
 /// are not 0/+-1/+-2. Floating-point drift from the incremental update is
 /// bounded by an exact direct-sum resync every kResyncPeriod steps, keeping
-/// the output within ~1e-12 of DirectDftFilter while staying O(1) amortized.
+/// the output within ~1e-12 of the direct sum while staying O(1) amortized
+/// (the O(window) direct-summation filter is the test-only
+/// reference::DirectDftFilter).
 class GoertzelSlidingFilter {
  public:
   /// Steps between exact recomputations of the running sums.

@@ -4,9 +4,9 @@
 // against a Parseval noise estimate -- cheap, but its short window integrates
 // only ~28% of an 8 ms chirp and its detection statistic says nothing about
 // *where* within a firing run the chirp actually started. This detector
-// correlates the raw sampled window against the full-length chirp template of
-// acoustics::WaveformSynthesizer (the same sin/cos tables synthesis uses) and
-// normalizes by the local signal energy, giving:
+// correlates the raw sampled window against the full-length chirp template --
+// the RangingService's sin/cos tone tables, the same ones synthesis mixes --
+// and normalizes by the local signal energy, giving:
 //   - ~10*log10(128/36) = 5.5 dB more processing gain than the Goertzel
 //     window, so weak direct arrivals are still seen when only their echo
 //     clears the tone detector's threshold;

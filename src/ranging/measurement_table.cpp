@@ -2,84 +2,80 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
 #include <set>
+#include <tuple>
+#include <utility>
 
 #include "math/geometry.hpp"
 
 namespace resloc::ranging {
 
 namespace {
-const std::vector<double> kEmpty;
 
 std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
   return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
 }
+
+/// A raw estimate keyed by its unordered pair and direction.
+struct DirectedSample {
+  NodeId lo = 0;
+  NodeId hi = 0;
+  bool backward = false;  ///< measured hi -> lo
+  std::size_t turn = 0;   ///< position in the sample list
+  double measured_m = 0.0;
+};
+using DirectedIt = std::vector<DirectedSample>::const_iterator;
+
+/// The samples ordered by (lo, hi, forward-then-backward), each direction
+/// keeping list order.
+std::vector<DirectedSample> sort_by_direction(const std::vector<RangingSample>& samples) {
+  std::vector<DirectedSample> sorted;
+  sorted.reserve(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const RangingSample& s = samples[i];
+    const auto [lo, hi] = ordered(s.source, s.receiver);
+    sorted.push_back({lo, hi, s.source > s.receiver, i, s.measured_m});
+  }
+  // The turn tie-break makes the sort stable.
+  std::sort(sorted.begin(), sorted.end(), [](const DirectedSample& x, const DirectedSample& y) {
+    return std::tie(x.lo, x.hi, x.backward, x.turn) < std::tie(y.lo, y.hi, y.backward, y.turn);
+  });
+  return sorted;
+}
+
+/// Consumes the run of samples sharing `it`'s directed pair and returns
+/// their raw estimates.
+std::vector<double> take_direction(DirectedIt& it, DirectedIt end) {
+  const DirectedIt first = it;
+  while (it != end && it->lo == first->lo && it->hi == first->hi &&
+         it->backward == first->backward) {
+    ++it;
+  }
+  std::vector<double> raw;
+  raw.reserve(static_cast<std::size_t>(it - first));
+  for (DirectedIt s = first; s != it; ++s) raw.push_back(s->measured_m);
+  return raw;
+}
+
 }  // namespace
 
-void MeasurementTable::add(NodeId from, NodeId to, double distance_m) {
-  table_[{from, to}].push_back(distance_m);
-  ++total_;
-}
-
-const std::vector<double>& MeasurementTable::directional(NodeId from, NodeId to) const {
-  const auto it = table_.find({from, to});
-  return it == table_.end() ? kEmpty : it->second;
-}
-
-std::optional<double> MeasurementTable::filtered(NodeId from, NodeId to,
-                                                 const FilterPolicy& policy,
-                                                 FilterStats* stats) const {
-  const auto& raw = directional(from, to);
-  if (raw.empty()) {
-    if (stats != nullptr) *stats = FilterStats{};
-    return std::nullopt;
-  }
-  return filter_measurements(raw, policy, stats);
-}
-
-MeasurementTable::RobustReport MeasurementTable::robust_report(
-    const FilterPolicy& policy) const {
-  RobustReport report;
-  for (const auto& [key, raw] : table_) {
-    FilterStats stats;
-    filter_measurements(raw, policy, &stats);
-    report.measurements += stats.input;
-    report.vote_rejected += stats.input - stats.after_vote;
-    report.mad_rejected += stats.after_vote - stats.after_mad;
-    ++report.directed_pairs;
-    if (stats.vote_failed) ++report.pairs_without_consensus;
-  }
-  return report;
-}
-
-std::vector<NodeId> MeasurementTable::nodes() const {
-  std::set<NodeId> ids;
-  for (const auto& [key, _] : table_) {
-    ids.insert(key.first);
-    ids.insert(key.second);
-  }
-  return {ids.begin(), ids.end()};
-}
-
-std::vector<PairEstimate> MeasurementTable::symmetric_estimates(
-    const FilterPolicy& policy, double bidirectional_tolerance_m) const {
-  // Sorted-unique vector instead of a std::set: same iteration order, one
-  // reserved allocation instead of a node per pair (this runs once per
-  // campaign over every measured pair).
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(table_.size());
-  for (const auto& [key, _] : table_) pairs.push_back(ordered(key.first, key.second));
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
+std::vector<PairEstimate> symmetric_estimates(const std::vector<RangingSample>& samples,
+                                              const FilterPolicy& policy,
+                                              double bidirectional_tolerance_m) {
+  const std::vector<DirectedSample> sorted = sort_by_direction(samples);
   std::vector<PairEstimate> out;
-  out.reserve(pairs.size());
-  for (const auto& [a, b] : pairs) {
-    const auto forward = filtered(a, b, policy);
-    const auto backward = filtered(b, a, policy);
+  for (DirectedIt it = sorted.begin(); it != sorted.end();) {
     PairEstimate estimate;
-    estimate.a = a;
-    estimate.b = b;
+    estimate.a = it->lo;
+    estimate.b = it->hi;
+    std::optional<double> forward;
+    std::optional<double> backward;
+    while (it != sorted.end() && it->lo == estimate.a && it->hi == estimate.b) {
+      std::optional<double>& direction = it->backward ? backward : forward;
+      direction = filter_measurements(take_direction(it, sorted.end()), policy);
+    }
     if (forward && backward) {
       if (std::abs(*forward - *backward) > bidirectional_tolerance_m) continue;  // discard
       estimate.distance_m = 0.5 * (*forward + *backward);
@@ -96,13 +92,20 @@ std::vector<PairEstimate> MeasurementTable::symmetric_estimates(
   return out;
 }
 
-std::vector<PairEstimate> MeasurementTable::bidirectional_only(
-    const FilterPolicy& policy, double bidirectional_tolerance_m) const {
-  auto all = symmetric_estimates(policy, bidirectional_tolerance_m);
-  all.erase(std::remove_if(all.begin(), all.end(),
-                           [](const PairEstimate& p) { return !p.bidirectional; }),
-            all.end());
-  return all;
+RobustReport robust_report(const std::vector<RangingSample>& samples,
+                           const FilterPolicy& policy) {
+  const std::vector<DirectedSample> sorted = sort_by_direction(samples);
+  RobustReport report;
+  for (DirectedIt it = sorted.begin(); it != sorted.end();) {
+    FilterStats stats;
+    filter_measurements(take_direction(it, sorted.end()), policy, &stats);
+    report.measurements += stats.input;
+    report.vote_rejected += stats.input - stats.after_vote;
+    report.mad_rejected += stats.after_vote - stats.after_mad;
+    ++report.directed_pairs;
+    if (stats.vote_failed) ++report.pairs_without_consensus;
+  }
+  return report;
 }
 
 std::vector<TriangleViolation> find_triangle_violations(const std::vector<PairEstimate>& pairs,

@@ -53,7 +53,23 @@ RangingService::RangingService(RangingConfig config)
       window_samples_(window_samples_for_range(config_.max_window_range_m,
                                                config_.pattern.chirp_duration_s, config_.tdoa)),
       mode_(resolve_detector_mode(config_)),
-      detector_(config_.environment, config_.tdoa.sample_rate_hz) {}
+      detector_(config_.environment, config_.tdoa.sample_rate_hz) {
+  if (mode_ == DetectorMode::kHardware) return;
+  // The tone tables cover the whole window because both the synthesized
+  // tone and the NCC prefix sums are phased by absolute sample index; the
+  // single-bin power is phase-origin independent.
+  const double frequency_hz = config_.pattern.tone_frequency_hz;
+  const double fs = config_.tdoa.sample_rate_hz;
+  const double step = 2.0 * resloc::math::kPi * frequency_hz / fs;
+  tone_sin_.resize(window_samples_);
+  tone_cos_.resize(window_samples_);
+  for (std::size_t i = 0; i < window_samples_; ++i) {
+    const double angle = step * static_cast<double>(i);
+    tone_sin_[i] = std::sin(angle);
+    tone_cos_[i] = std::cos(angle);
+  }
+  goertzel_.emplace(frequency_hz, fs);
+}
 
 std::optional<double> RangingService::measure(double true_distance_m,
                                               const acoustics::SpeakerUnit& speaker,
@@ -115,8 +131,6 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
   const acoustics::LinkResponse link_local =
       link != nullptr ? *link : acoustics::link_response(true_distance_m, config_.environment);
 
-  scratch.dsp.resize(window_samples_);
-
   // One span chain times the stages back to back, sharing each boundary's
   // clock read: schedule, the exchange's channel realization (channel v2,
   // see channel.hpp), accumulation over every chirp window, scan.
@@ -148,8 +162,8 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
       // then the fused Bernoulli mask draw + accumulate: together they
       // consume exactly one uniform per sample.
       detector_.fire_runs(scratch.received, window_samples_, mic, scratch.detector,
-                          scratch.dsp.fire_runs);
-      scratch.accumulator.record_chirp_bernoulli(rng, scratch.dsp.fire_runs);
+                          scratch.fire_runs);
+      scratch.accumulator.record_chirp_bernoulli(rng, scratch.fire_runs);
       continue;
     }
     stages.end();
@@ -158,10 +172,10 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
     } else {
       ncc_sample_window(mic, rng, scratch);
     }
-    // The sampled-audio paths leave the binary series in scratch.dsp.fired;
-    // fold it into the 4-bit counters.
+    // The sampled-audio paths leave the binary series in scratch.fired; fold
+    // it into the 4-bit counters.
     RESLOC_SPAN("ranging/detection/accumulate");
-    scratch.accumulator.record_chirp_block(scratch.dsp.fired.data(), window_samples_);
+    scratch.accumulator.record_chirp_block(scratch.fired.data(), window_samples_);
   }
 
   const DetectionParams detection =
@@ -192,38 +206,17 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
   return attempt;
 }
 
-void RangingService::prepare_goertzel(RangingScratch& scratch) const {
-  const std::size_t n = window_samples_;
-  const double fs = config_.tdoa.sample_rate_hz;
-
-  // Tone table sin(2*pi*f*i/fs) and the Goertzel detector, cached in the
-  // scratch under the (frequency, sample rate) they were built for; rebuilt
-  // only if the scratch migrates to a differently-tuned service.
-  // The table's absolute phase is irrelevant to the single-bin power.
-  const double frequency_hz = config_.pattern.tone_frequency_hz;
-  const bool retuned =
-      scratch.tone_frequency_hz != frequency_hz || scratch.sample_rate_hz != fs;
-  if (retuned || scratch.tone_table.size() != n) {
-    scratch.tone_table.resize(n);
-    const double step = 2.0 * resloc::math::kPi * frequency_hz / fs;
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.tone_table[i] = std::sin(step * static_cast<double>(i));
-    }
-  }
-  if (retuned || !scratch.goertzel) {
-    scratch.goertzel.emplace(frequency_hz, fs);
-    scratch.tone_frequency_hz = frequency_hz;
-    scratch.sample_rate_hz = fs;
-  } else {
-    scratch.goertzel->reset();
-  }
-}
-
 void RangingService::software_sample_window(const acoustics::MicUnit& mic,
                                             resloc::math::Rng& rng,
                                             RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
-  prepare_goertzel(scratch);
+  // Window buffers: resize is a no-op once a worker's scratch has seen this
+  // service's window.
+  scratch.noise.resize(n);
+  scratch.audio.resize(n);
+  scratch.metric.resize(n);
+  scratch.fired.resize(n);
+  scratch.goertzel = *goertzel_;  // copy-assign: the fresh-window state
 
   // Section 3.7 as staged block kernels over contiguous buffers: envelope
   // rasterization, standard-normal noise fill (one fill_gaussian_block call,
@@ -236,21 +229,20 @@ void RangingService::software_sample_window(const acoustics::MicUnit& mic,
   }
   {
     RESLOC_SPAN("ranging/synthesis/noise");
-    rng.fill_gaussian_block(scratch.dsp.noise.data(), n);
+    rng.fill_gaussian_block(scratch.noise.data(), n);
   }
   {
     RESLOC_SPAN("ranging/synthesis/tone");
-    scratch.audio.resize(n);
-    acoustics::mix_tone_noise_block(scratch.amplitude.data(), scratch.tone_table.data(),
-                                    scratch.dsp.noise.data(), scratch.detector.burst.data(),
+    acoustics::mix_tone_noise_block(scratch.amplitude.data(), tone_sin_.data(),
+                                    scratch.noise.data(), scratch.detector.burst.data(),
                                     detail::kBurstNoiseSigma, scratch.audio.data(), n);
   }
   RESLOC_SPAN("ranging/detection/goertzel");
-  scratch.goertzel->run_block(scratch.audio.data(), n, scratch.dsp.metric.data());
+  scratch.goertzel->run_block(scratch.audio.data(), n, scratch.metric.data());
   constexpr std::size_t kGroupDelay = detail::kGoertzelGroupDelay;
   const std::size_t live = n > kGroupDelay ? n - kGroupDelay : 0;
-  std::uint8_t* fired = scratch.dsp.fired.data();
-  const double* metric = scratch.dsp.metric.data();
+  std::uint8_t* fired = scratch.fired.data();
+  const double* metric = scratch.metric.data();
   for (std::size_t j = 0; j < live; ++j) {
     fired[j] = static_cast<std::uint8_t>(metric[j + kGroupDelay] > 0.0);
   }
@@ -261,7 +253,9 @@ void RangingService::ncc_sample_window(const acoustics::MicUnit& mic, resloc::ma
                                        RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
   const double fs = config_.tdoa.sample_rate_hz;
-  const double frequency_hz = config_.pattern.tone_frequency_hz;
+  scratch.noise.resize(n);
+  scratch.audio.resize(n);
+  scratch.fired.resize(n);
 
   {
     RESLOC_SPAN("ranging/synthesis/envelope");
@@ -269,24 +263,20 @@ void RangingService::ncc_sample_window(const acoustics::MicUnit& mic, resloc::ma
                                       scratch.detector.burst);
   }
 
-  // The chirp template -- the same cached sin/cos tables the synthesis engine
-  // uses -- extended to cover the whole window, because the NCC prefix sums
-  // are phased by absolute sample index. Fetch once per window; nothing below
-  // touches the synthesizer again, so the view stays valid.
-  const acoustics::ToneTemplateView tpl = scratch.synth.tone_template_view(fs, frequency_hz, n);
+  // The chirp template: the same tone tables the synthesis below mixes.
+  const acoustics::ToneTemplateView tpl{tone_sin_.data(), tone_cos_.data(), n};
 
   // Same decomposition as the Goertzel path: noise fill then tone mix, the
   // same draws and per-sample arithmetic, so switching between the
   // sampled-audio modes never shifts any other draw in the campaign.
   {
     RESLOC_SPAN("ranging/synthesis/noise");
-    rng.fill_gaussian_block(scratch.dsp.noise.data(), n);
+    rng.fill_gaussian_block(scratch.noise.data(), n);
   }
   {
     RESLOC_SPAN("ranging/synthesis/tone");
-    scratch.audio.resize(n);
     acoustics::mix_tone_noise_block(scratch.amplitude.data(), tpl.sin_t,
-                                    scratch.dsp.noise.data(), scratch.detector.burst.data(),
+                                    scratch.noise.data(), scratch.detector.burst.data(),
                                     detail::kBurstNoiseSigma, scratch.audio.data(), n);
   }
 
@@ -297,7 +287,7 @@ void RangingService::ncc_sample_window(const acoustics::MicUnit& mic, resloc::ma
   {
     RESLOC_SPAN("ranging/detection/ncc");
     scratch.ncc->detect_into(scratch.audio.data(), n, chirp_samples, tpl,
-                             scratch.dsp.fired.data());
+                             scratch.fired.data());
   }
 }
 

@@ -22,7 +22,6 @@
 
 #include "acoustics/channel.hpp"
 #include "acoustics/chirp_pattern.hpp"
-#include "acoustics/dsp_scratch.hpp"
 #include "acoustics/environment.hpp"
 #include "acoustics/signal_synth.hpp"
 #include "acoustics/tone_detector.hpp"
@@ -47,8 +46,8 @@ enum class DetectorMode {
   /// a 36-sample single-bin sliding DFT with Parseval noise subtraction.
   kGoertzel,
   /// Matched-filter NCC detector: synthesized audio correlated against the
-  /// full-length WaveformSynthesizer chirp template with group-delay-
-  /// compensated peak picking (see matched_filter.hpp). ~5.5 dB more
+  /// service's full-length chirp tone tables with group-delay-compensated
+  /// peak picking (see matched_filter.hpp). ~5.5 dB more
   /// processing gain than the Goertzel window; recovers weak direct arrivals
   /// whose fixed-lag echoes would otherwise set the detection index.
   kMatchedFilter,
@@ -94,8 +93,9 @@ struct RangingConfig {
   /// detector is the sign of GoertzelToneDetector's noise-subtracted metric,
   /// group-delay compensated. This prices every chirp of every pair at a
   /// per-sample single-bin DFT -- affordable only because of the Goertzel
-  /// sliding recurrence and the cached tone tables (bench_ranging_goertzel
-  /// measures the naive direct-DFT alternative at ~96x the cost).
+  /// sliding recurrence and the service's precomputed tone tables
+  /// (bench_ranging_goertzel measures the naive direct-DFT alternative at
+  /// ~96x the cost).
   DetectorMode detector_mode = DetectorMode::kHardware;
 };
 
@@ -112,6 +112,11 @@ struct RangingAttempt {
 /// (emission schedule, exchange channel, received window, 4-bit counters and
 /// their scan mask, DSP buffers) are allocated once instead of once per pair
 /// -- the buffer reuse the mote firmware's fixed RAM layout implies (3.6.2).
+/// Everything here is per-call state: what depends only on the service's
+/// config (the tone tables, the Goertzel detector's twiddles) lives in the
+/// service, so one scratch serves any service. Exclusively owned by one
+/// thread; the window buffers are sized before each window's kernels run,
+/// and the kernels write through raw pointers without resizing.
 struct RangingScratch {
   std::vector<double> starts;
   acoustics::ExchangeChannel exchange;
@@ -119,26 +124,23 @@ struct RangingScratch {
   acoustics::DetectorScratch detector;
   SignalAccumulator accumulator{0};
   SignalScanner scanner;
-  /// Software-detector mode only: per-sample tone amplitudes, the cached tone
-  /// table sin(2*pi*f*i/fs), and the Goertzel detector itself. The table and
-  /// detector are keyed by the (frequency, sample rate) they were built for,
-  /// so a scratch migrating between differently-tuned services rebuilds them
-  /// instead of silently filtering the wrong band; within one service they
-  /// are built once and reused across every pair.
+  /// Hardware-detector mode: the window's Bernoulli threshold runs (sized by
+  /// ToneDetectorModel::fire_runs, a handful per window).
+  std::vector<resloc::math::BernoulliRun> fire_runs;
+  /// Sampled-audio modes, one window each: per-sample tone amplitudes,
+  /// standard normals, synthesized audio, Goertzel metric, and the binary
+  /// detector output folded into the counters.
   std::vector<double> amplitude;
-  std::vector<double> tone_table;
-  double tone_frequency_hz = 0.0;
-  double sample_rate_hz = 0.0;
-  std::optional<GoertzelToneDetector> goertzel;
-  /// Matched-filter mode only: the synthesized window audio, the NCC scanner
-  /// (its prefix-sum buffers reused across pairs), and the template source.
-  /// The synthesizer is the same engine the synthesis path uses, so
-  /// detection correlates against literally the cached chirp tables.
+  std::vector<double> noise;
   std::vector<double> audio;
+  std::vector<double> metric;
+  std::vector<std::uint8_t> fired;
+  /// Goertzel mode: the running detector, copied from the service's fresh
+  /// one at each window.
+  std::optional<GoertzelToneDetector> goertzel;
+  /// Matched-filter mode: the NCC scanner (its prefix-sum buffers reused
+  /// across pairs).
   std::optional<MatchedFilterNcc> ncc;
-  acoustics::WaveformSynthesizer synth;
-  /// The contiguous block-kernel buffers (see dsp_scratch.hpp).
-  acoustics::DspScratch dsp;
 };
 
 /// Simulates ranging sequences for one source/receiver pair.
@@ -192,24 +194,29 @@ class RangingService {
                               bool want_accumulated) const;
 
   /// Section 3.7 path: envelope -> noise -> tone-mix -> Goertzel blocks over
-  /// scratch.dsp; the binary series lands in scratch.dsp.fired.
+  /// the scratch's window buffers; the binary series lands in scratch.fired.
   void software_sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
                               RangingScratch& scratch) const;
 
   /// Matched-filter path: synthesizes the window's sampled audio (same RNG
   /// draw order as the Goertzel path) and marks NCC-picked chirp onsets in
-  /// scratch.dsp.fired.
+  /// scratch.fired.
   void ncc_sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
                          RangingScratch& scratch) const;
-
-  /// Builds or retunes the scratch's cached tone table + Goertzel detector
-  /// for this service and resets the detector for a fresh window.
-  void prepare_goertzel(RangingScratch& scratch) const;
 
   RangingConfig config_;
   std::size_t window_samples_;
   DetectorMode mode_;
   acoustics::ToneDetectorModel detector_;
+  /// Sampled-audio modes only (empty for kHardware): the window-length tone
+  /// tables sin/cos(2*pi*f/fs*i), built once from the config -- the mote fixes
+  /// its tone bins at compile time (Section 3.7, Figure 9). Synthesis mixes
+  /// the sin table; the NCC scanner correlates against both.
+  std::vector<double> tone_sin_;
+  std::vector<double> tone_cos_;
+  /// A fresh detector tuned to the chirp tone; each Goertzel window starts
+  /// from a copy of it.
+  std::optional<GoertzelToneDetector> goertzel_;
 };
 
 }  // namespace resloc::ranging

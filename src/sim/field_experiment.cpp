@@ -112,15 +112,14 @@ FieldExperimentData finish_campaign(const Campaign& campaign, std::size_t skippe
   for (std::size_t turn = 0; turn < turns.size(); ++turn) {
     const auto source = static_cast<NodeId>(turn % campaign.n);
     for (const TurnEstimate& e : turns[turn]) {
-      data.raw.add(source, e.receiver, e.measured_m);
       data.samples.push_back({source, e.receiver, e.true_distance_m, e.measured_m});
     }
   }
 
   {
     RESLOC_SPAN("ranging/filtering");
-    data.filtered =
-        data.raw.symmetric_estimates(campaign.config.filter, kBidirectionalToleranceM);
+    data.filtered = resloc::ranging::symmetric_estimates(data.samples, campaign.config.filter,
+                                                         kBidirectionalToleranceM);
   }
   obs::add(obs::Counter::kFilteredPairs, data.filtered.size());
   return data;

@@ -62,18 +62,12 @@ struct FieldExperimentConfig {
   resloc::fault::FaultPlan faults;
 };
 
-/// One raw directional estimate with its ground truth (diagnostics only).
-struct RangingSample {
-  resloc::core::NodeId source = 0;
-  resloc::core::NodeId receiver = 0;
-  double true_distance_m = 0.0;
-  double measured_m = 0.0;
-};
-
 /// Campaign output.
 struct FieldExperimentData {
-  resloc::ranging::MeasurementTable raw;
-  std::vector<RangingSample> samples;      ///< every successful raw estimate
+  /// Every successful raw estimate, in turn order (round -> source ->
+  /// ascending receiver): the one store of raw data, which the filtered set
+  /// and any re-filtering under another policy are derived from.
+  std::vector<resloc::ranging::RangingSample> samples;
   std::vector<resloc::ranging::PairEstimate> filtered;  ///< after filter + bidirectional check
 
   /// Unordered pairs that were never simulated because their true distance

@@ -43,6 +43,10 @@ Deployment sized_offset_grid(std::size_t node_count) {
   return d;
 }
 
+/// The random_uniform scenario's square field side and minimum spacing.
+constexpr double kRandomUniformFieldM = 70.0;
+constexpr double kRandomUniformSpacingM = 9.0;
+
 /// A registered scenario: how to build it, and which terrain it sits on.
 struct ScenarioEntry {
   ScenarioBuilder builder;
@@ -51,65 +55,54 @@ struct ScenarioEntry {
 
 std::map<std::string, ScenarioEntry> make_builtins() {
   std::map<std::string, ScenarioEntry> m;
-  m["offset_grid"] = {[](const ScenarioParams& p, resloc::math::Rng& rng) {
-                        Deployment d = sized_offset_grid(p.node_count);
-                        drop_random_nodes(d, p.drop_count, rng);
-                        return d;
+  m["offset_grid"] = {[](const ScenarioParams& p, resloc::math::Rng&) {
+                        return sized_offset_grid(p.node_count);
                       },
                       "grass"};
   m["grass_grid"] = {[](const ScenarioParams& p, resloc::math::Rng& rng) {
                        // The field campaign's grid: 49 positions, 3 failed
-                       // motes by default.
+                       // motes.
                        Deployment d = sized_offset_grid(p.node_count);
-                       drop_random_nodes(d, p.drop_count == 0 ? 3 : p.drop_count, rng);
+                       drop_random_nodes(d, 3, rng);
                        return d;
                      },
                      "grass"};
   // Fixed-geometry scenarios reject a node_count they cannot honor rather
   // than silently running their native size under a mislabeled sweep axis.
-  m["town"] = {[](const ScenarioParams& p, resloc::math::Rng& rng) {
+  m["town"] = {[](const ScenarioParams& p, resloc::math::Rng&) {
                  if (p.node_count != 0 && p.node_count != 59) {
                    throw std::invalid_argument("scenario 'town' has a fixed 59-node layout");
                  }
-                 Deployment d = town_blocks_59();
-                 drop_random_nodes(d, p.drop_count, rng);
-                 return d;
+                 return town_blocks_59();
                },
                "urban"};
-  m["parking_lot"] = {[](const ScenarioParams& p, resloc::math::Rng& rng) {
+  m["parking_lot"] = {[](const ScenarioParams& p, resloc::math::Rng&) {
                         if (p.node_count != 0 && p.node_count != 15) {
                           throw std::invalid_argument(
                               "scenario 'parking_lot' has a fixed 15-node layout");
                         }
-                        Deployment d = parking_lot_15();
-                        drop_random_nodes(d, p.drop_count, rng);  // anchors survive
-                        return d;
+                        return parking_lot_15();
                       },
                       "pavement"};
   m["random_uniform"] = {[](const ScenarioParams& p, resloc::math::Rng& rng) {
                            const std::size_t count = p.node_count == 0 ? 49 : p.node_count;
-                           Deployment d = random_uniform(count, p.field_width_m,
-                                                         p.field_height_m, p.min_spacing_m, rng);
-                           drop_random_nodes(d, p.drop_count, rng);
-                           return d;
+                           return random_uniform(count, kRandomUniformFieldM,
+                                                 kRandomUniformFieldM, kRandomUniformSpacingM,
+                                                 rng);
                          },
                          ""};
   // The 60-node urban survey of Figures 2/4: distances recorded out to ~30 m
   // over a 70 x 55 m site.
   m["urban_60"] = {[](const ScenarioParams& p, resloc::math::Rng& rng) {
                      const std::size_t count = p.node_count == 0 ? 60 : p.node_count;
-                     Deployment d = random_uniform(count, 70.0, 55.0, 6.0, rng);
-                     drop_random_nodes(d, p.drop_count, rng);
-                     return d;
+                     return random_uniform(count, 70.0, 55.0, 6.0, rng);
                    },
                    "urban"};
   // Sparse wooded patch: the strongest-absorption terrain of Section 3.6 --
   // acoustic links die fast, so campaigns here are deliberately edge-starved.
   m["wooded_patch"] = {[](const ScenarioParams& p, resloc::math::Rng& rng) {
                          const std::size_t count = p.node_count == 0 ? 30 : p.node_count;
-                         Deployment d = random_uniform(count, 60.0, 60.0, 8.0, rng);
-                         drop_random_nodes(d, p.drop_count, rng);
-                         return d;
+                         return random_uniform(count, 60.0, 60.0, 8.0, rng);
                        },
                        "wooded"};
 
@@ -123,20 +116,14 @@ std::map<std::string, ScenarioEntry> make_builtins() {
   // (~154 m^2 per node -> ~10 in-range neighbors at the 22 m cutoff).
   m["campus_500"] = {[](const ScenarioParams& p, resloc::math::Rng& rng) {
                        const std::size_t count = p.node_count == 0 ? 500 : p.node_count;
-                       Deployment d =
-                           checked_random_uniform("campus_500", count, 320.0, 240.0, 7.0, rng);
-                       drop_random_nodes(d, p.drop_count, rng);
-                       return d;
+                       return checked_random_uniform("campus_500", count, 320.0, 240.0, 7.0, rng);
                      },
                      "grass"};
   // City-district deployment: 1000 nodes over ~11 hectares of urban terrain,
   // denser than the campus (~113 m^2 per node, ~13 in-range neighbors).
   m["city_1000"] = {[](const ScenarioParams& p, resloc::math::Rng& rng) {
                       const std::size_t count = p.node_count == 0 ? 1000 : p.node_count;
-                      Deployment d =
-                          checked_random_uniform("city_1000", count, 390.0, 290.0, 6.0, rng);
-                      drop_random_nodes(d, p.drop_count, rng);
-                      return d;
+                      return checked_random_uniform("city_1000", count, 390.0, 290.0, 6.0, rng);
                     },
                     "urban"};
   // Density-invariant uniform field for node-count sweeps: the square side
@@ -146,10 +133,7 @@ std::map<std::string, ScenarioEntry> make_builtins() {
                       const std::size_t count = p.node_count == 0 ? 100 : p.node_count;
                       const double side =
                           12.0 * std::sqrt(static_cast<double>(count));
-                      Deployment d =
-                          checked_random_uniform("uniform_n", count, side, side, 6.0, rng);
-                      drop_random_nodes(d, p.drop_count, rng);
-                      return d;
+                      return checked_random_uniform("uniform_n", count, side, side, 6.0, rng);
                     },
                     ""};
   return m;

@@ -18,20 +18,12 @@
 
 namespace resloc::sim {
 
-/// Knobs a scenario builder may honor. A zero/default value means "use the
-/// scenario's canonical setting" (e.g. the 49-position grass grid).
+/// What a scenario builder may be asked for. Mote failures are applied after
+/// construction with drop_random_nodes (the runner's drop_rate axis).
 struct ScenarioParams {
   /// Target node count; 0 keeps the scenario's native size. Grid scenarios
   /// choose a near-square layout, random_uniform places exactly this many.
   std::size_t node_count = 0;
-  /// Nodes randomly removed after construction (mote failures). Anchors, if
-  /// the scenario defines any, are never dropped.
-  std::size_t drop_count = 0;
-  /// Field dimensions for the random_uniform scenario.
-  double field_width_m = 70.0;
-  double field_height_m = 70.0;
-  /// Minimum pairwise spacing for the random_uniform scenario.
-  double min_spacing_m = 9.0;
 };
 
 /// Builds a deployment for the given parameters. Must be deterministic in

@@ -99,32 +99,43 @@ bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int inde
 
 namespace {
 
+/// The window's tone tables, rebuilt only when the service's tuning or
+/// window changes.
+void build_tone_tables(const ranging::RangingConfig& config, std::size_t n,
+                       MeasureScratch& scratch) {
+  const double fs = config.tdoa.sample_rate_hz;
+  const double frequency_hz = config.pattern.tone_frequency_hz;
+  if (scratch.tone_sin.size() == n && scratch.tone_frequency_hz == frequency_hz &&
+      scratch.tone_sample_rate_hz == fs) {
+    return;
+  }
+  scratch.tone_sin.resize(n);
+  scratch.tone_cos.resize(n);
+  const double step = 2.0 * math::kPi * frequency_hz / fs;
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch.tone_sin[i] = std::sin(step * static_cast<double>(i));
+    scratch.tone_cos[i] = std::cos(step * static_cast<double>(i));
+  }
+  scratch.tone_frequency_hz = frequency_hz;
+  scratch.tone_sample_rate_hz = fs;
+}
+
 /// Goertzel front end: synthesizes each sample (tone envelope on the tone
 /// table plus scaled noise) and steps the detector on it in one loop; the
 /// binary series is the sign of the metric, shifted left by the group delay.
 void goertzel_window(const ranging::RangingConfig& config, std::size_t n,
                      const acoustics::MicUnit& mic, math::Rng& rng, MeasureScratch& scratch) {
   const double fs = config.tdoa.sample_rate_hz;
-  const double frequency_hz = config.pattern.tone_frequency_hz;
-  if (scratch.tone_table.size() != n || scratch.tone_frequency_hz != frequency_hz ||
-      scratch.tone_sample_rate_hz != fs) {
-    scratch.tone_table.resize(n);
-    const double step = 2.0 * math::kPi * frequency_hz / fs;
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.tone_table[i] = std::sin(step * static_cast<double>(i));
-    }
-    scratch.tone_frequency_hz = frequency_hz;
-    scratch.tone_sample_rate_hz = fs;
-  }
+  build_tone_tables(config, n, scratch);
   rd::rasterize_window_envelope(scratch.received, mic, fs, n, scratch.amplitude, scratch.burst);
   scratch.noise.resize(n);
   rng.fill_gaussian_block(scratch.noise.data(), n);
 
-  ranging::GoertzelToneDetector detector(frequency_hz, fs);
+  ranging::GoertzelToneDetector detector(config.pattern.tone_frequency_hz, fs);
   scratch.fired.assign(n, false);
   for (std::size_t i = 0; i < n; ++i) {
     const double sigma = scratch.burst[i] != 0 ? rd::kBurstNoiseSigma : 1.0;
-    const double sample = scratch.amplitude[i] * scratch.tone_table[i] + sigma * scratch.noise[i];
+    const double sample = scratch.amplitude[i] * scratch.tone_sin[i] + sigma * scratch.noise[i];
     const bool fired = detector.step(sample) > 0.0;
     if (fired && i >= rd::kGoertzelGroupDelay) scratch.fired[i - rd::kGoertzelGroupDelay] = true;
   }
@@ -137,8 +148,8 @@ void ncc_window(const ranging::RangingConfig& config, std::size_t n,
                 const acoustics::MicUnit& mic, math::Rng& rng, MeasureScratch& scratch) {
   const double fs = config.tdoa.sample_rate_hz;
   rd::rasterize_window_envelope(scratch.received, mic, fs, n, scratch.amplitude, scratch.burst);
-  const acoustics::ToneTemplateView tpl =
-      scratch.synth.tone_template_view(fs, config.pattern.tone_frequency_hz, n);
+  build_tone_tables(config, n, scratch);
+  const acoustics::ToneTemplateView tpl{scratch.tone_sin.data(), scratch.tone_cos.data(), n};
   scratch.noise.resize(n);
   rng.fill_gaussian_block(scratch.noise.data(), n);
   scratch.audio.resize(n);

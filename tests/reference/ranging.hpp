@@ -77,12 +77,15 @@ struct MeasureScratch {
   std::vector<std::uint8_t> burst;
   std::vector<double> noise;
   std::vector<double> audio;
-  std::vector<double> tone_table;
+  /// sin/cos(2*pi*f/fs*i) over the window, built here rather than read from
+  /// the service so the oracle stays independent of the production tables;
+  /// keyed by what they were built for.
+  std::vector<double> tone_sin;
+  std::vector<double> tone_cos;
   double tone_frequency_hz = 0.0;
   double tone_sample_rate_hz = 0.0;
   std::vector<std::uint8_t> marks;
   std::optional<ranging::MatchedFilterNcc> ncc;
-  acoustics::WaveformSynthesizer synth;
 };
 
 /// service.measure_with_diagnostics() with every chirp window run sample by

@@ -11,6 +11,7 @@
 #include "acoustics/signal_synth.hpp"
 #include "pipeline/localization_pipeline.hpp"
 #include "ranging/dft_detector.hpp"
+#include "reference/dft.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/sweep_spec.hpp"
 #include "sim/deployments.hpp"
@@ -74,13 +75,11 @@ TEST(AcousticRegression, GoertzelMatchesDirectDftOnSharedTones) {
   spec.tone_amplitude = 1.0;
   spec.noise_stddev = 0.5;
   Rng rng(0xD1F7);
-  resloc::acoustics::WaveformSynthesizer synth;
-  std::vector<double> wave;
-  synth.synthesize_into(wave, spec, resloc::acoustics::periodic_chirps(8, 50, 420, 128), 4096,
-                        rng);
+  const std::vector<double> wave = resloc::acoustics::synthesize_waveform(
+      spec, resloc::acoustics::periodic_chirps(8, 50, 420, 128), 4096, rng);
 
   for (const int bin : {9, 10, 6}) {
-    resloc::ranging::DirectDftFilter direct(resloc::ranging::SlidingDftFilter::kWindow, bin);
+    resloc::reference::DirectDftFilter direct(resloc::ranging::SlidingDftFilter::kWindow, bin);
     resloc::ranging::GoertzelSlidingFilter fast(resloc::ranging::SlidingDftFilter::kWindow, bin);
     double max_delta = 0.0;
     for (double s : wave) {
@@ -99,10 +98,8 @@ TEST(AcousticRegression, GoertzelBinFourMatchesFigureNineBand) {
   spec.tone_amplitude = 1.0;
   spec.noise_stddev = 0.3;
   Rng rng(0xF19);
-  resloc::acoustics::WaveformSynthesizer synth;
-  std::vector<double> wave;
-  synth.synthesize_into(wave, spec, resloc::acoustics::periodic_chirps(4, 64, 400, 128), 2048,
-                        rng);
+  const std::vector<double> wave = resloc::acoustics::synthesize_waveform(
+      spec, resloc::acoustics::periodic_chirps(4, 64, 400, 128), 2048, rng);
 
   resloc::ranging::SlidingDftFilter fig9;
   resloc::ranging::GoertzelSlidingFilter fast(resloc::ranging::SlidingDftFilter::kWindow, 9);

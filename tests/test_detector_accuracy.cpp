@@ -300,7 +300,7 @@ TEST(DetectorAccuracy, RobustFiltersCutLongLinkErrorTailOnEchoHostileCampaign) {
   const auto band_error = [&](const resloc::ranging::FilterPolicy& policy) {
     Band band;
     double sum = 0.0;
-    for (const auto& p : data.raw.symmetric_estimates(policy, 1.0)) {
+    for (const auto& p : resloc::ranging::symmetric_estimates(data.samples, policy, 1.0)) {
       const double truth =
           resloc::math::distance(dep.positions[p.a], dep.positions[p.b]);
       if (truth < 22.0 || truth > 30.0) continue;
@@ -328,7 +328,7 @@ TEST(DetectorAccuracy, RobustFiltersCutLongLinkErrorTailOnEchoHostileCampaign) {
   EXPECT_LT(filtered.worst, 3.0);
   // The vote is doing real work: some long links end with no consensus at
   // all and are dropped rather than estimated from garbage.
-  const auto report = data.raw.robust_report(robust);
+  const auto report = resloc::ranging::robust_report(data.samples, robust);
   EXPECT_GT(report.vote_rejected, 0u);
   EXPECT_GT(report.pairs_without_consensus, 0u);
 }
@@ -348,7 +348,8 @@ TEST(DetectorAccuracy, DefaultPolicyCampaignUnchangedByRobustMachinery) {
   resloc::sim::FieldExperimentConfig config = resloc::sim::grass_campaign_config(3);
   resloc::math::Rng rng(0x900D);
   const auto data = resloc::sim::run_field_experiment(dep, config, rng);
-  const auto defaults = data.raw.symmetric_estimates(resloc::ranging::FilterPolicy{}, 1.0);
+  const auto defaults =
+      resloc::ranging::symmetric_estimates(data.samples, resloc::ranging::FilterPolicy{}, 1.0);
   const auto campaign = data.filtered;
   ASSERT_EQ(defaults.size(), campaign.size());
   for (std::size_t i = 0; i < defaults.size(); ++i) {

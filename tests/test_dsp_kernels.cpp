@@ -24,6 +24,7 @@
 #include "acoustics/tone_detector.hpp"
 #include "acoustics/units.hpp"
 #include "math/bernoulli_mask_kernels.hpp"
+#include "math/constants.hpp"
 #include "math/rng.hpp"
 #include "math/simd_dispatch.hpp"
 #include "ranging/dft_detector.hpp"
@@ -506,8 +507,8 @@ TEST(MixKernel, MatchesFusedFormula) {
 
 TEST(MatchedFilterBlock, MarksAPlateauAtEachPickedPeakClippedAtTheWindow) {
   Rng rng(23, 8);
-  acoustics::WaveformSynthesizer synth;
   const std::size_t chirp = 128;
+  const double step = 2.0 * resloc::math::kPi * 4300.0 / 16000.0;
   // The default plateau, and one longer than the chirp so a chirp at the
   // window's end has its plateau clipped at n.
   for (const int plateau : {ranging::MatchedFilterNcc::kDefaultPeakPlateau, 200}) {
@@ -518,7 +519,12 @@ TEST(MatchedFilterBlock, MarksAPlateauAtEachPickedPeakClippedAtTheWindow) {
       const std::size_t n =
           static_cast<std::size_t>(rng.uniform_int(static_cast<std::int64_t>(chirp), 900));
       const std::size_t onset = trial % 2 == 0 ? n / 3 : n - chirp;
-      const acoustics::ToneTemplateView tpl = synth.tone_template_view(16000.0, 4300.0, n);
+      std::vector<double> sin_t(n), cos_t(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        sin_t[i] = std::sin(step * static_cast<double>(i));
+        cos_t[i] = std::cos(step * static_cast<double>(i));
+      }
+      const acoustics::ToneTemplateView tpl{sin_t.data(), cos_t.data(), n};
       std::vector<double> x(n);
       for (std::size_t i = 0; i < n; ++i) {
         const bool in_chirp = i >= onset && i < onset + chirp;
@@ -670,6 +676,47 @@ TEST(RangingServiceBlockEquivalence, Goertzel) {
 
 TEST(RangingServiceBlockEquivalence, MatchedFilter) {
   expect_service_equivalence(ranging::DetectorMode::kMatchedFilter);
+}
+
+/// One scratch carried across two differently-tuned services (4.3 and
+/// 4.0 kHz) and back must give exactly what a fresh scratch gives: nothing
+/// tuning-dependent may survive in it from one service to the next.
+void expect_scratch_migrates_between_services(ranging::DetectorMode mode) {
+  ranging::RangingConfig cfg_43;
+  cfg_43.detector_mode = mode;
+  cfg_43.max_window_range_m = 22.0;
+  ranging::RangingConfig cfg_40 = cfg_43;
+  cfg_40.pattern.tone_frequency_hz = 4000.0;
+  const ranging::RangingService service_43(cfg_43);
+  const ranging::RangingService service_40(cfg_40);
+  const acoustics::SpeakerUnit speaker;
+  const acoustics::MicUnit mic;
+
+  ranging::RangingScratch shared;
+  int detected = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    const ranging::RangingService& service = (trial / 3) % 2 == 0 ? service_43 : service_40;
+    const double d = 2.0 + 1.3 * trial;
+    Rng fresh_rng(300 + trial, 4);
+    Rng reused_rng(300 + trial, 4);
+    const auto fresh = service.measure(d, speaker, mic, fresh_rng);
+    const auto reused = service.measure(d, speaker, mic, reused_rng, shared);
+    ASSERT_EQ(fresh.has_value(), reused.has_value()) << "trial=" << trial;
+    if (fresh) {
+      ASSERT_EQ(std::memcmp(&*fresh, &*reused, sizeof(double)), 0) << "trial=" << trial;
+      ++detected;
+    }
+    ASSERT_EQ(fresh_rng.uniform_bits(), reused_rng.uniform_bits()) << "trial=" << trial;
+  }
+  EXPECT_GT(detected, 6);
+}
+
+TEST(RangingScratchReuse, GoertzelScratchMigratesBetweenTunedServices) {
+  expect_scratch_migrates_between_services(ranging::DetectorMode::kGoertzel);
+}
+
+TEST(RangingScratchReuse, NccScratchMigratesBetweenTunedServices) {
+  expect_scratch_migrates_between_services(ranging::DetectorMode::kMatchedFilter);
 }
 
 TEST(RangingServiceBlockEquivalence, PrecomputedLinkMatchesInline) {

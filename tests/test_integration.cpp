@@ -137,8 +137,8 @@ TEST(Integration, FaultyHardwareCampaignStillLocalizes) {
 
   core::MeasurementSet confirmed(deployment.size());
   confirmed.set_node_count(deployment.size());
-  for (const auto& pair : data.raw.bidirectional_only(config.filter, 1.0)) {
-    confirmed.add(pair.a, pair.b, pair.distance_m);
+  for (const auto& pair : ranging::symmetric_estimates(data.samples, config.filter, 1.0)) {
+    if (pair.bidirectional) confirmed.add(pair.a, pair.b, pair.distance_m);
   }
   ASSERT_GT(confirmed.edge_count(), 100u);
 

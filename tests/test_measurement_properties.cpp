@@ -1,5 +1,5 @@
 // Edge-case and property coverage for the Section 3.5 measurement plumbing:
-// MeasurementTable symmetrization and the statistical filter. These lock the
+// symmetrization of a raw-sample list and the statistical filter. These lock the
 // behaviours the acoustic sweep axis leans on -- empty campaigns, lone
 // estimates, outlier-dominated pairs, and asymmetric per-direction counts.
 #include <gtest/gtest.h>
@@ -19,8 +19,15 @@ namespace {
 
 using resloc::ranging::FilterKind;
 using resloc::ranging::FilterPolicy;
-using resloc::ranging::MeasurementTable;
 using resloc::ranging::PairEstimate;
+using resloc::ranging::RangingSample;
+using resloc::ranging::robust_report;
+using resloc::ranging::symmetric_estimates;
+
+/// Appends one raw estimate from -> to (ground truth unused here).
+void add(std::vector<RangingSample>& samples, unsigned from, unsigned to, double measured_m) {
+  samples.push_back({from, to, 0.0, measured_m});
+}
 
 // --- statistical_filter edge cases ---
 
@@ -238,80 +245,79 @@ TEST(RobustFilter, StatsTrackEveryStage) {
   EXPECT_NEAR(*out, 10.0, 0.1);
 }
 
-TEST(RobustFilter, RobustReportAggregatesAcrossTable) {
-  MeasurementTable table;
+TEST(RobustFilter, RobustReportAggregatesAcrossSamples) {
+  std::vector<RangingSample> samples;
   // Pair (0,1): consensus cluster + one outlier the vote cuts.
-  for (const double m : {10.0, 10.1, 9.9, 30.0}) table.add(0, 1, m);
+  for (const double m : {10.0, 10.1, 9.9, 30.0}) add(samples, 0, 1, m);
   // Pair (2,3): no two readings agree -> vote nulls the pair.
-  for (const double m : {5.0, 15.0, 25.0}) table.add(2, 3, m);
+  for (const double m : {5.0, 15.0, 25.0}) add(samples, 2, 3, m);
   FilterPolicy policy;
   policy.consistency_vote = true;
-  const auto report = table.robust_report(policy);
+  const auto report = robust_report(samples, policy);
   EXPECT_EQ(report.measurements, 7u);
   EXPECT_EQ(report.directed_pairs, 2u);
   EXPECT_EQ(report.vote_rejected, 4u);  // 1 from (0,1) + all 3 from (2,3)
   EXPECT_EQ(report.pairs_without_consensus, 1u);
 }
 
-// --- MeasurementTable symmetrization ---
+// --- Symmetrization of a raw-sample list ---
 
-TEST(MeasurementTable, EmptyTableProducesNothing) {
-  const MeasurementTable table;
-  EXPECT_EQ(table.measurement_count(), 0u);
-  EXPECT_EQ(table.directed_pair_count(), 0u);
-  EXPECT_TRUE(table.nodes().empty());
-  EXPECT_TRUE(table.symmetric_estimates(FilterPolicy{}, 1.0).empty());
-  EXPECT_TRUE(table.bidirectional_only(FilterPolicy{}, 1.0).empty());
+TEST(RangingSamples, EmptyListProducesNothing) {
+  const std::vector<RangingSample> samples;
+  const auto report = robust_report(samples, FilterPolicy{});
+  EXPECT_EQ(report.measurements, 0u);
+  EXPECT_EQ(report.directed_pairs, 0u);
+  EXPECT_TRUE(symmetric_estimates(samples, FilterPolicy{}, 1.0).empty());
 }
 
-TEST(MeasurementTable, SingleDirectionalEstimatePassesThrough) {
-  MeasurementTable table;
-  table.add(3, 1, 12.5);
-  const auto pairs = table.symmetric_estimates(FilterPolicy{}, 1.0);
+TEST(RangingSamples, SingleDirectionalEstimatePassesThrough) {
+  std::vector<RangingSample> samples;
+  add(samples, 3, 1, 12.5);
+  const auto pairs = symmetric_estimates(samples, FilterPolicy{}, 1.0);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].a, 1u);  // canonical order a < b regardless of direction
   EXPECT_EQ(pairs[0].b, 3u);
   EXPECT_DOUBLE_EQ(pairs[0].distance_m, 12.5);
+  // Not bidirectional, so a bidirectional-only view drops it.
   EXPECT_FALSE(pairs[0].bidirectional);
-  // The bidirectional-only view drops it.
-  EXPECT_TRUE(table.bidirectional_only(FilterPolicy{}, 1.0).empty());
 }
 
-TEST(MeasurementTable, AsymmetricPairCountsFilterEachDirectionIndependently) {
+TEST(RangingSamples, AsymmetricPairCountsFilterEachDirectionIndependently) {
   // Five forward readings (median 10.0) against one stray backward reading:
   // within tolerance the estimate is the average of the two per-direction
   // filtered values, and it is marked bidirectional.
-  MeasurementTable table;
-  for (const double m : {9.9, 10.0, 10.1, 10.05, 9.95}) table.add(0, 1, m);
-  table.add(1, 0, 10.5);
+  std::vector<RangingSample> samples;
+  for (const double m : {9.9, 10.0, 10.1, 10.05, 9.95}) add(samples, 0, 1, m);
+  add(samples, 1, 0, 10.5);
   FilterPolicy policy;
   policy.kind = FilterKind::kMedian;
-  const auto pairs = table.symmetric_estimates(policy, 1.0);
+  const auto pairs = symmetric_estimates(samples, policy, 1.0);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_TRUE(pairs[0].bidirectional);
   EXPECT_NEAR(pairs[0].distance_m, 0.5 * (10.0 + 10.5), 1e-9);
 }
 
-TEST(MeasurementTable, InconsistentBidirectionalPairIsDiscarded) {
+TEST(RangingSamples, InconsistentBidirectionalPairIsDiscarded) {
   // Section 3.5: "bidirectional range estimates ... are discarded if they are
   // inconsistent" -- disagreement beyond the tolerance removes the pair
   // entirely rather than averaging two irreconcilable readings.
-  MeasurementTable table;
-  table.add(0, 1, 10.0);
-  table.add(1, 0, 14.0);
-  EXPECT_TRUE(table.symmetric_estimates(FilterPolicy{}, 1.0).empty());
+  std::vector<RangingSample> samples;
+  add(samples, 0, 1, 10.0);
+  add(samples, 1, 0, 14.0);
+  EXPECT_TRUE(symmetric_estimates(samples, FilterPolicy{}, 1.0).empty());
   // The same pair survives under a tolerance that covers the gap.
-  const auto loose = table.symmetric_estimates(FilterPolicy{}, 5.0);
+  const auto loose = symmetric_estimates(samples, FilterPolicy{}, 5.0);
   ASSERT_EQ(loose.size(), 1u);
   EXPECT_NEAR(loose.front().distance_m, 12.0, 1e-9);
 }
 
-TEST(MeasurementTable, SymmetrizationOutputIsCanonicallyOrdered) {
-  // Property over random tables: every output pair has a < b, appears at most
-  // once, and its distance lies within the range of that pair's raw readings.
+TEST(RangingSamples, SymmetrizationOutputIsCanonicallyOrdered) {
+  // Property over random sample lists: every output pair has a < b, appears
+  // at most once, and its distance lies within the range of that pair's raw
+  // readings.
   resloc::math::Rng rng(0xABCD);
   for (int round = 0; round < 20; ++round) {
-    MeasurementTable table;
+    std::vector<RangingSample> samples;
     std::map<std::pair<unsigned, unsigned>, std::pair<double, double>> bounds;
     const int entries = 1 + static_cast<int>(rng.uniform_int(0, 30));
     for (int e = 0; e < entries; ++e) {
@@ -319,14 +325,14 @@ TEST(MeasurementTable, SymmetrizationOutputIsCanonicallyOrdered) {
       auto j = static_cast<unsigned>(rng.uniform_int(0, 6));
       if (i == j) j = (j + 1) % 7;
       const double m = rng.uniform(5.0, 25.0);
-      table.add(i, j, m);
+      add(samples, i, j, m);
       auto& b = bounds.try_emplace({std::min(i, j), std::max(i, j)},
                                    std::make_pair(m, m)).first->second;
       b.first = std::min(b.first, m);
       b.second = std::max(b.second, m);
     }
     std::set<std::pair<unsigned, unsigned>> seen;
-    for (const PairEstimate& p : table.symmetric_estimates(FilterPolicy{}, 1e9)) {
+    for (const PairEstimate& p : symmetric_estimates(samples, FilterPolicy{}, 1e9)) {
       EXPECT_LT(p.a, p.b);
       EXPECT_TRUE(seen.insert({p.a, p.b}).second) << "duplicate pair";
       const auto& b = bounds.at({p.a, p.b});

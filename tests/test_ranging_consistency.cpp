@@ -12,41 +12,58 @@ FilterPolicy median_policy() {
   return policy;
 }
 
-TEST(MeasurementTable, StoresDirectionalSamples) {
-  MeasurementTable table;
-  table.add(1, 2, 10.0);
-  table.add(1, 2, 10.2);
-  table.add(2, 1, 9.9);
-  EXPECT_EQ(table.directional(1, 2).size(), 2u);
-  EXPECT_EQ(table.directional(2, 1).size(), 1u);
-  EXPECT_TRUE(table.directional(3, 1).empty());
-  EXPECT_EQ(table.measurement_count(), 3u);
-  EXPECT_EQ(table.directed_pair_count(), 2u);
+/// Appends one raw estimate from -> to (ground truth unused here).
+void add(std::vector<RangingSample>& samples, NodeId from, NodeId to, double measured_m) {
+  samples.push_back({from, to, 0.0, measured_m});
 }
 
-TEST(MeasurementTable, FilteredAppliesPolicy) {
-  MeasurementTable table;
-  table.add(0, 1, 5.0);
-  table.add(0, 1, 5.1);
-  table.add(0, 1, 50.0);  // outlier
-  const auto filtered = table.filtered(0, 1, median_policy());
-  ASSERT_TRUE(filtered.has_value());
-  EXPECT_DOUBLE_EQ(*filtered, 5.1);
-  EXPECT_FALSE(table.filtered(1, 2, median_policy()).has_value());
+TEST(RangingSamples, RobustReportCountsDirectedPairs) {
+  std::vector<RangingSample> samples;
+  add(samples, 1, 2, 10.0);
+  add(samples, 1, 2, 10.2);
+  add(samples, 2, 1, 9.9);
+  const RobustReport report = robust_report(samples, median_policy());
+  EXPECT_EQ(report.measurements, 3u);
+  EXPECT_EQ(report.directed_pairs, 2u);
 }
 
-TEST(MeasurementTable, NodesEnumeration) {
-  MeasurementTable table;
-  table.add(5, 9, 1.0);
-  table.add(2, 5, 1.0);
-  EXPECT_EQ(table.nodes(), (std::vector<NodeId>{2, 5, 9}));
+TEST(RangingSamples, FilteredAppliesPolicy) {
+  std::vector<RangingSample> samples;
+  add(samples, 0, 1, 5.0);
+  add(samples, 0, 1, 5.1);
+  add(samples, 0, 1, 50.0);  // outlier
+  const auto pairs = symmetric_estimates(samples, median_policy(), 1.0);
+  ASSERT_EQ(pairs.size(), 1u);  // no estimate for the unmeasured (1, 2)
+  EXPECT_EQ(pairs[0].a, 0u);
+  EXPECT_EQ(pairs[0].b, 1u);
+  EXPECT_DOUBLE_EQ(pairs[0].distance_m, 5.1);
+}
+
+TEST(RangingSamples, MaxSamplesKeepsEarliestPerDirection) {
+  // Interleaved directions, as a campaign's turn order produces them. The
+  // cut keeps each direction's two earliest readings: the late 1.0 and 2.0
+  // would pull a value-sorted or latest-first cut off 10.0 / 10.4.
+  std::vector<RangingSample> samples;
+  add(samples, 0, 1, 10.0);
+  add(samples, 1, 0, 10.4);
+  add(samples, 0, 1, 10.0);
+  add(samples, 1, 0, 10.4);
+  add(samples, 0, 1, 1.0);
+  add(samples, 1, 0, 2.0);
+  FilterPolicy policy = median_policy();
+  policy.max_samples = 2;
+  const auto pairs = symmetric_estimates(samples, policy, 1.0);
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_TRUE(pairs[0].bidirectional);
+  EXPECT_DOUBLE_EQ(pairs[0].distance_m, 0.5 * (10.0 + 10.4));
+  EXPECT_EQ(robust_report(samples, policy).measurements, 4u);
 }
 
 TEST(SymmetricEstimates, ConsistentBidirectionalAveraged) {
-  MeasurementTable table;
-  table.add(0, 1, 10.0);
-  table.add(1, 0, 10.4);
-  const auto pairs = table.symmetric_estimates(median_policy(), 1.0);
+  std::vector<RangingSample> samples;
+  add(samples, 0, 1, 10.0);
+  add(samples, 1, 0, 10.4);
+  const auto pairs = symmetric_estimates(samples, median_policy(), 1.0);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_TRUE(pairs[0].bidirectional);
   EXPECT_DOUBLE_EQ(pairs[0].distance_m, 10.2);
@@ -57,30 +74,34 @@ TEST(SymmetricEstimates, ConsistentBidirectionalAveraged) {
 TEST(SymmetricEstimates, InconsistentBidirectionalDiscarded) {
   // Section 3.5: "bidirectional range estimates between a pair of nodes are
   // discarded if they are inconsistent."
-  MeasurementTable table;
-  table.add(0, 1, 10.0);
-  table.add(1, 0, 14.0);
-  EXPECT_TRUE(table.symmetric_estimates(median_policy(), 1.0).empty());
+  std::vector<RangingSample> samples;
+  add(samples, 0, 1, 10.0);
+  add(samples, 1, 0, 14.0);
+  EXPECT_TRUE(symmetric_estimates(samples, median_policy(), 1.0).empty());
 }
 
 TEST(SymmetricEstimates, UnidirectionalRetained) {
   // "Sometimes it may be beneficial to retain suspicious measurements due to
   // the scarcity of available data."
-  MeasurementTable table;
-  table.add(3, 7, 12.0);
-  const auto pairs = table.symmetric_estimates(median_policy(), 1.0);
+  std::vector<RangingSample> samples;
+  add(samples, 3, 7, 12.0);
+  const auto pairs = symmetric_estimates(samples, median_policy(), 1.0);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_FALSE(pairs[0].bidirectional);
   EXPECT_DOUBLE_EQ(pairs[0].distance_m, 12.0);
 }
 
 TEST(SymmetricEstimates, BidirectionalOnlyFilters) {
-  MeasurementTable table;
-  table.add(0, 1, 10.0);
-  table.add(1, 0, 10.1);
-  table.add(0, 2, 8.0);  // unidirectional
-  EXPECT_EQ(table.symmetric_estimates(median_policy(), 1.0).size(), 2u);
-  const auto bidir = table.bidirectional_only(median_policy(), 1.0);
+  std::vector<RangingSample> samples;
+  add(samples, 0, 1, 10.0);
+  add(samples, 1, 0, 10.1);
+  add(samples, 0, 2, 8.0);  // unidirectional
+  const auto pairs = symmetric_estimates(samples, median_policy(), 1.0);
+  EXPECT_EQ(pairs.size(), 2u);
+  std::vector<PairEstimate> bidir;
+  for (const PairEstimate& p : pairs) {
+    if (p.bidirectional) bidir.push_back(p);
+  }
   ASSERT_EQ(bidir.size(), 1u);
   EXPECT_EQ(bidir[0].b, 1u);
 }

@@ -177,9 +177,8 @@ TEST(ScenarioRegistry, FixedGeometryRejectsMismatchedNodeCount) {
 
 TEST(ScenarioRegistry, DropPreservesAnchorsAndRemapsIds) {
   Rng rng(13);
-  ScenarioParams params;
-  params.drop_count = 4;
-  const auto lot = build_scenario("parking_lot", params, rng);
+  auto lot = build_scenario("parking_lot", ScenarioParams{}, rng);
+  drop_random_nodes(lot, 4, rng);
   EXPECT_EQ(lot.size(), 11u);  // 15 - 4, anchors never dropped
   EXPECT_EQ(lot.anchors.size(), 5u);
   for (NodeId id : lot.anchors) EXPECT_LT(id, lot.size());
