@@ -28,6 +28,7 @@ int main() {
     config.baseline = true;
     const ranging::RangingService service(config);
     math::Rng rng(0xAB'21);
+    ranging::RangingScratch scratch;
 
     int detections = 0;
     int over_1m = 0;
@@ -41,7 +42,7 @@ int main() {
       // channel's ramp-up model makes chirps below ~4 ms mostly ramp, which
       // is the paper's "speaker did not have enough time to fully power up".)
       speaker.output_db -= 3.0;
-      const auto est = service.measure(d, speaker, acoustics::MicUnit{}, rng);
+      const auto est = service.measure(d, speaker, acoustics::MicUnit{}, rng, scratch).distance_m;
       if (!est) continue;
       ++detections;
       const double e = *est - d;

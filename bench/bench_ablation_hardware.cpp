@@ -19,10 +19,11 @@ double rate(const ranging::RangingService& service, double d, double speaker_db,
             math::Rng& rng) {
   acoustics::SpeakerUnit speaker;
   speaker.output_db = speaker_db;
+  ranging::RangingScratch scratch;
   int hits = 0;
   const int trials = 30;
   for (int i = 0; i < trials; ++i) {
-    if (service.measure(d, speaker, acoustics::MicUnit{}, rng)) ++hits;
+    if (service.measure(d, speaker, acoustics::MicUnit{}, rng, scratch).distance_m) ++hits;
   }
   return 100.0 * hits / trials;
 }

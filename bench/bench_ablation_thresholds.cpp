@@ -29,12 +29,14 @@ SweepRow sweep(const ranging::RangingConfig& base, int threshold, int min_detect
   config.detection.min_detections = min_detections;
   const ranging::RangingService service(config);
   math::Rng rng(seed);
+  ranging::RangingScratch scratch;
   int detections = 0;
   int large = 0;
   const int trials = 50;
   for (int i = 0; i < trials; ++i) {
     const auto est =
-        service.measure(distance, acoustics::SpeakerUnit{}, acoustics::MicUnit{}, rng);
+        service.measure(distance, acoustics::SpeakerUnit{}, acoustics::MicUnit{}, rng, scratch)
+            .distance_m;
     if (!est) continue;
     ++detections;
     if (std::abs(*est - distance) > 1.0) ++large;

@@ -11,6 +11,7 @@
 #include "bench_util.hpp"
 #include "core/transform_estimation.hpp"
 #include "eval/report.hpp"
+#include "math/procrustes.hpp"
 #include "math/rng.hpp"
 
 using namespace resloc;
@@ -45,13 +46,13 @@ int main() {
         const auto t0 = std::chrono::steady_clock::now();
         const auto exact = core::estimate_transform_exact(src, dst, rng);
         const auto t1 = std::chrono::steady_clock::now();
-        const auto closed = core::estimate_transform_closed_form(src, dst);
+        const auto closed = math::fit_rigid(src, dst);
         const auto t2 = std::chrono::steady_clock::now();
 
         exact_us += std::chrono::duration<double, std::micro>(t1 - t0).count();
         closed_us += std::chrono::duration<double, std::micro>(t2 - t1).count();
-        exact_rmse += std::sqrt(exact.sum_squared_error / static_cast<double>(count));
-        closed_rmse += std::sqrt(closed.sum_squared_error / static_cast<double>(count));
+        exact_rmse += math::fit_rmse(exact, count);
+        closed_rmse += math::fit_rmse(closed, count);
       }
       table.add_row({std::to_string(count), eval::fmt(noise, 1),
                      eval::fmt(exact_rmse / trials, 4), eval::fmt(closed_rmse / trials, 4),

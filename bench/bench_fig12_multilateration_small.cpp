@@ -39,6 +39,7 @@ int main() {
   acoustics::UnitVariationModel units;
   units.speaker_stddev_db = 2.5;
 
+  ranging::RangingScratch scratch;
   std::vector<ranging::RangingSample> samples;
   for (core::NodeId anchor : deployment.anchors) {
     const auto speaker = units.sample_speaker(acoustics::kLoudspeakerDb, rng);
@@ -48,7 +49,7 @@ int main() {
           math::distance(deployment.positions[anchor], deployment.positions[node]);
       const auto mic = units.sample_mic(rng);
       for (int round = 0; round < 5; ++round) {
-        const auto est = service.measure(d, speaker, mic, rng);
+        const auto est = service.measure(d, speaker, mic, rng, scratch).distance_m;
         if (est) samples.push_back({anchor, node, d, *est});
       }
     }

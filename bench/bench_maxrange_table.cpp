@@ -21,9 +21,12 @@ double detection_rate(const ranging::RangingService& service, double distance_m,
                       double speaker_db, math::Rng& rng, int trials = 40) {
   acoustics::SpeakerUnit speaker;
   speaker.output_db = speaker_db;
+  ranging::RangingScratch scratch;
   int hits = 0;
   for (int i = 0; i < trials; ++i) {
-    if (service.measure(distance_m, speaker, acoustics::MicUnit{}, rng)) ++hits;
+    if (service.measure(distance_m, speaker, acoustics::MicUnit{}, rng, scratch).distance_m) {
+      ++hits;
+    }
   }
   return static_cast<double>(hits) / trials;
 }

@@ -62,6 +62,7 @@ double disabled_span_cost_ns(std::size_t iterations) {
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_obs.json";
   bench::print_banner("Telemetry overhead on the survey-density campaign");
+  const double bench_start_s = now_s();
 
   // The survey-density fixture: the same uniform_n + grass campaign
   // bench_campaign_scale's e2e points use, at n = 100 so a rep is ~0.3 s.
@@ -76,7 +77,6 @@ int main(int argc, char** argv) {
     const auto data = sim::run_field_experiment(deployment, config, rng);
     g_sink = data.samples.size();
   };
-  const int reps = 9;
 
   // --- End to end: telemetry off (the default production mode) vs fully on
   // (counters + stage totals + retained span events, the --trace
@@ -88,11 +88,14 @@ int main(int argc, char** argv) {
   // all-off-then-all-on lets a drift between the phases masquerade as
   // overhead several times the real effect -- and the reported overhead is
   // the median ratio across pairs, immune to a co-tenant burst landing in
-  // any one sample.
+  // any one sample. With 9 pairs that median read 0.7-9.6% across runs of
+  // one build, so the 10% gate could fail on noise alone; with 27 it read
+  // 3.4-6.5% over 12 runs (~7 s a run on a 4-core VM).
+  constexpr int kPairs = 27;
   constexpr int kCampaignsPerSample = 2;
   obs::reset();
   std::vector<double> disabled_samples, enabled_samples, ratios;
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r < kPairs; ++r) {
     obs::set_enabled(false);
     obs::set_capture_spans(false);
     double t0 = now_s();
@@ -116,7 +119,7 @@ int main(int argc, char** argv) {
   const double enabled_overhead = median(ratios) - 1.0;
 
   // The instrumented runs also yield the stage attribution and the
-  // spans-per-measure ratio (counts are deterministic; reps just repeat them).
+  // spans-per-measure ratio (counts are deterministic; pairs just repeat them).
   const obs::TelemetrySnapshot snap = obs::snapshot();
   obs::set_enabled(false);
   obs::set_capture_spans(false);
@@ -126,7 +129,7 @@ int main(int argc, char** argv) {
   // per-run count.
   const std::uint64_t measures = snap.counter(obs::Counter::kMeasureCalls);
   const std::uint64_t measures_per_run =
-      measures / static_cast<std::uint64_t>(reps * kCampaignsPerSample);
+      measures / static_cast<std::uint64_t>(kPairs * kCampaignsPerSample);
   std::uint64_t total_spans = 0;
   for (const obs::StageTotal& t : snap.stage_totals) total_spans += t.count;
   const double spans_per_measure =
@@ -191,6 +194,7 @@ int main(int argc, char** argv) {
   json += "  \"fixture\": {\"scenario\": \"uniform_n\", \"n\": 100, "
           "\"campaign\": \"grass\", \"measures\": " +
           std::to_string(measures_per_run) + "},\n";
+  json += "  \"off_on_pairs\": " + std::to_string(kPairs) + ",\n";
   json += "  \"e2e_disabled_s\": " + v(disabled_s) + ",\n";
   json += "  \"e2e_enabled_s\": " + v(enabled_s) + ",\n";
   json += "  \"enabled_overhead_fraction\": " + v(enabled_overhead) + ",\n";
@@ -212,6 +216,7 @@ int main(int argc, char** argv) {
             static_cast<double>(measures) / 1e3);
   json += "},\n";
   json += "  \"measure_stage_attribution\": " + v(attribution) + ",\n";
+  json += "  \"bench_wall_s\": " + v(now_s() - bench_start_s) + ",\n";
   json += "  \"gates\": {\"disabled_overhead_max\": 0.02, \"enabled_overhead_max\": 0.10, "
           "\"attribution_min\": 0.90}\n";
   json += "}\n";

@@ -4,8 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/lss.hpp"
-#include "core/transform_estimation.hpp"
 #include "math/geometry.hpp"
+#include "math/procrustes.hpp"
 #include "ranging/dft_detector.hpp"
 #include "ranging/signal_detection.hpp"
 #include "sim/deployments.hpp"
@@ -79,7 +79,7 @@ void BM_TransformClosedForm(benchmark::State& state) {
     dst.push_back(motion.apply(src.back()));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::estimate_transform_closed_form(src, dst));
+    benchmark::DoNotOptimize(math::fit_rigid(src, dst));
   }
 }
 BENCHMARK(BM_TransformClosedForm);

@@ -120,7 +120,8 @@ int main(int argc, char** argv) {
     math::Rng r(7);
     double sum = 0.0;
     for (int i = 0; i < kPairs; ++i) {
-      const auto d = service.measure(5.0 + (i % 12), {}, {}, r);
+      ranging::RangingScratch fresh;
+      const auto d = service.measure(5.0 + (i % 12), {}, {}, r, fresh).distance_m;
       sum += d.value_or(0.0);
     }
     g_sink = sum;
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
     ranging::RangingScratch scratch;
     double sum = 0.0;
     for (int i = 0; i < kPairs; ++i) {
-      const auto d = service.measure(5.0 + (i % 12), {}, {}, r, scratch);
+      const auto d = service.measure(5.0 + (i % 12), {}, {}, r, scratch).distance_m;
       sum += d.value_or(0.0);
     }
     g_sink = sum;
@@ -150,7 +151,8 @@ int main(int argc, char** argv) {
     math::Rng r(7);
     double sum = 0.0;
     for (int i = 0; i < kSwPairs; ++i) {
-      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r);
+      ranging::RangingScratch fresh;
+      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r, fresh).distance_m;
       sum += d.value_or(0.0);
     }
     g_sink = sum;
@@ -160,7 +162,7 @@ int main(int argc, char** argv) {
     ranging::RangingScratch scratch;
     double sum = 0.0;
     for (int i = 0; i < kSwPairs; ++i) {
-      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r, scratch);
+      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r, scratch).distance_m;
       sum += d.value_or(0.0);
     }
     g_sink = sum;

@@ -19,21 +19,23 @@ int main() {
                 config.detection.min_detections, config.detection.window);
 
     math::Rng rng(42);
+    ranging::RangingScratch scratch;
     for (double distance : {5.0, 10.0, 15.0, 20.0}) {
-      const auto attempt = service.measure_with_diagnostics(
-          distance, acoustics::SpeakerUnit{}, acoustics::MicUnit{}, rng);
+      const auto attempt = service.measure(distance, acoustics::SpeakerUnit{},
+                                           acoustics::MicUnit{}, rng, scratch);
       if (!attempt.distance_m) {
         std::printf("d=%5.1f m : no detection (out of range or too noisy)\n", distance);
         continue;
       }
       // Visualize the accumulated counters around the detection.
+      const std::vector<std::uint8_t>& counters = scratch.accumulator.samples();
       const int idx = attempt.detection_index;
       std::printf("d=%5.1f m : detected at sample %4d -> %.2f m (error %+.2f m)\n", distance,
                   idx, *attempt.distance_m, *attempt.distance_m - distance);
       std::printf("            counters near onset: ");
-      for (int i = std::max(0, idx - 6); i < idx + 10 && i < static_cast<int>(attempt.accumulated.size());
+      for (int i = std::max(0, idx - 6); i < idx + 10 && i < static_cast<int>(counters.size());
            ++i) {
-        std::printf("%x", attempt.accumulated[static_cast<std::size_t>(i)]);
+        std::printf("%x", counters[static_cast<std::size_t>(i)]);
       }
       std::printf("  (rejected candidates: %d)\n", attempt.rejected_detections);
     }

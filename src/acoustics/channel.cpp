@@ -1,42 +1,21 @@
 #include "acoustics/channel.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "acoustics/propagation.hpp"
 
 namespace resloc::acoustics {
 
-LinkResponse link_response(double distance_m, const EnvironmentProfile& env) {
-  // The same constants and association order as propagation.hpp's
-  // received_level_db, split at the distance-dependent seam.
-  constexpr double kReferenceDistanceM = 0.1;
-  const double d = std::max(distance_m, kReferenceDistanceM);
-  LinkResponse link;
-  link.distance_m = distance_m;
-  link.spreading_db = 20.0 * std::log10(d / kReferenceDistanceM);
-  link.excess_db = env.excess_attenuation_db_per_m * d;  // d, not distance_m:
-  // received_level_db applies the excess term to the clamped distance too.
-  link.travel_s = distance_m / env.speed_of_sound_mps;
-  return link;
-}
-
 void realize_exchange(ExchangeChannel& exchange, const std::vector<double>& starts,
-                      double chirp_duration_s, const LinkResponse& link, const SpeakerUnit& speaker,
+                      double chirp_duration_s, double distance_m, const SpeakerUnit& speaker,
                       const MicUnit& mic, const EnvironmentProfile& env,
                       const ChannelJitter& jitter, resloc::math::Rng& rng) {
   std::vector<SignalInterval>& signals = exchange.signals;
   signals.clear();
 
-  // Bit-identical recomposition of propagation.hpp's snr_db:
-  //   received = (source - spreading) - excess; snr = (received + sens) - floor
-  // with the cached spreading/excess terms standing in for the per-call
-  // log10 and multiply.
   const double direct_snr =
-      (((speaker.effective_db() - link.spreading_db) - link.excess_db) +
-       mic.sensitivity_db) -
-      env.noise_floor_db;
-  const double travel_s = link.travel_s;
+      snr_db(speaker.effective_db(), distance_m, mic.sensitivity_db, env);
+  const double travel_s = distance_m / env.speed_of_sound_mps;
 
   for (const double start_s : starts) {
     // Direct path. The audible start carries the speaker's unit-specific

@@ -4,7 +4,9 @@
 //
 // Error sources modeled here (Section 3.4 of the paper):
 //   2. non-deterministic delays in acoustic devices (speaker power-up jitter),
-//   4. signal attenuation (via propagation.hpp),
+//   4. signal attenuation (via propagation.hpp: the direct path's SNR is
+//      its snr_db at the link distance, the one SNR formula; ramp-up and
+//      echo levels are offsets from it),
 //   5. noise (burst windows with elevated false-positive probability),
 //   6. echoes (delayed, attenuated copies; echoes of *earlier* chirps can
 //      arrive before the direct signal of the current chirp and cause the
@@ -78,24 +80,6 @@ struct ChannelJitter {
   double rampup_penalty_db = 5.0;
 };
 
-/// The distance-dependent pieces of the channel response, computed once per
-/// (distance, environment) and reusable across every chirp window, round,
-/// and direction of a link: the spreading loss (environment-independent),
-/// the excess attenuation (linear in distance), and the acoustic travel
-/// time. Everything else in the received SNR -- speaker level, shadowing,
-/// mic sensitivity, noise floor -- varies per unit or per attempt and is
-/// composed on top in exactly the association order propagation.hpp uses,
-/// so cached and uncached realizations are bit-identical.
-struct LinkResponse {
-  double distance_m = 0.0;
-  double spreading_db = 0.0;  ///< 20 * log10(max(d, 10 cm) / 10 cm)
-  double excess_db = 0.0;     ///< env.excess_attenuation_db_per_m * d
-  double travel_s = 0.0;      ///< d / env.speed_of_sound_mps
-};
-
-/// Computes the reusable channel response for one link distance.
-LinkResponse link_response(double distance_m, const EnvironmentProfile& env);
-
 /// The audible intervals of one ranging exchange at one receiver: every
 /// chirp's direct signal (a ramp-up and a full-level segment), its fixed echo
 /// and its random echoes, drawn once and shared by all chirp windows.
@@ -106,9 +90,12 @@ struct ExchangeChannel {
 
 /// Realizes one exchange's channel (step 2 of channel v2) into `exchange`,
 /// reusing its vectors: chirps of `chirp_duration_s` emitted at `starts`
-/// (source-local time) over `link` = link_response(distance, env).
+/// (source-local time) over a link of `distance_m`. The direct path's SNR is
+/// propagation.hpp's snr_db(speaker.effective_db(), distance_m,
+/// mic.sensitivity_db, env) and its travel time distance_m /
+/// env.speed_of_sound_mps, both computed once per exchange.
 void realize_exchange(ExchangeChannel& exchange, const std::vector<double>& starts,
-                      double chirp_duration_s, const LinkResponse& link, const SpeakerUnit& speaker,
+                      double chirp_duration_s, double distance_m, const SpeakerUnit& speaker,
                       const MicUnit& mic, const EnvironmentProfile& env,
                       const ChannelJitter& jitter, resloc::math::Rng& rng);
 

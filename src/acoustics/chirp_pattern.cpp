@@ -2,12 +2,6 @@
 
 namespace resloc::acoustics {
 
-std::vector<double> chirp_start_times(const ChirpPattern& pattern, resloc::math::Rng& rng) {
-  std::vector<double> starts;
-  chirp_start_times_into(pattern, rng, starts);
-  return starts;
-}
-
 void chirp_start_times_into(const ChirpPattern& pattern, resloc::math::Rng& rng,
                             std::vector<double>& starts) {
   starts.clear();

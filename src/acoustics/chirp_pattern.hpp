@@ -24,11 +24,9 @@ struct ChirpPattern {
   double random_delay_max_s = 0.05;  ///< extra per-chirp random delay, decorrelates echoes
 };
 
-/// Emission start times (seconds, relative to the sequence start) for each
-/// chirp, including the per-chirp random delays.
-std::vector<double> chirp_start_times(const ChirpPattern& pattern, resloc::math::Rng& rng);
-
-/// chirp_start_times() into a caller-owned buffer, reused across sequences.
+/// Sets `starts` to the emission start times (seconds, relative to the
+/// sequence start) of each chirp, including the per-chirp random delays; the
+/// caller's buffer is reused across sequences.
 void chirp_start_times_into(const ChirpPattern& pattern, resloc::math::Rng& rng,
                             std::vector<double>& starts);
 

@@ -1,8 +1,9 @@
 #include "core/alignment_protocol.hpp"
 
-#include <cmath>
 #include <map>
 #include <memory>
+
+#include "math/procrustes.hpp"
 
 namespace resloc::core {
 
@@ -104,12 +105,10 @@ class AlignmentApp : public resloc::net::NodeApp {
       source.push_back(*sender_map.coord_of(m));
       target.push_back(*own_map_.coord_of(m));
     }
-    const TransformEstimate estimate = estimate_transform_closed_form(source, target);
-    if (!estimate.valid) return;
-    const double rmse =
-        std::sqrt(estimate.sum_squared_error / static_cast<double>(shared.size()));
-    if (rmse > max_transform_rmse_m_) return;
-    from_sender_[sender] = estimate.transform;
+    const resloc::math::RigidFit fit = resloc::math::fit_rigid(source, target);
+    if (!fit.valid) return;
+    if (resloc::math::fit_rmse(fit, shared.size()) > max_transform_rmse_m_) return;
+    from_sender_[sender] = fit.transform;
   }
 
   void handle_alignment(Network& net, resloc::net::NodeId self, NodeId sender,

@@ -1,7 +1,8 @@
 #include "core/distributed_lss.hpp"
 
-#include <cmath>
 #include <deque>
+
+#include "math/procrustes.hpp"
 
 namespace resloc::core {
 
@@ -63,14 +64,12 @@ DistributedLssResult align_local_maps(std::vector<LocalMap> maps, NodeId root,
         target.push_back(*parent_map.coord_of(m));
       }
 
-      const TransformEstimate estimate = estimate_transform_closed_form(source, target);
-      if (!estimate.valid) continue;
-      const double rmse =
-          std::sqrt(estimate.sum_squared_error / static_cast<double>(shared.size()));
-      if (rmse > options.max_transform_rmse_m) continue;
+      const resloc::math::RigidFit fit = resloc::math::fit_rigid(source, target);
+      if (!fit.valid) continue;
+      if (resloc::math::fit_rmse(fit, shared.size()) > options.max_transform_rmse_m) continue;
 
       // child frame -> parent frame -> root frame.
-      out.to_root[child] = estimate.transform.then(*out.to_root[parent]);
+      out.to_root[child] = fit.transform.then(*out.to_root[parent]);
       out.alignment_order.push_back(child);
       frontier.push_back(child);
     }

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "core/local_map.hpp"
-#include "core/transform_estimation.hpp"
 #include "core/types.hpp"
+#include "math/transform2d.hpp"
 
 namespace resloc::core {
 

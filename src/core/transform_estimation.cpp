@@ -2,23 +2,12 @@
 
 #include <cmath>
 
-#include "math/procrustes.hpp"
+#include "math/gradient_descent.hpp"
 
 namespace resloc::core {
 
 using resloc::math::Transform2D;
 using resloc::math::Vec2;
-
-TransformEstimate estimate_transform_closed_form(const std::vector<Vec2>& source,
-                                                 const std::vector<Vec2>& target) {
-  TransformEstimate estimate;
-  const auto fit = resloc::math::fit_rigid(source, target, /*allow_reflection=*/true);
-  if (!fit.valid) return estimate;
-  estimate.transform = fit.transform;
-  estimate.sum_squared_error = fit.sum_squared_error;
-  estimate.valid = true;
-  return estimate;
-}
 
 namespace {
 
@@ -56,10 +45,10 @@ resloc::math::Objective make_objective(const std::vector<Vec2>& source,
 
 }  // namespace
 
-TransformEstimate estimate_transform_exact(const std::vector<Vec2>& source,
-                                           const std::vector<Vec2>& target,
-                                           resloc::math::Rng& rng) {
-  TransformEstimate best;
+resloc::math::RigidFit estimate_transform_exact(const std::vector<Vec2>& source,
+                                                const std::vector<Vec2>& target,
+                                                resloc::math::Rng& rng) {
+  resloc::math::RigidFit best;
   if (source.empty() || source.size() != target.size()) return best;
 
   resloc::math::GradientDescentOptions gd;

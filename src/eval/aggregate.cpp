@@ -80,10 +80,6 @@ CellAggregate aggregate_trials(const TrialOutcome* begin, const TrialOutcome* en
 
   for (const TrialOutcome* it = begin; it != end; ++it) {
     const TrialOutcome& t = *it;
-    agg.total_wall_time_s += t.wall_time_s;
-    agg.total_measure_wall_s += t.measure_wall_s;
-    agg.total_solve_wall_s += t.solve_wall_s;
-    agg.total_eval_wall_s += t.eval_wall_s;
     if (!t.ok) continue;
     ++agg.ok_trials;
     placement_sum += t.placement_rate;

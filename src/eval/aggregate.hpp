@@ -65,9 +65,10 @@ struct TrialOutcome {
   /// detector failures in the aggregates.
   std::size_t skipped_pairs = 0;
   double wall_time_s = 0.0;      ///< excluded from deterministic emitters
-  /// Per-stage wall-clock split of wall_time_s (measure / solve / eval, from
-  /// PipelineRun). Diagnostics only, excluded from the emitters like
-  /// wall_time_s: wall clocks are the non-deterministic per-trial quantities.
+  /// Per-stage wall-clock split of wall_time_s (measure timed by the runner,
+  /// solve / eval from PipelineRun). Diagnostics only, excluded from the
+  /// emitters like wall_time_s: wall clocks are the non-deterministic
+  /// per-trial quantities.
   double measure_wall_s = 0.0;
   double solve_wall_s = 0.0;
   double eval_wall_s = 0.0;
@@ -106,12 +107,6 @@ struct CellAggregate {
   double mean_measured_edges = 0.0;
   double mean_augmented_edges = 0.0;
   double mean_skipped_pairs = 0.0;
-  double total_wall_time_s = 0.0;  ///< excluded from deterministic emitters
-  /// Per-stage sums of the trials' wall-clock splits. Diagnostics only,
-  /// excluded from the emitters (see TrialOutcome::measure_wall_s).
-  double total_measure_wall_s = 0.0;
-  double total_solve_wall_s = 0.0;
-  double total_eval_wall_s = 0.0;
 };
 
 /// One sweep cell: its axis coordinates (name -> value, in axis order) and

@@ -116,8 +116,11 @@ enum class Counter : std::uint32_t {
   kLssNeighborRebuilds,  ///< LSS soft-constraint skin-list builds
   kRunnerTrials,         ///< trials claimed from the runner's shared cursor
   kRunnerTrialFailures,  ///< trials that ended in an exception
-  kChannelCacheHits,     ///< link responses served from sim::ChannelResponseCache
-  kChannelCacheMisses,   ///< link responses recomputed (cold or evicted entry)
+  /// No producer: the channel-response cache these counted is deleted, so
+  /// both read 0. They stay until perfbench's sim.channel_cache_hit_ratio,
+  /// which reads them, is deleted with them.
+  kChannelCacheHits,
+  kChannelCacheMisses,
   kRunnerTrialRetries,   ///< bounded re-runs of failed trials (max_trial_retries)
   kTrialFailScenario,    ///< trial failures classified scenario_build
   kTrialFailConfig,      ///< trial failures classified config

@@ -56,14 +56,9 @@ core::MeasurementSet LocalizationPipeline::measure(const core::Deployment& deplo
 
 PipelineRun LocalizationPipeline::run(const core::Deployment& deployment,
                                       resloc::math::Rng& rng) const {
-  std::size_t augmented = 0;
   std::size_t skipped = 0;
-  const auto measure_start = std::chrono::steady_clock::now();
-  core::MeasurementSet measurements = measure(deployment, rng, &augmented, &skipped);
-  const double measure_wall_s = seconds_since(measure_start);
+  core::MeasurementSet measurements = measure(deployment, rng, nullptr, &skipped);
   PipelineRun out = run_on_measurements(deployment, std::move(measurements), rng);
-  out.measure_wall_s = measure_wall_s;
-  out.augmented_edges = augmented;
   out.skipped_pairs = skipped;
   return out;
 }

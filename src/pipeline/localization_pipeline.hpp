@@ -91,8 +91,6 @@ struct PipelineConfig {
 struct PipelineRun {
   /// The measurement set the solver consumed (after filtering/augmentation).
   core::MeasurementSet measurements;
-  /// Edges contributed by the augmentation pass (0 unless augment_missing).
-  std::size_t augmented_edges = 0;
   /// Node pairs the acoustic campaign never simulated because they lie beyond
   /// its range cutoff (kAcousticRanging only; 0 for the synthetic source).
   /// Nonzero values explain sparse measurement sets on large fields.
@@ -109,12 +107,10 @@ struct PipelineRun {
   /// anchors are excluded from its scoring.
   eval::LocalizationReport report;
 
-  /// Wall-clock stage budget, seconds: measurement acquisition (campaign or
-  /// synthetic + augmentation), solver, and evaluation/alignment. Always
-  /// populated, telemetry enabled or not. NON-DETERMINISTIC -- wall time
-  /// varies run to run, so these never enter golden aggregates; they feed the
-  /// diagnostic stage-budget table and the failure reports only.
-  double measure_wall_s = 0.0;
+  /// Wall-clock stage budget, seconds: solver, and evaluation/alignment.
+  /// Always populated, telemetry enabled or not. NON-DETERMINISTIC -- wall
+  /// time varies run to run, so these never enter golden aggregates; they
+  /// feed the diagnostic stage-budget table and the failure reports only.
   double solve_wall_s = 0.0;
   double eval_wall_s = 0.0;
 };

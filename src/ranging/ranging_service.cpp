@@ -71,49 +71,10 @@ RangingService::RangingService(RangingConfig config)
   goertzel_.emplace(frequency_hz, fs);
 }
 
-std::optional<double> RangingService::measure(double true_distance_m,
-                                              const acoustics::SpeakerUnit& speaker,
-                                              const acoustics::MicUnit& mic,
-                                              resloc::math::Rng& rng) const {
-  RangingScratch scratch;
-  return measure(true_distance_m, speaker, mic, rng, scratch);
-}
-
-std::optional<double> RangingService::measure(double true_distance_m,
-                                              const acoustics::SpeakerUnit& speaker,
-                                              const acoustics::MicUnit& mic,
-                                              resloc::math::Rng& rng,
-                                              RangingScratch& scratch) const {
-  return measure_impl(true_distance_m, speaker, mic, rng, scratch, /*link=*/nullptr,
-                      /*want_accumulated=*/false)
-      .distance_m;
-}
-
-std::optional<double> RangingService::measure(double true_distance_m,
-                                              const acoustics::SpeakerUnit& speaker,
-                                              const acoustics::MicUnit& mic,
-                                              resloc::math::Rng& rng, RangingScratch& scratch,
-                                              const acoustics::LinkResponse& link) const {
-  return measure_impl(true_distance_m, speaker, mic, rng, scratch, &link,
-                      /*want_accumulated=*/false)
-      .distance_m;
-}
-
-RangingAttempt RangingService::measure_with_diagnostics(double true_distance_m,
-                                                        const acoustics::SpeakerUnit& speaker,
-                                                        const acoustics::MicUnit& mic,
-                                                        resloc::math::Rng& rng) const {
-  RangingScratch scratch;
-  return measure_impl(true_distance_m, speaker, mic, rng, scratch, /*link=*/nullptr,
-                      /*want_accumulated=*/true);
-}
-
-RangingAttempt RangingService::measure_impl(double true_distance_m,
-                                            const acoustics::SpeakerUnit& speaker,
-                                            const acoustics::MicUnit& mic,
-                                            resloc::math::Rng& rng, RangingScratch& scratch,
-                                            const acoustics::LinkResponse* link,
-                                            bool want_accumulated) const {
+RangingAttempt RangingService::measure(double true_distance_m,
+                                       const acoustics::SpeakerUnit& speaker,
+                                       const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+                                       RangingScratch& scratch) const {
   RESLOC_SPAN("ranging/measure");
   obs::add(obs::Counter::kMeasureCalls);
   RangingAttempt attempt;
@@ -126,11 +87,6 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
   const double calibration_bias_s =
       config_.tdoa.delta_const_true_s - config_.tdoa.delta_const_calibrated_s;
 
-  // The distance-dependent channel response: supplied by the campaign's
-  // per-trial cache, or computed here once per measure.
-  const acoustics::LinkResponse link_local =
-      link != nullptr ? *link : acoustics::link_response(true_distance_m, config_.environment);
-
   // One span chain times the stages back to back, sharing each boundary's
   // clock read: schedule, the exchange's channel realization (channel v2,
   // see channel.hpp), accumulation over every chirp window, scan.
@@ -139,7 +95,7 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
   acoustics::chirp_start_times_into(pattern, rng, scratch.starts);
   RESLOC_SPAN_ENTER(stages, "ranging/channel");
   acoustics::realize_exchange(scratch.exchange, scratch.starts, pattern.chirp_duration_s,
-                              link_local, speaker, mic, config_.environment,
+                              true_distance_m, speaker, mic, config_.environment,
                               config_.channel_jitter, rng);
   RESLOC_SPAN_ENTER(stages, "ranging/detection/accumulate");
   scratch.accumulator.reset(window_samples_);
@@ -167,13 +123,8 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
       continue;
     }
     stages.end();
-    if (mode_ == DetectorMode::kGoertzel) {
-      software_sample_window(mic, rng, scratch);
-    } else {
-      ncc_sample_window(mic, rng, scratch);
-    }
-    // The sampled-audio paths leave the binary series in scratch.fired; fold
-    // it into the 4-bit counters.
+    sample_window(mic, rng, scratch);
+    // Fold the window's binary series into the 4-bit counters.
     RESLOC_SPAN("ranging/detection/accumulate");
     scratch.accumulator.record_chirp_block(scratch.fired.data(), window_samples_);
   }
@@ -202,26 +153,23 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
     attempt.distance_m = distance_from_detection_index(index, config_.tdoa);
     obs::add(obs::Counter::kMeasureDetections);
   }
-  if (want_accumulated) attempt.accumulated = samples;
   return attempt;
 }
 
-void RangingService::software_sample_window(const acoustics::MicUnit& mic,
-                                            resloc::math::Rng& rng,
-                                            RangingScratch& scratch) const {
+void RangingService::sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+                                   RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
   // Window buffers: resize is a no-op once a worker's scratch has seen this
   // service's window.
   scratch.noise.resize(n);
   scratch.audio.resize(n);
-  scratch.metric.resize(n);
   scratch.fired.resize(n);
-  scratch.goertzel = *goertzel_;  // copy-assign: the fresh-window state
 
-  // Section 3.7 as staged block kernels over contiguous buffers: envelope
+  // Synthesis as staged block kernels over contiguous buffers: envelope
   // rasterization, standard-normal noise fill (one fill_gaussian_block call,
   // the versioned ziggurat stream of the sampled-audio modes), tone + noise
-  // mix, Goertzel metric, group-delay-compensated thresholding.
+  // mix against the service's sin table. Both modes take the same draws, so
+  // switching between them never shifts any other draw in the campaign.
   {
     RESLOC_SPAN("ranging/synthesis/envelope");
     detail::rasterize_window_envelope(scratch.received, mic, config_.tdoa.sample_rate_hz, n,
@@ -237,58 +185,32 @@ void RangingService::software_sample_window(const acoustics::MicUnit& mic,
                                     scratch.noise.data(), scratch.detector.burst.data(),
                                     detail::kBurstNoiseSigma, scratch.audio.data(), n);
   }
-  RESLOC_SPAN("ranging/detection/goertzel");
-  scratch.goertzel->run_block(scratch.audio.data(), n, scratch.metric.data());
-  constexpr std::size_t kGroupDelay = detail::kGoertzelGroupDelay;
-  const std::size_t live = n > kGroupDelay ? n - kGroupDelay : 0;
-  std::uint8_t* fired = scratch.fired.data();
-  const double* metric = scratch.metric.data();
-  for (std::size_t j = 0; j < live; ++j) {
-    fired[j] = static_cast<std::uint8_t>(metric[j + kGroupDelay] > 0.0);
-  }
-  std::fill(fired + live, fired + n, std::uint8_t{0});
-}
 
-void RangingService::ncc_sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                                       RangingScratch& scratch) const {
-  const std::size_t n = window_samples_;
-  const double fs = config_.tdoa.sample_rate_hz;
-  scratch.noise.resize(n);
-  scratch.audio.resize(n);
-  scratch.fired.resize(n);
-
-  {
-    RESLOC_SPAN("ranging/synthesis/envelope");
-    detail::rasterize_window_envelope(scratch.received, mic, fs, n, scratch.amplitude,
-                                      scratch.detector.burst);
+  if (mode_ == DetectorMode::kGoertzel) {
+    // Goertzel metric, then the group-delay-compensated sign threshold.
+    RESLOC_SPAN("ranging/detection/goertzel");
+    scratch.metric.resize(n);
+    scratch.goertzel = *goertzel_;  // copy-assign: the fresh-window state
+    scratch.goertzel->run_block(scratch.audio.data(), n, scratch.metric.data());
+    constexpr std::size_t kGroupDelay = detail::kGoertzelGroupDelay;
+    const std::size_t live = n > kGroupDelay ? n - kGroupDelay : 0;
+    std::uint8_t* fired = scratch.fired.data();
+    const double* metric = scratch.metric.data();
+    for (std::size_t j = 0; j < live; ++j) {
+      fired[j] = static_cast<std::uint8_t>(metric[j + kGroupDelay] > 0.0);
+    }
+    std::fill(fired + live, fired + n, std::uint8_t{0});
+    return;
   }
 
-  // The chirp template: the same tone tables the synthesis below mixes.
-  const acoustics::ToneTemplateView tpl{tone_sin_.data(), tone_cos_.data(), n};
-
-  // Same decomposition as the Goertzel path: noise fill then tone mix, the
-  // same draws and per-sample arithmetic, so switching between the
-  // sampled-audio modes never shifts any other draw in the campaign.
-  {
-    RESLOC_SPAN("ranging/synthesis/noise");
-    rng.fill_gaussian_block(scratch.noise.data(), n);
-  }
-  {
-    RESLOC_SPAN("ranging/synthesis/tone");
-    acoustics::mix_tone_noise_block(scratch.amplitude.data(), tpl.sin_t,
-                                    scratch.noise.data(), scratch.detector.burst.data(),
-                                    detail::kBurstNoiseSigma, scratch.audio.data(), n);
-  }
-
-  // Correlate and mark picked onsets.
+  // Matched filter: correlate against the same tone tables the synthesis
+  // mixed and mark the picked chirp onsets.
   if (!scratch.ncc) scratch.ncc.emplace();
-  const auto chirp_samples =
-      static_cast<std::size_t>(std::llround(config_.pattern.chirp_duration_s * fs));
-  {
-    RESLOC_SPAN("ranging/detection/ncc");
-    scratch.ncc->detect_into(scratch.audio.data(), n, chirp_samples, tpl,
-                             scratch.fired.data());
-  }
+  const acoustics::ToneTemplateView tpl{tone_sin_.data(), tone_cos_.data(), n};
+  const auto chirp_samples = static_cast<std::size_t>(
+      std::llround(config_.pattern.chirp_duration_s * config_.tdoa.sample_rate_hz));
+  RESLOC_SPAN("ranging/detection/ncc");
+  scratch.ncc->detect_into(scratch.audio.data(), n, chirp_samples, tpl, scratch.fired.data());
 }
 
 namespace detail {

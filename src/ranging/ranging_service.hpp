@@ -11,6 +11,12 @@
 //     the (T, k, m) parameters finds the onset; optionally the preceding-
 //     silence pattern check rejects echo tails.
 //
+// One measure() runs the whole sequence, in this order: the chirp schedule,
+// the exchange's channel (channel.hpp, which derives the SNR from the link
+// distance with propagation.hpp's snr_db), every chirp window through the
+// mode's tone detector into the 4-bit counters, then the T-of-k scan with
+// the silence check. The counters stay in the caller's RangingScratch.
+//
 // Timing errors injected per chirp: calibration bias (delta_const_true -
 // delta_const_calibrated), clock-sync jitter after MAC timestamping, speaker
 // actuation jitter, and the 16 kHz sampling quantization.
@@ -99,12 +105,13 @@ struct RangingConfig {
   DetectorMode detector_mode = DetectorMode::kHardware;
 };
 
-/// Diagnostic output of one measurement attempt.
+/// Outcome of one ranging sequence. Its post-accumulation 4-bit counters
+/// are in the scratch's accumulator (scratch.accumulator.samples()) until
+/// the next measure() with that scratch.
 struct RangingAttempt {
-  std::optional<double> distance_m;      ///< estimate; nullopt = no detection
-  int detection_index = -1;              ///< sample index of the detected onset
-  int rejected_detections = 0;           ///< candidates failing the pattern check
-  std::vector<std::uint8_t> accumulated; ///< post-accumulation counters
+  std::optional<double> distance_m;  ///< estimate; nullopt = no detection
+  int detection_index = -1;          ///< sample index of the detected onset
+  int rejected_detections = 0;       ///< candidates failing the pattern check
 };
 
 /// Reusable working buffers for measure(). A campaign loop keeps one per
@@ -152,32 +159,12 @@ class RangingService {
   /// to the hardware front end.
   explicit RangingService(RangingConfig config);
 
-  /// Runs one full ranging sequence at the given true distance and returns
-  /// the distance estimate (nullopt when no signal is detected).
-  std::optional<double> measure(double true_distance_m, const acoustics::SpeakerUnit& speaker,
-                                const acoustics::MicUnit& mic, resloc::math::Rng& rng) const;
-
-  /// measure() reusing caller-owned buffers; result and RNG consumption are
-  /// identical to the allocating overload.
-  std::optional<double> measure(double true_distance_m, const acoustics::SpeakerUnit& speaker,
-                                const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                                RangingScratch& scratch) const;
-
-  /// measure() with the distance-dependent channel response precomputed
-  /// (usually by a sim::ChannelResponseCache). `link` must equal
-  /// acoustics::link_response(true_distance_m, config().environment); the
-  /// result and RNG consumption are then bit-identical to the other
-  /// overloads, which compute the same response inline.
-  std::optional<double> measure(double true_distance_m, const acoustics::SpeakerUnit& speaker,
-                                const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                                RangingScratch& scratch,
-                                const acoustics::LinkResponse& link) const;
-
-  /// Like measure() but returns full diagnostics.
-  RangingAttempt measure_with_diagnostics(double true_distance_m,
-                                          const acoustics::SpeakerUnit& speaker,
-                                          const acoustics::MicUnit& mic,
-                                          resloc::math::Rng& rng) const;
+  /// Runs one full ranging sequence at the given true distance over the
+  /// caller's working buffers. The outcome depends only on the arguments
+  /// and the generator's state, never on what the scratch held before.
+  RangingAttempt measure(double true_distance_m, const acoustics::SpeakerUnit& speaker,
+                         const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+                         RangingScratch& scratch) const;
 
   /// Number of samples in the per-chirp window.
   std::size_t window_samples() const { return window_samples_; }
@@ -188,21 +175,13 @@ class RangingService {
   const RangingConfig& config() const { return config_; }
 
  private:
-  RangingAttempt measure_impl(double true_distance_m, const acoustics::SpeakerUnit& speaker,
-                              const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                              RangingScratch& scratch, const acoustics::LinkResponse* link,
-                              bool want_accumulated) const;
-
-  /// Section 3.7 path: envelope -> noise -> tone-mix -> Goertzel blocks over
-  /// the scratch's window buffers; the binary series lands in scratch.fired.
-  void software_sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                              RangingScratch& scratch) const;
-
-  /// Matched-filter path: synthesizes the window's sampled audio (same RNG
-  /// draw order as the Goertzel path) and marks NCC-picked chirp onsets in
-  /// scratch.fired.
-  void ncc_sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                         RangingScratch& scratch) const;
+  /// Sampled-audio modes, one chirp window: synthesizes the window's audio
+  /// (envelope -> noise -> tone mix over the scratch's window buffers), then
+  /// runs the mode's detector -- the group-delay-compensated Goertzel
+  /// threshold (Section 3.7) or the NCC onset picks. The binary series lands
+  /// in scratch.fired.
+  void sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+                     RangingScratch& scratch) const;
 
   RangingConfig config_;
   std::size_t window_samples_;

@@ -21,7 +21,6 @@
 #include "math/rng.hpp"
 #include "obs/telemetry.hpp"
 #include "ranging/ranging_service.hpp"
-#include "sim/channel_cache.hpp"
 #include "sim/field_experiment.hpp"
 
 namespace resloc::sim::detail {
@@ -156,18 +155,13 @@ FieldExperimentData run_grid_campaign(const Campaign& campaign, MakeMeasure&& ma
 }
 
 /// The production per-worker measure: RangingService::measure over the
-/// worker's own RangingScratch and channel-response cache. The scratch's
-/// per-sequence buffers are sized by the service's window and reused across
-/// the whole campaign; the cache dies with the trial (its invalidation point
-/// -- trials may perturb the environment). Every round revisits the same
-/// link distances, so the log10 spreading term is paid once per distinct
-/// distance; the cache only ever returns bitwise-exact matches.
+/// worker's own RangingScratch, whose per-sequence buffers are sized by the
+/// service's window and reused across the whole campaign.
 inline auto service_measure(const Campaign& campaign) {
-  return [&campaign, scratch = resloc::ranging::RangingScratch{},
-          cache = ChannelResponseCache(campaign.config.ranging.environment)](
+  return [&campaign, scratch = resloc::ranging::RangingScratch{}](
              double true_d, const resloc::acoustics::SpeakerUnit& speaker,
              const resloc::acoustics::MicUnit& mic, resloc::math::Rng& stream) mutable {
-    return campaign.service.measure(true_d, speaker, mic, stream, scratch, cache.lookup(true_d));
+    return campaign.service.measure(true_d, speaker, mic, stream, scratch).distance_m;
   };
 }
 

@@ -185,15 +185,14 @@ ranging::RangingAttempt measure_per_sample(const ranging::RangingService& servic
   const double window_duration_s = static_cast<double>(n) / config.tdoa.sample_rate_hz;
   const double calibration_bias_s =
       config.tdoa.delta_const_true_s - config.tdoa.delta_const_calibrated_s;
-  const acoustics::LinkResponse link =
-      acoustics::link_response(true_distance_m, config.environment);
 
   scratch.counts.assign(n, 0);
   int chirps = 0;
   // Channel v2 (acoustics/channel.hpp): one realization per exchange, then
   // per window its sync error, its clip of that realization and its bursts.
-  acoustics::realize_exchange(scratch.exchange, scratch.starts, pattern.chirp_duration_s, link,
-                              speaker, mic, config.environment, config.channel_jitter, rng);
+  acoustics::realize_exchange(scratch.exchange, scratch.starts, pattern.chirp_duration_s,
+                              true_distance_m, speaker, mic, config.environment,
+                              config.channel_jitter, rng);
   for (const double start_s : scratch.starts) {
     const double sync_error_s =
         calibration_bias_s + rng.gaussian(0.0, config.tdoa.sync_jitter_s);
@@ -235,16 +234,7 @@ ranging::RangingAttempt measure_per_sample(const ranging::RangingService& servic
     attempt.detection_index = index;
     attempt.distance_m = ranging::distance_from_detection_index(index, config.tdoa);
   }
-  attempt.accumulated = scratch.counts;
   return attempt;
-}
-
-ranging::RangingAttempt measure_per_sample(const ranging::RangingService& service,
-                                           double true_distance_m,
-                                           const acoustics::SpeakerUnit& speaker,
-                                           const acoustics::MicUnit& mic, math::Rng& rng) {
-  MeasureScratch scratch;
-  return measure_per_sample(service, true_distance_m, speaker, mic, rng, scratch);
 }
 
 }  // namespace resloc::reference

@@ -88,22 +88,15 @@ struct MeasureScratch {
   std::optional<ranging::MatchedFilterNcc> ncc;
 };
 
-/// service.measure_with_diagnostics() with every chirp window run sample by
-/// sample: the per-sample hardware detector above, or a fused
-/// synthesize-and-filter loop stepping the Goertzel detector, or a
-/// per-sample synthesis loop feeding the NCC scanner; a per-sample 4-bit
-/// accumulate; and a restart-based detect_signal scan over the pattern
-/// check's rejections. Computes the channel response inline.
+/// service.measure() with every chirp window run sample by sample: the
+/// per-sample hardware detector above, or a fused synthesize-and-filter loop
+/// stepping the Goertzel detector, or a per-sample synthesis loop feeding the
+/// NCC scanner; a per-sample 4-bit accumulate into scratch.counts; and a
+/// restart-based detect_signal scan over the pattern check's rejections.
 ranging::RangingAttempt measure_per_sample(const ranging::RangingService& service,
                                            double true_distance_m,
                                            const acoustics::SpeakerUnit& speaker,
                                            const acoustics::MicUnit& mic, math::Rng& rng,
                                            MeasureScratch& scratch);
-
-/// measure_per_sample with its own scratch.
-ranging::RangingAttempt measure_per_sample(const ranging::RangingService& service,
-                                           double true_distance_m,
-                                           const acoustics::SpeakerUnit& speaker,
-                                           const acoustics::MicUnit& mic, math::Rng& rng);
 
 }  // namespace resloc::reference

@@ -126,7 +126,7 @@ TEST(AcousticRegression, SoftwareDetectorRangesShortDistances) {
   int detected = 0;
   double total_abs_error_m = 0.0;
   for (int i = 0; i < 12; ++i) {
-    const auto estimate = service.measure(true_distance_m, speaker, mic, rng, scratch);
+    const auto estimate = service.measure(true_distance_m, speaker, mic, rng, scratch).distance_m;
     if (!estimate) continue;
     ++detected;
     total_abs_error_m += std::abs(*estimate - true_distance_m);
@@ -135,9 +135,9 @@ TEST(AcousticRegression, SoftwareDetectorRangesShortDistances) {
   EXPECT_LT(total_abs_error_m / static_cast<double>(detected), 1.0);
 }
 
-TEST(AcousticRegression, SoftwareDetectorScratchMatchesAllocatingOverload) {
-  // The buffer-reuse overload must stay draw-for-draw identical to the
-  // allocating one in software-detector mode too.
+TEST(AcousticRegression, SoftwareDetectorSharedScratchMatchesFresh) {
+  // A scratch reused across sequences must stay draw-for-draw identical to
+  // a fresh one per sequence in software-detector mode too.
   resloc::ranging::RangingConfig config;
   config.detector_mode = resloc::ranging::DetectorMode::kGoertzel;
   const resloc::ranging::RangingService service(config);
@@ -147,8 +147,9 @@ TEST(AcousticRegression, SoftwareDetectorScratchMatchesAllocatingOverload) {
   for (int i = 0; i < 4; ++i) {
     Rng rng_a(77 + i);
     Rng rng_b(77 + i);
-    const auto fresh = service.measure(8.0, speaker, mic, rng_a);
-    const auto reused = service.measure(8.0, speaker, mic, rng_b, scratch);
+    resloc::ranging::RangingScratch fresh_scratch;
+    const auto fresh = service.measure(8.0, speaker, mic, rng_a, fresh_scratch).distance_m;
+    const auto reused = service.measure(8.0, speaker, mic, rng_b, scratch).distance_m;
     EXPECT_EQ(fresh.has_value(), reused.has_value());
     if (fresh && reused) {
       EXPECT_DOUBLE_EQ(*fresh, *reused);

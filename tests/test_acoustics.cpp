@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "acoustics/channel.hpp"
@@ -126,7 +127,8 @@ TEST(ChirpPattern, StartTimesRespectStructure) {
   ChirpPattern pattern;
   pattern.num_chirps = 10;
   Rng rng(3);
-  const auto starts = chirp_start_times(pattern, rng);
+  std::vector<double> starts;
+  chirp_start_times_into(pattern, rng, starts);
   ASSERT_EQ(starts.size(), 10u);
   EXPECT_DOUBLE_EQ(starts[0], 0.0);
   for (std::size_t i = 1; i < starts.size(); ++i) {
@@ -140,8 +142,9 @@ TEST(ChirpPattern, StartTimesRespectStructure) {
 TEST(ChirpPattern, RandomDelaysDecorrelate) {
   ChirpPattern pattern;
   Rng rng1(1), rng2(2);
-  const auto a = chirp_start_times(pattern, rng1);
-  const auto b = chirp_start_times(pattern, rng2);
+  std::vector<double> a, b;
+  chirp_start_times_into(pattern, rng1, a);
+  chirp_start_times_into(pattern, rng2, b);
   bool differs = false;
   for (std::size_t i = 1; i < a.size(); ++i) {
     if (std::abs(a[i] - b[i]) > 1e-9) differs = true;
@@ -157,8 +160,8 @@ ReceivedWindow receive_window(const std::vector<double>& starts, double chirp_du
                               const EnvironmentProfile& env, const ChannelJitter& jitter,
                               Rng& rng) {
   ExchangeChannel exchange;
-  realize_exchange(exchange, starts, chirp_duration_s, link_response(distance_m, env), speaker,
-                   mic, env, jitter, rng);
+  realize_exchange(exchange, starts, chirp_duration_s, distance_m, speaker, mic, env, jitter,
+                   rng);
   ReceivedWindow window;
   clip_window(window, exchange, window_start_s, window_duration_s);
   draw_noise_bursts(window, env, rng);
@@ -183,6 +186,47 @@ TEST(Channel, DirectSignalArrivesAtTravelTime) {
   EXPECT_NEAR(window.signals[0].snr_db + jitter.rampup_penalty_db, window.signals[1].snr_db,
               1e-9);
   EXPECT_NEAR(window.signals[1].end_s, travel + 0.008, 1e-9);
+}
+
+TEST(Channel, DirectSnrIsPropagationSnr) {
+  // The channel has one SNR formula, propagation.hpp's: the direct interval
+  // carries snr_db(...) bit for bit and the ramp-up interval that value
+  // minus the ramp penalty, at any distance (the 10 cm reference clamp
+  // included) and for any speaker and mic, faulty ones too.
+  auto env = EnvironmentProfile::grass();
+  env.echo_rate = 0.0;
+  env.noise_burst_rate_hz = 0.0;
+  ChannelJitter jitter;
+  jitter.actuation_jitter_s = 0.0;
+  const UnitVariationModel units;
+  Rng rng(53, 9);
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  int below_reference = 0;
+  int faulty_speakers = 0;
+  int faulty_mics = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const double d = i % 7 == 0 ? rng.uniform(0.0, 0.15) : rng.uniform(0.0, 60.0);
+    SpeakerUnit speaker = units.sample_speaker(rng.uniform(80.0, 110.0), rng);
+    MicUnit mic = units.sample_mic(rng);
+    if (i % 5 == 0) speaker.faulty = true;
+    if (i % 3 == 0) mic.faulty = true;
+    below_reference += d < 0.1;
+    faulty_speakers += speaker.faulty;
+    faulty_mics += mic.faulty;
+
+    ExchangeChannel exchange;
+    realize_exchange(exchange, {0.0}, 0.008, d, speaker, mic, env, jitter, rng);
+    ASSERT_EQ(exchange.signals.size(), 2u) << "d=" << d;
+    const double expect = snr_db(speaker.effective_db(), d, mic.sensitivity_db, env);
+    EXPECT_TRUE(same_bits(exchange.signals[1].snr_db, expect)) << "d=" << d;
+    EXPECT_TRUE(same_bits(exchange.signals[0].snr_db, expect - jitter.rampup_penalty_db))
+        << "d=" << d;
+  }
+  EXPECT_GT(below_reference, 100);
+  EXPECT_GT(faulty_speakers, 100);
+  EXPECT_GT(faulty_mics, 100);
 }
 
 TEST(Channel, SignalsOutsideWindowAreDropped) {
@@ -255,8 +299,8 @@ TEST(Channel, ClipKeepsExactlyTheOverlappingIntervals) {
     }
     const double chirp_s = rng.bernoulli(0.5) ? rng.uniform(0.01, 0.4) : 0.008;
     ExchangeChannel exchange;
-    realize_exchange(exchange, starts, chirp_s, link_response(rng.uniform(0.0, 40.0), env),
-                     SpeakerUnit{}, MicUnit{}, env, ChannelJitter{}, rng);
+    realize_exchange(exchange, starts, chirp_s, rng.uniform(0.0, 40.0), SpeakerUnit{},
+                     MicUnit{}, env, ChannelJitter{}, rng);
     ASSERT_FALSE(exchange.signals.empty());
     const double first = exchange.signals.front().start_s;
     double last = first;
@@ -299,10 +343,11 @@ TEST(Channel, EveryWindowHearsTheSameChirps) {
   const ChirpPattern pattern;
   Rng rng(21);
   for (int trial = 0; trial < 20; ++trial) {
-    const std::vector<double> starts = chirp_start_times(pattern, rng);
+    std::vector<double> starts;
+    chirp_start_times_into(pattern, rng, starts);
     ExchangeChannel exchange;
-    realize_exchange(exchange, starts, pattern.chirp_duration_s, link_response(12.0, env),
-                     SpeakerUnit{}, MicUnit{}, env, ChannelJitter{}, rng);
+    realize_exchange(exchange, starts, pattern.chirp_duration_s, 12.0, SpeakerUnit{}, MicUnit{},
+                     env, ChannelJitter{}, rng);
     std::vector<ReceivedWindow> windows(starts.size());
     for (std::size_t i = 0; i < starts.size(); ++i) {
       clip_window(windows[i], exchange, starts[i] - rng.gaussian(0.0, 1e-4), 0.9);

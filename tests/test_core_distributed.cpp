@@ -7,6 +7,7 @@
 #include "core/local_map.hpp"
 #include "core/transform_estimation.hpp"
 #include "eval/metrics.hpp"
+#include "math/procrustes.hpp"
 #include "sim/deployments.hpp"
 #include "sim/measurement_gen.hpp"
 
@@ -27,7 +28,7 @@ std::vector<Vec2> rigid_copy(const std::vector<Vec2>& src, const Transform2D& t)
 TEST(TransformEstimation, ClosedFormRecoversMotion) {
   const std::vector<Vec2> src{{0.0, 0.0}, {5.0, 1.0}, {2.0, 7.0}, {-3.0, 4.0}};
   const Transform2D motion(1.1, false, {12.0, -4.0});
-  const auto estimate = estimate_transform_closed_form(src, rigid_copy(src, motion));
+  const auto estimate = resloc::math::fit_rigid(src, rigid_copy(src, motion));
   ASSERT_TRUE(estimate.valid);
   EXPECT_NEAR(estimate.sum_squared_error, 0.0, 1e-12);
   EXPECT_LT(estimate.transform.max_param_diff(motion), 1e-9);
@@ -53,7 +54,7 @@ TEST(TransformEstimation, MethodsAgreeOnNoisyData) {
   for (Vec2& p : dst) p += Vec2{noise.gaussian(0.0, 0.05), noise.gaussian(0.0, 0.05)};
   Rng rng(3);
   const auto exact = estimate_transform_exact(src, dst, rng);
-  const auto closed = estimate_transform_closed_form(src, dst);
+  const auto closed = resloc::math::fit_rigid(src, dst);
   ASSERT_TRUE(exact.valid && closed.valid);
   // Closed form is optimal for this objective; exact GD should come close.
   EXPECT_NEAR(exact.sum_squared_error, closed.sum_squared_error,
@@ -63,9 +64,9 @@ TEST(TransformEstimation, MethodsAgreeOnNoisyData) {
 
 TEST(TransformEstimation, InvalidInputs) {
   Rng rng(4);
-  EXPECT_FALSE(estimate_transform_closed_form({}, {}).valid);
+  EXPECT_FALSE(resloc::math::fit_rigid({}, {}).valid);
   EXPECT_FALSE(estimate_transform_exact({}, {}, rng).valid);
-  EXPECT_FALSE(estimate_transform_closed_form({{1.0, 1.0}}, {{1.0, 1.0}, {2.0, 2.0}}).valid);
+  EXPECT_FALSE(resloc::math::fit_rigid({{1.0, 1.0}}, {{1.0, 1.0}, {2.0, 2.0}}).valid);
 }
 
 TEST(LocalMap, MembershipAndLookup) {

@@ -76,13 +76,14 @@ OffsetSummary offset_summary(const resloc::ranging::RangingConfig& config,
   OffsetSummary summary;
   std::vector<double> abs_offsets;
   std::vector<double> signed_offsets;
+  resloc::ranging::RangingScratch scratch;
   for (const double d : distances) {
     const int expected = resloc::ranging::detection_index_for_distance(d, config.tdoa);
     resloc::math::Rng rng(seed);
     for (int t = 0; t < trials; ++t) {
       resloc::math::Rng stream = rng.fork(t);
       ++summary.attempts;
-      const auto attempt = service.measure_with_diagnostics(d, {}, mic, stream);
+      const auto attempt = service.measure(d, {}, mic, stream, scratch);
       if (!attempt.distance_m) continue;
       ++summary.detections;
       const double off = attempt.detection_index - expected;
@@ -152,6 +153,7 @@ PositionOffsets offsets_at_positions(const resloc::ranging::RangingConfig& confi
                                      std::uint64_t seed) {
   const resloc::ranging::RangingService service(config);
   PositionOffsets out;
+  resloc::ranging::RangingScratch scratch;
   for (const int actual : positions) {
     const double d = config.tdoa.speed_of_sound_mps * (actual + 0.5) / config.tdoa.sample_rate_hz;
     EXPECT_EQ(resloc::ranging::detection_index_for_distance(d, config.tdoa), actual);
@@ -159,7 +161,7 @@ PositionOffsets offsets_at_positions(const resloc::ranging::RangingConfig& confi
     for (int t = 0; t < trials; ++t) {
       resloc::math::Rng stream = rng.fork(t);
       ++out.attempts;
-      const auto attempt = service.measure_with_diagnostics(d, {}, {}, stream);
+      const auto attempt = service.measure(d, {}, {}, stream, scratch);
       if (attempt.distance_m) out.abs_offsets.push_back(std::abs(attempt.detection_index - actual));
     }
   }

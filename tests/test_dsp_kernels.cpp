@@ -32,7 +32,6 @@
 #include "ranging/ranging_service.hpp"
 #include "ranging/signal_detection.hpp"
 #include "reference/ranging.hpp"
-#include "sim/channel_cache.hpp"
 
 namespace {
 
@@ -589,46 +588,6 @@ TEST(SignalScanner, YieldsSameCandidatesAsRestartScan) {
   }
 }
 
-TEST(ChannelCache, ReturnsBitwiseIdenticalResponses) {
-  const acoustics::EnvironmentProfile env = acoustics::EnvironmentProfile::grass();
-  resloc::sim::ChannelResponseCache cache(env, 64);
-  Rng rng(41, 3);
-  std::vector<double> distances;
-  for (int i = 0; i < 500; ++i) {
-    // Revisit earlier distances to exercise hits; include sub-reference and
-    // same-cell-different-value collisions.
-    double d;
-    if (!distances.empty() && rng.bernoulli(0.5)) {
-      d = distances[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(distances.size()) - 1))];
-    } else {
-      d = rng.uniform(0.0, 40.0);
-      if (rng.bernoulli(0.1)) d = rng.uniform(0.0, 0.2);
-      distances.push_back(d);
-    }
-    const acoustics::LinkResponse got = cache.lookup(d);
-    const acoustics::LinkResponse expect = acoustics::link_response(d, env);
-    ASSERT_EQ(std::memcmp(&got, &expect, sizeof(acoustics::LinkResponse)), 0) << "d=" << d;
-  }
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
-}
-
-TEST(LinkResponse, RecomposesSnrBitExactly) {
-  const acoustics::EnvironmentProfile env = acoustics::EnvironmentProfile::grass();
-  Rng rng(53, 9);
-  for (int i = 0; i < 2000; ++i) {
-    const double d = i % 7 == 0 ? rng.uniform(0.0, 0.15) : rng.uniform(0.0, 60.0);
-    const double source_db = rng.uniform(80.0, 110.0);
-    const double sens_db = rng.uniform(-3.0, 3.0);
-    const acoustics::LinkResponse link = acoustics::link_response(d, env);
-    const double recomposed =
-        (((source_db - link.spreading_db) - link.excess_db) + sens_db) - env.noise_floor_db;
-    const double expect = acoustics::snr_db(source_db, d, sens_db, env);
-    ASSERT_EQ(std::memcmp(&recomposed, &expect, sizeof(double)), 0) << "d=" << d;
-  }
-}
-
 /// End-to-end: RangingService and the per-sample reference measure must
 /// agree on every diagnostic field and leave the generator in the identical
 /// state, for all three detector front ends.
@@ -649,9 +608,11 @@ void expect_service_equivalence(ranging::DetectorMode mode) {
 
     Rng ref_rng(900 + trial, 21);
     Rng blk_rng(900 + trial, 21);
+    resloc::reference::MeasureScratch ref_scratch;
+    ranging::RangingScratch blk_scratch;
     const ranging::RangingAttempt a =
-        resloc::reference::measure_per_sample(block, d, speaker, mic, ref_rng);
-    const ranging::RangingAttempt b = block.measure_with_diagnostics(d, speaker, mic, blk_rng);
+        resloc::reference::measure_per_sample(block, d, speaker, mic, ref_rng, ref_scratch);
+    const ranging::RangingAttempt b = block.measure(d, speaker, mic, blk_rng, blk_scratch);
 
     ASSERT_EQ(a.distance_m.has_value(), b.distance_m.has_value()) << "trial=" << trial;
     if (a.distance_m) {
@@ -660,7 +621,7 @@ void expect_service_equivalence(ranging::DetectorMode mode) {
     }
     ASSERT_EQ(a.detection_index, b.detection_index) << "trial=" << trial;
     ASSERT_EQ(a.rejected_detections, b.rejected_detections) << "trial=" << trial;
-    ASSERT_EQ(a.accumulated, b.accumulated) << "trial=" << trial;
+    ASSERT_EQ(ref_scratch.counts, blk_scratch.accumulator.samples()) << "trial=" << trial;
     ASSERT_EQ(ref_rng.uniform_bits(), blk_rng.uniform_bits()) << "trial=" << trial;
     ASSERT_EQ(ref_rng.gaussian(), blk_rng.gaussian()) << "trial=" << trial;
   }
@@ -679,8 +640,8 @@ TEST(RangingServiceBlockEquivalence, MatchedFilter) {
 }
 
 /// One scratch carried across two differently-tuned services (4.3 and
-/// 4.0 kHz) and back must give exactly what a fresh scratch gives: nothing
-/// tuning-dependent may survive in it from one service to the next.
+/// 4.0 kHz) and back must give exactly what a fresh scratch per call gives:
+/// nothing tuning-dependent may survive in it from one service to the next.
 void expect_scratch_migrates_between_services(ranging::DetectorMode mode) {
   ranging::RangingConfig cfg_43;
   cfg_43.detector_mode = mode;
@@ -699,8 +660,9 @@ void expect_scratch_migrates_between_services(ranging::DetectorMode mode) {
     const double d = 2.0 + 1.3 * trial;
     Rng fresh_rng(300 + trial, 4);
     Rng reused_rng(300 + trial, 4);
-    const auto fresh = service.measure(d, speaker, mic, fresh_rng);
-    const auto reused = service.measure(d, speaker, mic, reused_rng, shared);
+    ranging::RangingScratch fresh_scratch;
+    const auto fresh = service.measure(d, speaker, mic, fresh_rng, fresh_scratch).distance_m;
+    const auto reused = service.measure(d, speaker, mic, reused_rng, shared).distance_m;
     ASSERT_EQ(fresh.has_value(), reused.has_value()) << "trial=" << trial;
     if (fresh) {
       ASSERT_EQ(std::memcmp(&*fresh, &*reused, sizeof(double)), 0) << "trial=" << trial;
@@ -717,27 +679,6 @@ TEST(RangingScratchReuse, GoertzelScratchMigratesBetweenTunedServices) {
 
 TEST(RangingScratchReuse, NccScratchMigratesBetweenTunedServices) {
   expect_scratch_migrates_between_services(ranging::DetectorMode::kMatchedFilter);
-}
-
-TEST(RangingServiceBlockEquivalence, PrecomputedLinkMatchesInline) {
-  ranging::RangingConfig cfg;
-  cfg.max_window_range_m = 22.0;
-  const ranging::RangingService service(cfg);
-  const acoustics::SpeakerUnit speaker;
-  const acoustics::MicUnit mic;
-  for (int trial = 0; trial < 8; ++trial) {
-    const double d = 0.3 + 2.3 * trial;
-    Rng r1(70 + trial, 1), r2(70 + trial, 1);
-    ranging::RangingScratch s1, s2;
-    const auto inline_est = service.measure(d, speaker, mic, r1, s1);
-    const acoustics::LinkResponse link = acoustics::link_response(d, cfg.environment);
-    const auto cached_est = service.measure(d, speaker, mic, r2, s2, link);
-    ASSERT_EQ(inline_est.has_value(), cached_est.has_value());
-    if (inline_est) {
-      ASSERT_EQ(std::memcmp(&*inline_est, &*cached_est, sizeof(double)), 0);
-    }
-    ASSERT_EQ(r1.uniform_bits(), r2.uniform_bits());
-  }
 }
 
 }  // namespace

@@ -112,11 +112,14 @@ TEST(RangingService, ShortRangeAccurate) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
   Rng rng(1);
+  RangingScratch scratch;
   int detections = 0;
   double worst = 0.0;
   for (int i = 0; i < 30; ++i) {
-    const auto estimate =
-        service.measure(9.0, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{}, rng);
+    const auto estimate = service
+                              .measure(9.0, resloc::acoustics::SpeakerUnit{},
+                                       resloc::acoustics::MicUnit{}, rng, scratch)
+                              .distance_m;
     if (!estimate) continue;
     ++detections;
     worst = std::max(worst, std::abs(*estimate - 9.0));
@@ -129,10 +132,11 @@ TEST(RangingService, BeyondMaxRangeRarelyDetects) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
   Rng rng(2);
+  RangingScratch scratch;
   int detections = 0;
   for (int i = 0; i < 30; ++i) {
     if (service.measure(28.0, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{},
-                        rng)) {
+                        rng, scratch).distance_m) {
       ++detections;
     }
   }
@@ -143,11 +147,12 @@ TEST(RangingService, GrassDetectionFallsOffWithDistance) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
   Rng rng(3);
+  RangingScratch scratch;
   const auto rate = [&](double d) {
     int det = 0;
     for (int i = 0; i < 25; ++i) {
       if (service.measure(d, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{},
-                          rng)) {
+                          rng, scratch).distance_m) {
         ++det;
       }
     }
@@ -161,14 +166,17 @@ TEST(RangingService, StockBuzzerShorterRangeThanLoudspeaker) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
   Rng rng(4);
+  RangingScratch scratch;
   resloc::acoustics::SpeakerUnit stock;
   stock.output_db = resloc::acoustics::kStockBuzzerDb;
   int stock_detections = 0;
   int loud_detections = 0;
   for (int i = 0; i < 25; ++i) {
-    if (service.measure(14.0, stock, resloc::acoustics::MicUnit{}, rng)) ++stock_detections;
+    if (service.measure(14.0, stock, resloc::acoustics::MicUnit{}, rng, scratch).distance_m) {
+      ++stock_detections;
+    }
     if (service.measure(14.0, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{},
-                        rng)) {
+                        rng, scratch).distance_m) {
       ++loud_detections;
     }
   }
@@ -179,11 +187,12 @@ TEST(RangingService, DiagnosticsExposeDetectionIndex) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
   Rng rng(5);
-  const auto attempt = service.measure_with_diagnostics(
-      10.0, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{}, rng);
+  RangingScratch scratch;
+  const auto attempt = service.measure(10.0, resloc::acoustics::SpeakerUnit{},
+                                       resloc::acoustics::MicUnit{}, rng, scratch);
   ASSERT_TRUE(attempt.distance_m.has_value());
   EXPECT_GE(attempt.detection_index, 0);
-  EXPECT_EQ(attempt.accumulated.size(), service.window_samples());
+  EXPECT_EQ(scratch.accumulator.samples().size(), service.window_samples());
   // Detection index consistent with the returned distance.
   EXPECT_NEAR(distance_from_detection_index(attempt.detection_index, config.tdoa),
               *attempt.distance_m, 1e-9);
@@ -198,10 +207,13 @@ TEST(RangingService, CalibrationBiasShiftsEstimates) {
                              std::uint64_t seed) {
     const RangingService service(config);
     Rng rng(seed);
+    RangingScratch scratch;
     std::vector<double> errors;
     for (int i = 0; i < 60; ++i) {
-      const auto estimate = service.measure(8.0, resloc::acoustics::SpeakerUnit{},
-                                            resloc::acoustics::MicUnit{}, rng);
+      const auto estimate = service
+                                .measure(8.0, resloc::acoustics::SpeakerUnit{},
+                                         resloc::acoustics::MicUnit{}, rng, scratch)
+                                .distance_m;
       if (estimate) errors.push_back(*estimate - 8.0);
     }
     return resloc::math::mean(errors);
@@ -222,14 +234,19 @@ TEST(RangingService, BaselineProducesMoreLargeErrorsThanRefined) {
   const RangingService baseline(baseline_config);
   const RangingService refined(refined_config);
   Rng rng(7);
+  RangingScratch scratch;
   int baseline_large = 0;
   int refined_large = 0;
   for (int i = 0; i < 60; ++i) {
     const double d = 15.0;
-    const auto b =
-        baseline.measure(d, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{}, rng);
-    const auto r =
-        refined.measure(d, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{}, rng);
+    const auto b = baseline
+                       .measure(d, resloc::acoustics::SpeakerUnit{},
+                                resloc::acoustics::MicUnit{}, rng, scratch)
+                       .distance_m;
+    const auto r = refined
+                       .measure(d, resloc::acoustics::SpeakerUnit{},
+                                resloc::acoustics::MicUnit{}, rng, scratch)
+                       .distance_m;
     if (b && std::abs(*b - d) > 1.0) ++baseline_large;
     if (r && std::abs(*r - d) > 1.0) ++refined_large;
   }
