@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   // the median ratio across pairs, immune to a co-tenant burst landing in
   // any one sample. With 9 pairs that median read 0.7-9.6% across runs of
   // one build, so the 10% gate could fail on noise alone; with 27 it read
-  // 3.4-6.5% over 12 runs (~7 s a run on a 4-core VM).
+  // 2.2-6.5% over 23 runs (6-8 s a run on a 4-core VM).
   constexpr int kPairs = 27;
   constexpr int kCampaignsPerSample = 2;
   obs::reset();

@@ -19,7 +19,6 @@
 
 #include "acoustics/channel.hpp"
 #include "acoustics/environment.hpp"
-#include "acoustics/propagation.hpp"
 #include "acoustics/signal_synth.hpp"
 #include "acoustics/tone_detector.hpp"
 #include "acoustics/units.hpp"
