@@ -331,12 +331,23 @@ std::uint64_t portable(std::uint64_t state, std::uint64_t inc, const BernoulliRu
 
 #if RESLOC_X86_SIMD
 
-/// Four vectors of 4 lanes, 16 samples per group. The XSH-RR rotate runs in
-/// the 64-bit lanes with variable shifts (as in fill_bits_groups_avx2), and
-/// the high words, below 2^32, compare as signed 64-bit integers.
+namespace {
+
+/// Samples per group of both SIMD variants.
+constexpr std::size_t kSimdGroup = 16;
+
+// Each SIMD variant draws its whole groups in a target-attributed function
+// that returns the LCG state, and its scalar tail in the untargeted caller:
+// GCC ends the targeted function with vzeroupper, so neither the tail nor
+// the SSE code after the call pays the dirty-upper-state transition.
+
+/// The AVX2 variant's first `groups` groups: four vectors of 4 lanes. The
+/// XSH-RR rotate runs in the 64-bit lanes with variable shifts (as in
+/// fill_bits_groups_avx2), and the high words, below 2^32, compare as signed
+/// 64-bit integers.
 __attribute__((target("avx2")))
-std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
-                   std::size_t n, std::uint64_t* mask) {
+std::uint64_t avx2_groups(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
+                          std::size_t groups, MaskWriter& out) {
   constexpr int kVecs = 4;
   constexpr std::size_t kGroup = 4 * kVecs;
   const LaneSetup<2 * kGroup> ls = lane_setup<2 * kGroup>(state, inc);
@@ -351,9 +362,8 @@ std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, const BernoulliRun* r
   const __m256i mask32 = _mm256_set1_epi64x(0xffffffffLL);
   const __m256i c32 = _mm256_set1_epi64x(32);
   const __m256i c31 = _mm256_set1_epi64x(31);
+  static_assert(kGroup == kSimdGroup, "the caller draws the tail after the groups");
   GroupThresholds<kGroup> t;
-  MaskWriter out(mask);
-  const std::size_t groups = n / kGroup;
   for (std::size_t g = 0; g < groups;) {
     const std::size_t last = std::min(groups, g + t.load(runs, g * kGroup));
     __m256i th[kVecs];
@@ -387,15 +397,16 @@ std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, const BernoulliRun* r
     }
   }
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), s[0]);
-  return draw_tail(lanes[0], inc, runs, groups * kGroup, n, out);
+  return lanes[0];
 }
 
-/// Two vectors of 8 lanes, 16 samples per group. XSH-RR stays in the 64-bit
-/// lanes: vprorvd rotates each low half by the low half of s >> 59 (the high
-/// halves rotate by 0 and are masked off), so no narrowing is needed.
+/// The AVX-512 variant's first `groups` groups: two vectors of 8 lanes.
+/// XSH-RR stays in the 64-bit lanes: vprorvd rotates each low half by the
+/// low half of s >> 59 (the high halves rotate by 0 and are masked off), so
+/// no narrowing is needed.
 __attribute__((target("avx512f,avx512dq")))
-std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
-                     std::size_t n, std::uint64_t* mask) {
+std::uint64_t avx512_groups(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
+                            std::size_t groups, MaskWriter& out) {
   constexpr int kVecs = 2;
   constexpr std::size_t kGroup = 8 * kVecs;
   const LaneSetup<2 * kGroup> ls = lane_setup<2 * kGroup>(state, inc);
@@ -406,9 +417,8 @@ std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, const BernoulliRun*
   const __m512i jm = _mm512_set1_epi64(static_cast<long long>(ls.jump_mul));
   const __m512i ja = _mm512_set1_epi64(static_cast<long long>(ls.jump_add));
   const __m512i low32 = _mm512_set1_epi64(0xffffffffLL);
+  static_assert(kGroup == kSimdGroup, "the caller draws the tail after the groups");
   GroupThresholds<kGroup> t;
-  MaskWriter out(mask);
-  const std::size_t groups = n / kGroup;
   for (std::size_t g = 0; g < groups;) {
     const std::size_t last = std::min(groups, g + t.load(runs, g * kGroup));
     __m512i th[kVecs];
@@ -436,7 +446,25 @@ std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, const BernoulliRun*
     }
   }
   _mm512_store_si512(lanes, s[0]);
-  return draw_tail(lanes[0], inc, runs, groups * kGroup, n, out);
+  return lanes[0];
+}
+
+}  // namespace
+
+std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
+                   std::size_t n, std::uint64_t* mask) {
+  MaskWriter out(mask);
+  const std::size_t groups = n / kSimdGroup;
+  state = avx2_groups(state, inc, runs, groups, out);
+  return draw_tail(state, inc, runs, groups * kSimdGroup, n, out);
+}
+
+std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
+                     std::size_t n, std::uint64_t* mask) {
+  MaskWriter out(mask);
+  const std::size_t groups = n / kSimdGroup;
+  state = avx512_groups(state, inc, runs, groups, out);
+  return draw_tail(state, inc, runs, groups * kSimdGroup, n, out);
 }
 
 #endif  // RESLOC_X86_SIMD
