@@ -1,9 +1,10 @@
-// Dispatch variants of Rng::fill_bernoulli_mask_block.
+// Dispatch variants of Rng::fill_bernoulli_mask_block and
+// Rng::fill_uniform_bits_block.
 //
 // Internal to the math layer: rng.cpp picks one variant per call from CPUID,
 // and the kernel tests include this header to check every variant the host
-// can run against the sequential definition. Everything else calls
-// Rng::fill_bernoulli_mask_block.
+// can run against the sequential definition. Everything else calls the Rng
+// members.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +20,26 @@ struct RngState {
   static std::uint64_t& state(Rng& rng) { return rng.state_; }
   static std::uint64_t inc(const Rng& rng) { return rng.inc_; }
 };
+
+namespace uniform_bits {
+
+/// Every variant writes `groups` * 8 uniform_bits() values of the PCG32
+/// stream at LCG state `state` with increment `inc` to `out`, and returns
+/// the LCG state after the 16 * groups raw steps.
+std::uint64_t portable(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
+                       std::size_t groups);
+
+#if RESLOC_X86_SIMD
+/// Requires cpu_has_avx2_kernels().
+std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
+                   std::size_t groups);
+
+/// Requires cpu_has_avx512_kernels().
+std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
+                     std::size_t groups);
+#endif
+
+}  // namespace uniform_bits
 
 namespace bernoulli_mask {
 

@@ -69,13 +69,34 @@ LaneSetup<kRaw> lane_setup(std::uint64_t state, std::uint64_t inc) {
   return ls;
 }
 
+#if RESLOC_X86_SIMD
+
+/// 64 x 64 -> low 64 multiply from 32-bit partial products (AVX2 has no
+/// 64-bit lane multiply): lo*lo + ((hi*lo + lo*hi) << 32).
+__attribute__((target("avx2")))
+inline __m256i mullo64_avx2(__m256i a, __m256i b) {
+  const __m256i lo = _mm256_mul_epu32(a, b);
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
+                       _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
+  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
+}
+
+#endif  // RESLOC_X86_SIMD
+
+}  // namespace
+
+// The uniform-bits variants: the whole 8-output groups of
+// fill_uniform_bits_block.
+namespace uniform_bits {
+
 /// Portable body of fill_uniform_bits_block: emits `groups` * 8 uniforms
 /// (16 raw u32 outputs per group) and returns the LCG state after
 /// 16 * groups raw steps -- exactly the sequential state. Lane r carries the
 /// states of raw indices congruent to r mod 16, so the serial multiply
 /// dependency becomes 16 independent chains.
-std::uint64_t fill_bits_groups(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
-                               std::size_t groups) {
+std::uint64_t portable(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
+                       std::size_t groups) {
   LaneSetup<16> ls = lane_setup<16>(state, inc);
   for (std::size_t g = 0; g < groups; ++g) {
     std::uint32_t o[16];
@@ -97,8 +118,8 @@ std::uint64_t fill_bits_groups(std::uint64_t state, std::uint64_t inc, std::uint
 /// the ISA -- 64-bit lane multiply (vpmullq), truncating narrow
 /// (vpmovqd), and the per-lane 32-bit variable rotate is a single vprorvd.
 __attribute__((target("avx512f,avx512dq,avx512vl")))
-std::uint64_t fill_bits_groups_avx512(std::uint64_t state, std::uint64_t inc,
-                                      std::uint64_t* out, std::size_t groups) {
+std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
+                     std::size_t groups) {
   const LaneSetup<16> ls = lane_setup<16>(state, inc);
   __m512i s0 = _mm512_loadu_si512(ls.s);
   __m512i s1 = _mm512_loadu_si512(ls.s + 8);
@@ -130,24 +151,13 @@ std::uint64_t fill_bits_groups_avx512(std::uint64_t state, std::uint64_t inc,
   return tail[0];
 }
 
-/// 64 x 64 -> low 64 multiply from 32-bit partial products (AVX2 has no
-/// 64-bit lane multiply): lo*lo + ((hi*lo + lo*hi) << 32).
-__attribute__((target("avx2")))
-inline __m256i mullo64_avx2(__m256i a, __m256i b) {
-  const __m256i lo = _mm256_mul_epu32(a, b);
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
-                       _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
 /// AVX2 variant: four vectors of 4 LCG lanes, grouped even/odd by raw index
 /// (v0 = raw {0,2,4,6}, v1 = raw {1,3,5,7}, ...) so an output u64 is one
 /// shift-or across two vectors. The 32-bit rotate runs in the 64-bit lanes
 /// with variable shifts; the rotated value still fits 32 bits.
 __attribute__((target("avx2")))
-std::uint64_t fill_bits_groups_avx2(std::uint64_t state, std::uint64_t inc,
-                                    std::uint64_t* out, std::size_t groups) {
+std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
+                   std::size_t groups) {
   const LaneSetup<16> ls = lane_setup<16>(state, inc);
   alignas(32) std::uint64_t lanes[16];
   for (int r = 0; r < 16; ++r) {
@@ -188,6 +198,10 @@ std::uint64_t fill_bits_groups_avx2(std::uint64_t state, std::uint64_t inc,
 }
 
 #endif  // RESLOC_X86_SIMD
+
+}  // namespace uniform_bits
+
+namespace {
 
 /// A Bernoulli threshold split at the high-word boundary. A draw is
 /// bits = hi << 21 | lo21, with hi its first PCG32 output and lo21 the top 21
@@ -343,7 +357,7 @@ constexpr std::size_t kSimdGroup = 16;
 
 /// The AVX2 variant's first `groups` groups: four vectors of 4 lanes. The
 /// XSH-RR rotate runs in the 64-bit lanes with variable shifts (as in
-/// fill_bits_groups_avx2), and the high words, below 2^32, compare as signed
+/// uniform_bits::avx2), and the high words, below 2^32, compare as signed
 /// 64-bit integers.
 __attribute__((target("avx2")))
 std::uint64_t avx2_groups(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
@@ -512,13 +526,13 @@ void Rng::fill_uniform_bits_block(std::uint64_t* out, std::size_t n) {
   if (groups > 0) {
 #if RESLOC_X86_SIMD
     if (cpu_has_avx512_kernels()) {
-      state_ = fill_bits_groups_avx512(state_, inc_, out, groups);
+      state_ = uniform_bits::avx512(state_, inc_, out, groups);
     } else if (cpu_has_avx2_kernels()) {
-      state_ = fill_bits_groups_avx2(state_, inc_, out, groups);
+      state_ = uniform_bits::avx2(state_, inc_, out, groups);
     } else
 #endif
     {
-      state_ = fill_bits_groups(state_, inc_, out, groups);
+      state_ = uniform_bits::portable(state_, inc_, out, groups);
     }
     out += groups * 8;
     n -= groups * 8;

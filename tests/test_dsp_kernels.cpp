@@ -56,6 +56,52 @@ TEST(RngBlocks, UniformBitsBlockMatchesSequential) {
   }
 }
 
+using UniformBitsGroups = std::uint64_t (*)(std::uint64_t, std::uint64_t, std::uint64_t*,
+                                            std::size_t);
+
+/// Runs one uniform-bits variant from a generator's state over whole groups
+/// and checks every output, the word past them and the final state against
+/// sequential uniform_bits().
+void expect_uniform_bits_matches_sequential(UniformBitsGroups fill_groups) {
+  constexpr std::uint64_t kGuard = 0x5A5A5A5A5A5A5A5AULL;
+  for (int trial = 0; trial < 20; ++trial) {
+    for (std::size_t groups : {0u, 1u, 2u, 3u, 7u, 64u, 145u}) {
+      Rng a(0x4321u + static_cast<std::uint64_t>(trial), 3 + groups);
+      Rng b = a;
+      std::vector<std::uint64_t> out(8 * groups + 1, kGuard);
+      std::uint64_t& state = resloc::math::RngState::state(a);
+      state = fill_groups(state, resloc::math::RngState::inc(a), out.data(), groups);
+      for (std::size_t i = 0; i < 8 * groups; ++i) {
+        ASSERT_EQ(out[i], b.uniform_bits()) << "trial=" << trial << " groups=" << groups;
+      }
+      ASSERT_EQ(out[8 * groups], kGuard) << "wrote past the groups, groups=" << groups;
+      for (int i = 0; i < 4; ++i) ASSERT_EQ(a.uniform_bits(), b.uniform_bits());
+    }
+  }
+}
+
+TEST(RngBlocks, UniformBitsPortableMatchesSequential) {
+  expect_uniform_bits_matches_sequential(&resloc::math::uniform_bits::portable);
+}
+
+TEST(RngBlocks, UniformBitsAvx2MatchesSequential) {
+#if RESLOC_X86_SIMD
+  if (!resloc::math::cpu_has_avx2_kernels()) GTEST_SKIP() << "host has no AVX2";
+  expect_uniform_bits_matches_sequential(&resloc::math::uniform_bits::avx2);
+#else
+  GTEST_SKIP() << "no x86 SIMD variants in this build";
+#endif
+}
+
+TEST(RngBlocks, UniformBitsAvx512MatchesSequential) {
+#if RESLOC_X86_SIMD
+  if (!resloc::math::cpu_has_avx512_kernels()) GTEST_SKIP() << "host has no AVX-512";
+  expect_uniform_bits_matches_sequential(&resloc::math::uniform_bits::avx512);
+#else
+  GTEST_SKIP() << "no x86 SIMD variants in this build";
+#endif
+}
+
 /// Slow-path tallies of the oracle below.
 struct ZigguratPaths {
   int wedge = 0;          ///< wedge tests made (retries included)
