@@ -48,11 +48,14 @@ void BM_LssFullSolve(benchmark::State& state) {
 BENCHMARK(BM_LssFullSolve)->Unit(benchmark::kMillisecond);
 
 void BM_DetectSignal(benchmark::State& state) {
-  std::vector<std::uint8_t> samples(1100, 0);
-  for (std::size_t i = 700; i < 900; ++i) samples[i] = 5;
+  // Counts of 5 on samples [700, 900), 0 elsewhere.
+  ranging::SignalAccumulator counts(1100);
+  std::vector<std::uint64_t> fired((1100 + 63) / 64, 0);
+  for (std::size_t i = 700; i < 900; ++i) fired[i / 64] |= std::uint64_t{1} << (i % 64);
+  for (int chirp = 0; chirp < 5; ++chirp) counts.record_chirp(fired.data());
   const ranging::DetectionParams params{2, 32, 6};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ranging::SignalScanner(samples, params).next());
+    benchmark::DoNotOptimize(ranging::SignalScanner(counts, params).next());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1100);
 }

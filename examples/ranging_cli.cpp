@@ -28,14 +28,14 @@ int main() {
         continue;
       }
       // Visualize the accumulated counters around the detection.
-      const std::vector<std::uint8_t>& counters = scratch.accumulator.samples();
+      const ranging::SignalAccumulator& counters = scratch.accumulator;
       const int idx = attempt.detection_index;
       std::printf("d=%5.1f m : detected at sample %4d -> %.2f m (error %+.2f m)\n", distance,
                   idx, *attempt.distance_m, *attempt.distance_m - distance);
       std::printf("            counters near onset: ");
       for (int i = std::max(0, idx - 6); i < idx + 10 && i < static_cast<int>(counters.size());
            ++i) {
-        std::printf("%x", counters[static_cast<std::size_t>(i)]);
+        std::printf("%x", counters.count(static_cast<std::size_t>(i)));
       }
       std::printf("  (rejected candidates: %d)\n", attempt.rejected_detections);
     }

@@ -82,8 +82,8 @@ class ToneDetectorModel {
   /// threshold of the best-SNR max, bit for bit). Adjacent equal stretches
   /// merge. Costs O(intervals^2) with a handful of intervals per window, not
   /// O(num_samples), and consumes no randomness; pair it with
-  /// SignalAccumulator::record_chirp_bernoulli, which draws one uniform per
-  /// sample.
+  /// Rng::fill_bernoulli_mask_block, which draws one uniform per sample into
+  /// the fired bitmask SignalAccumulator::record_chirp adds.
   void fire_runs(const ReceivedWindow& window, std::size_t num_samples, const MicUnit& mic,
                  DetectorScratch& scratch, std::vector<resloc::math::BernoulliRun>& runs) const;
 

@@ -4,7 +4,8 @@
 // Internal to the math layer: rng.cpp picks one variant per call from CPUID,
 // and the kernel tests include this header to check every variant the host
 // can run against the sequential definition. Everything else calls the Rng
-// members.
+// members. The avx2 and avx512 variants require cpu_has_avx2_kernels() and
+// cpu_has_avx512_kernels().
 #pragma once
 
 #include <cstddef>
@@ -23,18 +24,14 @@ struct RngState {
 
 namespace uniform_bits {
 
-/// Every variant writes `groups` * 8 uniform_bits() values of the PCG32
-/// stream at LCG state `state` with increment `inc` to `out`, and returns
-/// the LCG state after the 16 * groups raw steps.
+/// Every variant writes `groups` * 8 uniform_bits() draws of the PCG32
+/// stream at LCG state `state` with increment `inc` to `out` and returns the
+/// LCG state after them.
 std::uint64_t portable(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
                        std::size_t groups);
-
 #if RESLOC_X86_SIMD
-/// Requires cpu_has_avx2_kernels().
 std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
                    std::size_t groups);
-
-/// Requires cpu_has_avx512_kernels().
 std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
                      std::size_t groups);
 #endif
@@ -48,13 +45,9 @@ namespace bernoulli_mask {
 /// documents, and returns the LCG state after the 2n raw steps.
 std::uint64_t portable(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
                        std::size_t n, std::uint64_t* mask);
-
 #if RESLOC_X86_SIMD
-/// Requires cpu_has_avx2_kernels().
 std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
                    std::size_t n, std::uint64_t* mask);
-
-/// Requires cpu_has_avx512_kernels().
 std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
                      std::size_t n, std::uint64_t* mask);
 #endif

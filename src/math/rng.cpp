@@ -69,7 +69,92 @@ LaneSetup<kRaw> lane_setup(std::uint64_t state, std::uint64_t inc) {
   return ls;
 }
 
+/// A Bernoulli threshold split at the high-word boundary. A draw is
+/// bits = hi << 21 | lo21, with hi its first PCG32 output and lo21 the top 21
+/// bits of its second, so bits < t  <=>  hi < t.hi || (hi == t.hi && lo21 <
+/// t.lo). A threshold >= 2^53 always fires; as (2^32 - 1, 2^21) it does so
+/// through the same test, the tie included.
+struct SplitThreshold {
+  std::uint32_t hi;
+  std::uint32_t lo;
+};
+
+inline SplitThreshold split_threshold(std::uint64_t t) {
+  if (t >= std::uint64_t{1} << 53) return {0xffffffffu, 1u << 21};
+  return {static_cast<std::uint32_t>(t >> 21), static_cast<std::uint32_t>(t & 0x1fffffu)};
+}
+
+/// Settles a tie hi == t.hi from the draw's first state: one LCG step to the
+/// second state, whose top 21 output bits decide.
+inline bool tie_fires(std::uint64_t first_state, std::uint64_t inc, std::uint32_t lo) {
+  return (pcg_output(first_state * kMultiplier + inc) >> 11) < lo;
+}
+
+/// The split thresholds of kGroup consecutive samples: one value for the
+/// whole group when a single run covers it (the common case: a window has a
+/// handful of runs), else one per lane.
+template <std::size_t kGroup>
+struct GroupThresholds {
+  bool uniform = true;
+  alignas(64) std::uint64_t hi[kGroup];  ///< t.hi, widened to the 64-bit lanes
+  std::uint32_t lo[kGroup];
+
+  /// Loads the group of samples [first, first + kGroup), advancing `run` to
+  /// the run that covers `first` (and past it when the group spans an edge).
+  /// Returns how many consecutive groups from `first` share these
+  /// thresholds: all those inside a covering run, else just this one.
+  std::size_t load(const BernoulliRun*& run, std::size_t first) {
+    while (run->end <= first) ++run;
+    uniform = run->end >= first + kGroup;
+    const std::size_t lanes = uniform ? 1 : kGroup;
+    const std::size_t groups = uniform ? (run->end - first) / kGroup : 1;
+    for (std::size_t j = 0; j < lanes; ++j) {
+      while (run->end <= first + j) ++run;
+      const SplitThreshold t = split_threshold(run->threshold);
+      hi[j] = t.hi;
+      lo[j] = t.lo;
+    }
+    return groups;
+  }
+  std::uint64_t hi_at(std::size_t j) const { return hi[uniform ? 0 : j]; }
+  std::uint32_t lo_at(std::size_t j) const { return lo[uniform ? 0 : j]; }
+};
+
+/// Stores the fired bits of the samples from `first` on, low bit first:
+/// the first sample of a word overwrites it, so the mask needs no clearing.
+/// Groups divide 64, so a group's bits never straddle two words.
+inline void put_bits(std::uint64_t* mask, std::size_t first, std::uint64_t bits) {
+  std::uint64_t& word = mask[first / 64];
+  word = (first % 64 == 0 ? 0 : word) | bits << (first % 64);
+}
+
+/// Samples [first, n) drawn one at a time after the lane groups, two raw
+/// steps each from `state`; returns the final state.
+std::uint64_t draw_tail(std::uint64_t state, std::uint64_t inc, const BernoulliRun* run,
+                        std::size_t first, std::size_t n, std::uint64_t* mask) {
+  for (std::size_t i = first; i < n; ++i) {
+    while (run->end <= i) ++run;
+    const SplitThreshold t = split_threshold(run->threshold);
+    const std::uint32_t hi = pcg_output(state);
+    put_bits(mask, i, hi < t.hi || (hi == t.hi && tie_fires(state, inc, t.lo)));
+    state = (state * kMultiplier + inc) * kMultiplier + inc;
+  }
+  return state;
+}
+
 #if RESLOC_X86_SIMD
+/// The SIMD variants' tie path: `ties` flags the group's lanes whose high
+/// word equals t.hi, `first_states` holds each lane's first state.
+template <std::size_t kGroup>
+std::uint64_t settle_ties(std::uint64_t ties, const std::uint64_t* first_states,
+                          std::uint64_t inc, const GroupThresholds<kGroup>& t) {
+  std::uint64_t fired = 0;
+  for (; ties != 0; ties &= ties - 1) {
+    const auto j = static_cast<std::size_t>(__builtin_ctzll(ties));
+    if (tie_fires(first_states[j], inc, t.lo_at(j))) fired |= std::uint64_t{1} << j;
+  }
+  return fired;
+}
 
 /// 64 x 64 -> low 64 multiply from 32-bit partial products (AVX2 has no
 /// 64-bit lane multiply): lo*lo + ((hi*lo + lo*hi) << 32).
@@ -80,6 +165,115 @@ inline __m256i mullo64_avx2(__m256i a, __m256i b) {
       _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
                        _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
   return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
+}
+
+/// Samples per group of both SIMD Bernoulli-mask variants.
+constexpr std::size_t kSimdGroup = 16;
+
+/// The AVX2 Bernoulli-mask variant's first `groups` groups: four vectors of
+/// 4 lanes. The XSH-RR rotate runs in the 64-bit lanes with variable shifts
+/// (as in uniform_bits::avx2), and the high words, below 2^32, compare as
+/// signed 64-bit integers.
+__attribute__((target("avx2")))
+std::uint64_t avx2_groups(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
+                          std::size_t groups, std::uint64_t* mask) {
+  constexpr std::size_t kGroup = kSimdGroup;
+  constexpr int kVecs = kGroup / 4;
+  const LaneSetup<2 * kGroup> ls = lane_setup<2 * kGroup>(state, inc);
+  alignas(32) std::uint64_t lanes[kGroup];
+  for (std::size_t j = 0; j < kGroup; ++j) lanes[j] = ls.s[2 * j];
+  __m256i s[kVecs];
+  for (int v = 0; v < kVecs; ++v) {
+    s[v] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes + 4 * v));
+  }
+  const __m256i jm = _mm256_set1_epi64x(static_cast<long long>(ls.jump_mul));
+  const __m256i ja = _mm256_set1_epi64x(static_cast<long long>(ls.jump_add));
+  const __m256i mask32 = _mm256_set1_epi64x(0xffffffffLL);
+  const __m256i c32 = _mm256_set1_epi64x(32);
+  const __m256i c31 = _mm256_set1_epi64x(31);
+  GroupThresholds<kGroup> t;
+  for (std::size_t g = 0; g < groups;) {
+    const std::size_t last = std::min(groups, g + t.load(runs, g * kGroup));
+    __m256i th[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+      th[v] = t.uniform ? _mm256_set1_epi64x(static_cast<long long>(t.hi[0]))
+                        : _mm256_load_si256(reinterpret_cast<const __m256i*>(t.hi + 4 * v));
+    }
+    for (; g < last; ++g) {
+      std::uint64_t bits = 0;
+      std::uint64_t ties = 0;
+      for (int v = 0; v < kVecs; ++v) {
+        const __m256i x = _mm256_and_si256(
+            _mm256_srli_epi64(_mm256_xor_si256(_mm256_srli_epi64(s[v], 18), s[v]), 27), mask32);
+        const __m256i rot = _mm256_srli_epi64(s[v], 59);
+        const __m256i left = _mm256_and_si256(_mm256_sub_epi64(c32, rot), c31);
+        const __m256i hi = _mm256_or_si256(_mm256_srlv_epi64(x, rot),
+                                           _mm256_and_si256(_mm256_sllv_epi64(x, left), mask32));
+        const auto lt = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(th[v], hi)));
+        const auto eq = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(hi, th[v])));
+        bits |= static_cast<std::uint64_t>(lt) << (4 * v);
+        ties |= static_cast<std::uint64_t>(eq) << (4 * v);
+      }
+      if (ties != 0) {
+        for (int v = 0; v < kVecs; ++v) {
+          _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4 * v), s[v]);
+        }
+        bits |= settle_ties(ties, lanes, inc, t);
+      }
+      for (int v = 0; v < kVecs; ++v) s[v] = _mm256_add_epi64(mullo64_avx2(s[v], jm), ja);
+      put_bits(mask, g * kGroup, bits);
+    }
+  }
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), s[0]);
+  return lanes[0];
+}
+
+/// The AVX-512 Bernoulli-mask variant's first `groups` groups: two vectors
+/// of 8 lanes. XSH-RR stays in the 64-bit lanes: vprorvd rotates each low
+/// half by the low half of s >> 59 (the high halves rotate by 0 and are
+/// masked off), so no narrowing is needed.
+__attribute__((target("avx512f,avx512dq")))
+std::uint64_t avx512_groups(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
+                            std::size_t groups, std::uint64_t* mask) {
+  constexpr std::size_t kGroup = kSimdGroup;
+  constexpr int kVecs = kGroup / 8;
+  const LaneSetup<2 * kGroup> ls = lane_setup<2 * kGroup>(state, inc);
+  alignas(64) std::uint64_t lanes[kGroup];
+  for (std::size_t j = 0; j < kGroup; ++j) lanes[j] = ls.s[2 * j];
+  __m512i s[kVecs];
+  for (int v = 0; v < kVecs; ++v) s[v] = _mm512_load_si512(lanes + 8 * v);
+  const __m512i jm = _mm512_set1_epi64(static_cast<long long>(ls.jump_mul));
+  const __m512i ja = _mm512_set1_epi64(static_cast<long long>(ls.jump_add));
+  const __m512i low32 = _mm512_set1_epi64(0xffffffffLL);
+  GroupThresholds<kGroup> t;
+  for (std::size_t g = 0; g < groups;) {
+    const std::size_t last = std::min(groups, g + t.load(runs, g * kGroup));
+    __m512i th[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+      th[v] = t.uniform ? _mm512_set1_epi64(static_cast<long long>(t.hi[0]))
+                        : _mm512_load_si512(t.hi + 8 * v);
+    }
+    for (; g < last; ++g) {
+      std::uint64_t bits = 0;
+      std::uint64_t ties = 0;
+      for (int v = 0; v < kVecs; ++v) {
+        const __m512i x =
+            _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(s[v], 18), s[v]), 27);
+        const __m512i hi =
+            _mm512_and_si512(_mm512_rorv_epi32(x, _mm512_srli_epi64(s[v], 59)), low32);
+        bits |= static_cast<std::uint64_t>(_mm512_cmplt_epu64_mask(hi, th[v])) << (8 * v);
+        ties |= static_cast<std::uint64_t>(_mm512_cmpeq_epu64_mask(hi, th[v])) << (8 * v);
+      }
+      if (ties != 0) {
+        for (int v = 0; v < kVecs; ++v) _mm512_store_si512(lanes + 8 * v, s[v]);
+        bits |= settle_ties(ties, lanes, inc, t);
+      }
+      for (int v = 0; v < kVecs; ++v) s[v] = _mm512_add_epi64(_mm512_mullo_epi64(s[v], jm), ja);
+      put_bits(mask, g * kGroup, bits);
+    }
+  }
+  _mm512_store_si512(lanes, s[0]);
+  return lanes[0];
 }
 
 #endif  // RESLOC_X86_SIMD
@@ -201,115 +395,6 @@ std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
 
 }  // namespace uniform_bits
 
-namespace {
-
-/// A Bernoulli threshold split at the high-word boundary. A draw is
-/// bits = hi << 21 | lo21, with hi its first PCG32 output and lo21 the top 21
-/// bits of its second, so bits < t  <=>  hi < t.hi || (hi == t.hi && lo21 <
-/// t.lo). A threshold >= 2^53 always fires; as (2^32 - 1, 2^21) it does so
-/// through the same test, the tie included.
-struct SplitThreshold {
-  std::uint32_t hi;
-  std::uint32_t lo;
-};
-
-inline SplitThreshold split_threshold(std::uint64_t t) {
-  if (t >= std::uint64_t{1} << 53) return {0xffffffffu, 1u << 21};
-  return {static_cast<std::uint32_t>(t >> 21), static_cast<std::uint32_t>(t & 0x1fffffu)};
-}
-
-/// Settles a tie hi == t.hi from the draw's first state: one LCG step to the
-/// second state, whose top 21 output bits decide.
-inline bool tie_fires(std::uint64_t first_state, std::uint64_t inc, std::uint32_t lo) {
-  return (pcg_output(first_state * kMultiplier + inc) >> 11) < lo;
-}
-
-/// The split thresholds of kGroup consecutive samples: one value for the
-/// whole group when a single run covers it (the common case: a window has a
-/// handful of runs), else one per lane.
-template <std::size_t kGroup>
-struct GroupThresholds {
-  bool uniform = true;
-  alignas(64) std::uint64_t hi[kGroup];  ///< t.hi, widened to the 64-bit lanes
-  std::uint32_t lo[kGroup];
-
-  /// Loads the group of samples [first, first + kGroup), advancing `run` to
-  /// the run that covers `first` (and past it when the group spans an edge).
-  /// Returns how many consecutive groups from `first` share these
-  /// thresholds: all those inside a covering run, else just this one.
-  std::size_t load(const BernoulliRun*& run, std::size_t first) {
-    while (run->end <= first) ++run;
-    uniform = run->end >= first + kGroup;
-    const std::size_t lanes = uniform ? 1 : kGroup;
-    const std::size_t groups = uniform ? (run->end - first) / kGroup : 1;
-    for (std::size_t j = 0; j < lanes; ++j) {
-      while (run->end <= first + j) ++run;
-      const SplitThreshold t = split_threshold(run->threshold);
-      hi[j] = t.hi;
-      lo[j] = t.lo;
-    }
-    return groups;
-  }
-  std::uint64_t hi_at(std::size_t j) const { return hi[uniform ? 0 : j]; }
-  std::uint32_t lo_at(std::size_t j) const { return lo[uniform ? 0 : j]; }
-};
-
-/// Packs fired bits into mask words, low bit first. Every put() but the
-/// tail's single-sample ones is a whole group, and groups divide 64.
-class MaskWriter {
- public:
-  explicit MaskWriter(std::uint64_t* mask) : out_(mask) {}
-  void put(std::uint64_t bits, unsigned count) {
-    word_ |= bits << fill_;
-    fill_ += count;
-    if (fill_ == 64) {
-      *out_++ = word_;
-      word_ = 0;
-      fill_ = 0;
-    }
-  }
-  void finish() {
-    if (fill_ > 0) *out_ = word_;
-  }
-
- private:
-  std::uint64_t* out_;
-  std::uint64_t word_ = 0;
-  unsigned fill_ = 0;
-};
-
-/// Samples [first, n) drawn one at a time after the lane groups, two raw
-/// steps each from `state`; flushes the mask and returns the final state.
-std::uint64_t draw_tail(std::uint64_t state, std::uint64_t inc, const BernoulliRun* run,
-                        std::size_t first, std::size_t n, MaskWriter& out) {
-  for (std::size_t i = first; i < n; ++i) {
-    while (run->end <= i) ++run;
-    const SplitThreshold t = split_threshold(run->threshold);
-    const std::uint32_t hi = pcg_output(state);
-    out.put(hi < t.hi || (hi == t.hi && tie_fires(state, inc, t.lo)), 1);
-    state = (state * kMultiplier + inc) * kMultiplier + inc;
-  }
-  out.finish();
-  return state;
-}
-
-#if RESLOC_X86_SIMD
-/// The SIMD variants' tie path: `ties` flags the group's lanes whose high
-/// word equals t.hi, `first_states` holds each lane's first state.
-template <std::size_t kGroup>
-std::uint64_t settle_ties(std::uint64_t ties, const std::uint64_t* first_states,
-                          std::uint64_t inc, const GroupThresholds<kGroup>& t) {
-  std::uint64_t fired = 0;
-  for (; ties != 0; ties &= ties - 1) {
-    const auto j = static_cast<std::size_t>(__builtin_ctzll(ties));
-    if (tie_fires(first_states[j], inc, t.lo_at(j))) fired |= std::uint64_t{1} << j;
-  }
-  return fired;
-}
-#endif  // RESLOC_X86_SIMD
-
-}  // namespace
-
 // The Bernoulli mask variants. Lane j of a kGroup-sample group carries the
 // first state of sample j's draw, raw index 2j, and jumps 2 * kGroup raw
 // steps per group: only the draws' high words are computed in bulk, so half
@@ -324,7 +409,6 @@ std::uint64_t portable(std::uint64_t state, std::uint64_t inc, const BernoulliRu
   std::uint64_t s[kGroup];
   for (std::size_t j = 0; j < kGroup; ++j) s[j] = ls.s[2 * j];
   GroupThresholds<kGroup> t;
-  MaskWriter out(mask);
   const std::size_t groups = n / kGroup;
   for (std::size_t g = 0; g < groups;) {
     const std::size_t last = std::min(groups, g + t.load(runs, g * kGroup));
@@ -337,148 +421,28 @@ std::uint64_t portable(std::uint64_t state, std::uint64_t inc, const BernoulliRu
         bits |= static_cast<std::uint64_t>(fires) << j;
         s[j] = s[j] * ls.jump_mul + ls.jump_add;
       }
-      out.put(bits, kGroup);
+      put_bits(mask, g * kGroup, bits);
     }
   }
-  return draw_tail(s[0], inc, runs, groups * kGroup, n, out);
+  return draw_tail(s[0], inc, runs, groups * kGroup, n, mask);
 }
 
 #if RESLOC_X86_SIMD
 
-namespace {
-
-/// Samples per group of both SIMD variants.
-constexpr std::size_t kSimdGroup = 16;
-
-// Each SIMD variant draws its whole groups in a target-attributed function
-// that returns the LCG state, and its scalar tail in the untargeted caller:
-// GCC ends the targeted function with vzeroupper, so neither the tail nor
-// the SSE code after the call pays the dirty-upper-state transition.
-
-/// The AVX2 variant's first `groups` groups: four vectors of 4 lanes. The
-/// XSH-RR rotate runs in the 64-bit lanes with variable shifts (as in
-/// uniform_bits::avx2), and the high words, below 2^32, compare as signed
-/// 64-bit integers.
-__attribute__((target("avx2")))
-std::uint64_t avx2_groups(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
-                          std::size_t groups, MaskWriter& out) {
-  constexpr int kVecs = 4;
-  constexpr std::size_t kGroup = 4 * kVecs;
-  const LaneSetup<2 * kGroup> ls = lane_setup<2 * kGroup>(state, inc);
-  alignas(32) std::uint64_t lanes[kGroup];
-  for (std::size_t j = 0; j < kGroup; ++j) lanes[j] = ls.s[2 * j];
-  __m256i s[kVecs];
-  for (int v = 0; v < kVecs; ++v) {
-    s[v] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes + 4 * v));
-  }
-  const __m256i jm = _mm256_set1_epi64x(static_cast<long long>(ls.jump_mul));
-  const __m256i ja = _mm256_set1_epi64x(static_cast<long long>(ls.jump_add));
-  const __m256i mask32 = _mm256_set1_epi64x(0xffffffffLL);
-  const __m256i c32 = _mm256_set1_epi64x(32);
-  const __m256i c31 = _mm256_set1_epi64x(31);
-  static_assert(kGroup == kSimdGroup, "the caller draws the tail after the groups");
-  GroupThresholds<kGroup> t;
-  for (std::size_t g = 0; g < groups;) {
-    const std::size_t last = std::min(groups, g + t.load(runs, g * kGroup));
-    __m256i th[kVecs];
-    for (int v = 0; v < kVecs; ++v) {
-      th[v] = t.uniform ? _mm256_set1_epi64x(static_cast<long long>(t.hi[0]))
-                        : _mm256_load_si256(reinterpret_cast<const __m256i*>(t.hi + 4 * v));
-    }
-    for (; g < last; ++g) {
-      std::uint64_t bits = 0;
-      std::uint64_t ties = 0;
-      for (int v = 0; v < kVecs; ++v) {
-        const __m256i x = _mm256_and_si256(
-            _mm256_srli_epi64(_mm256_xor_si256(_mm256_srli_epi64(s[v], 18), s[v]), 27), mask32);
-        const __m256i rot = _mm256_srli_epi64(s[v], 59);
-        const __m256i left = _mm256_and_si256(_mm256_sub_epi64(c32, rot), c31);
-        const __m256i hi = _mm256_or_si256(_mm256_srlv_epi64(x, rot),
-                                           _mm256_and_si256(_mm256_sllv_epi64(x, left), mask32));
-        const auto lt = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(th[v], hi)));
-        const auto eq = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(hi, th[v])));
-        bits |= static_cast<std::uint64_t>(lt) << (4 * v);
-        ties |= static_cast<std::uint64_t>(eq) << (4 * v);
-      }
-      if (ties != 0) {
-        for (int v = 0; v < kVecs; ++v) {
-          _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4 * v), s[v]);
-        }
-        bits |= settle_ties(ties, lanes, inc, t);
-      }
-      for (int v = 0; v < kVecs; ++v) s[v] = _mm256_add_epi64(mullo64_avx2(s[v], jm), ja);
-      out.put(bits, kGroup);
-    }
-  }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), s[0]);
-  return lanes[0];
-}
-
-/// The AVX-512 variant's first `groups` groups: two vectors of 8 lanes.
-/// XSH-RR stays in the 64-bit lanes: vprorvd rotates each low half by the
-/// low half of s >> 59 (the high halves rotate by 0 and are masked off), so
-/// no narrowing is needed.
-__attribute__((target("avx512f,avx512dq")))
-std::uint64_t avx512_groups(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
-                            std::size_t groups, MaskWriter& out) {
-  constexpr int kVecs = 2;
-  constexpr std::size_t kGroup = 8 * kVecs;
-  const LaneSetup<2 * kGroup> ls = lane_setup<2 * kGroup>(state, inc);
-  alignas(64) std::uint64_t lanes[kGroup];
-  for (std::size_t j = 0; j < kGroup; ++j) lanes[j] = ls.s[2 * j];
-  __m512i s[kVecs];
-  for (int v = 0; v < kVecs; ++v) s[v] = _mm512_load_si512(lanes + 8 * v);
-  const __m512i jm = _mm512_set1_epi64(static_cast<long long>(ls.jump_mul));
-  const __m512i ja = _mm512_set1_epi64(static_cast<long long>(ls.jump_add));
-  const __m512i low32 = _mm512_set1_epi64(0xffffffffLL);
-  static_assert(kGroup == kSimdGroup, "the caller draws the tail after the groups");
-  GroupThresholds<kGroup> t;
-  for (std::size_t g = 0; g < groups;) {
-    const std::size_t last = std::min(groups, g + t.load(runs, g * kGroup));
-    __m512i th[kVecs];
-    for (int v = 0; v < kVecs; ++v) {
-      th[v] = t.uniform ? _mm512_set1_epi64(static_cast<long long>(t.hi[0]))
-                        : _mm512_load_si512(t.hi + 8 * v);
-    }
-    for (; g < last; ++g) {
-      std::uint64_t bits = 0;
-      std::uint64_t ties = 0;
-      for (int v = 0; v < kVecs; ++v) {
-        const __m512i x =
-            _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(s[v], 18), s[v]), 27);
-        const __m512i hi =
-            _mm512_and_si512(_mm512_rorv_epi32(x, _mm512_srli_epi64(s[v], 59)), low32);
-        bits |= static_cast<std::uint64_t>(_mm512_cmplt_epu64_mask(hi, th[v])) << (8 * v);
-        ties |= static_cast<std::uint64_t>(_mm512_cmpeq_epu64_mask(hi, th[v])) << (8 * v);
-      }
-      if (ties != 0) {
-        for (int v = 0; v < kVecs; ++v) _mm512_store_si512(lanes + 8 * v, s[v]);
-        bits |= settle_ties(ties, lanes, inc, t);
-      }
-      for (int v = 0; v < kVecs; ++v) s[v] = _mm512_add_epi64(_mm512_mullo_epi64(s[v], jm), ja);
-      out.put(bits, kGroup);
-    }
-  }
-  _mm512_store_si512(lanes, s[0]);
-  return lanes[0];
-}
-
-}  // namespace
-
+// The SIMD variants draw their whole groups in a target-attributed function
+// and the scalar tail here, in baseline code: GCC ends the targeted function
+// with vzeroupper, so neither the tail nor the caller's SSE code runs with
+// dirty upper vector state.
 std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
                    std::size_t n, std::uint64_t* mask) {
-  MaskWriter out(mask);
-  const std::size_t groups = n / kSimdGroup;
-  state = avx2_groups(state, inc, runs, groups, out);
-  return draw_tail(state, inc, runs, groups * kSimdGroup, n, out);
+  state = avx2_groups(state, inc, runs, n / kSimdGroup, mask);
+  return draw_tail(state, inc, runs, n - n % kSimdGroup, n, mask);
 }
 
 std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
                      std::size_t n, std::uint64_t* mask) {
-  MaskWriter out(mask);
-  const std::size_t groups = n / kSimdGroup;
-  state = avx512_groups(state, inc, runs, groups, out);
-  return draw_tail(state, inc, runs, groups * kSimdGroup, n, out);
+  state = avx512_groups(state, inc, runs, n / kSimdGroup, mask);
+  return draw_tail(state, inc, runs, n - n % kSimdGroup, n, mask);
 }
 
 #endif  // RESLOC_X86_SIMD

@@ -10,12 +10,12 @@ MatchedFilterNcc::MatchedFilterNcc(double threshold, int peak_plateau)
 
 void MatchedFilterNcc::detect_into(const double* x, std::size_t n, std::size_t chirp_samples,
                                    const acoustics::ToneTemplateView& tpl,
-                                   std::uint8_t* marks) {
-  std::fill(marks, marks + n, std::uint8_t{0});
+                                   std::uint64_t* marks) {
+  std::fill(marks, marks + (n + 63) / 64, std::uint64_t{0});
   if (!scan(x, n, chirp_samples, tpl)) return;
   for (std::size_t i : peaks_) {
     const std::size_t end = std::min(n, i + static_cast<std::size_t>(peak_plateau_));
-    std::fill(marks + i, marks + end, std::uint8_t{1});
+    for (std::size_t j = i; j < end; ++j) marks[j / 64] |= std::uint64_t{1} << (j % 64);
   }
 }
 

@@ -25,9 +25,9 @@
 // length, against O(n*L) for a naive matched filter.
 //
 // Output protocol: detected onsets are marked as short plateaus in the same
-// per-sample boolean series the hardware and Goertzel detectors emit, so the
-// 4-bit accumulation + (T, k, m) detect-signal machinery downstream is shared
-// by all three modes unchanged.
+// fired bitmask the hardware and Goertzel detectors emit, so the 4-bit
+// accumulation + (T, k, m) detect-signal machinery downstream is shared by
+// all three modes unchanged.
 #pragma once
 
 #include <cstddef>
@@ -62,11 +62,11 @@ class MatchedFilterNcc {
 
   /// Scans `x[0, n)` for chirp onsets by NCC against `tpl` (template length
   /// `chirp_samples`; `tpl` must cover at least n samples) and writes the
-  /// 0/1 mark buffer `marks` (the block-DSP `fired` lane, length n,
-  /// caller-allocated): a `peak_plateau`-sample run of 1s, clipped at n, at
-  /// every picked onset and 0 everywhere else.
+  /// mark bitmask `marks` ((n + 63) / 64 caller-allocated words, bit i of
+  /// marks[i / 64] for sample i): a `peak_plateau`-bit run of 1s, clipped
+  /// at n, at every picked onset and 0 everywhere else.
   void detect_into(const double* x, std::size_t n, std::size_t chirp_samples,
-                   const acoustics::ToneTemplateView& tpl, std::uint8_t* marks);
+                   const acoustics::ToneTemplateView& tpl, std::uint64_t* marks);
 
   /// NCC series of the last detect_into call: ncc()[i] is the statistic for
   /// the window [i, i + chirp_samples). Exposed for the accuracy harness.

@@ -99,6 +99,7 @@ RangingAttempt RangingService::measure(double true_distance_m,
                               config_.channel_jitter, rng);
   RESLOC_SPAN_ENTER(stages, "ranging/detection/accumulate");
   scratch.accumulator.reset(window_samples_);
+  scratch.fired.resize((window_samples_ + 63) / 64);
   obs::add(obs::Counter::kChirpWindows, scratch.starts.size());
   for (const double start_s : scratch.starts) {
     // The window's set-up: the receiver-side onset estimate (true start
@@ -115,29 +116,30 @@ RangingAttempt RangingService::measure(double true_distance_m,
     acoustics::draw_noise_bursts(scratch.received, config_.environment, rng);
     if (mode_ == DetectorMode::kHardware) {
       // The window's threshold runs (a per-interval cost, not per-sample),
-      // then the fused Bernoulli mask draw + accumulate: together they
-      // consume exactly one uniform per sample.
+      // then the Bernoulli mask draw, exactly one uniform per sample, and
+      // the add into the counters. The draw happens even once the counters
+      // are full, so a chirp's draws never depend on the ones before it.
       detector_.fire_runs(scratch.received, window_samples_, mic, scratch.detector,
                           scratch.fire_runs);
-      scratch.accumulator.record_chirp_bernoulli(rng, scratch.fire_runs);
+      rng.fill_bernoulli_mask_block(scratch.fire_runs, window_samples_, scratch.fired.data());
+      scratch.accumulator.record_chirp(scratch.fired.data());
       continue;
     }
     stages.end();
     sample_window(mic, rng, scratch);
     // Fold the window's binary series into the 4-bit counters.
     RESLOC_SPAN("ranging/detection/accumulate");
-    scratch.accumulator.record_chirp_block(scratch.fired.data(), window_samples_);
+    scratch.accumulator.record_chirp(scratch.fired.data());
   }
 
   const DetectionParams detection =
       config_.baseline ? detail::kBaselineDetection : config_.detection;
-  const std::vector<std::uint8_t>& samples = scratch.accumulator.samples();
 
   // One resumable pass over the accumulated counters' threshold bitmask:
   // pattern-verification rejections resume the scan instead of restarting it.
   RESLOC_SPAN_ENTER(stages, "ranging/detection/scan");
   SignalScanner& scanner = scratch.scanner;
-  scanner.reset(samples, detection);
+  scanner.reset(scratch.accumulator, detection);
   int index = scanner.next();
   if (!config_.baseline && config_.verify_pattern) {
     while (index >= 0 &&
@@ -163,7 +165,6 @@ void RangingService::sample_window(const acoustics::MicUnit& mic, resloc::math::
   // service's window.
   scratch.noise.resize(n);
   scratch.audio.resize(n);
-  scratch.fired.resize(n);
 
   // Synthesis as staged block kernels over contiguous buffers: envelope
   // rasterization, standard-normal noise fill (one fill_gaussian_block call,
@@ -187,19 +188,20 @@ void RangingService::sample_window(const acoustics::MicUnit& mic, resloc::math::
   }
 
   if (mode_ == DetectorMode::kGoertzel) {
-    // Goertzel metric, then the group-delay-compensated sign threshold.
+    // Goertzel metric, then the group-delay-compensated sign threshold,
+    // packed into the fired bitmask.
     RESLOC_SPAN("ranging/detection/goertzel");
     scratch.metric.resize(n);
     scratch.goertzel = *goertzel_;  // copy-assign: the fresh-window state
     scratch.goertzel->run_block(scratch.audio.data(), n, scratch.metric.data());
     constexpr std::size_t kGroupDelay = detail::kGoertzelGroupDelay;
     const std::size_t live = n > kGroupDelay ? n - kGroupDelay : 0;
-    std::uint8_t* fired = scratch.fired.data();
+    std::uint64_t* fired = scratch.fired.data();
     const double* metric = scratch.metric.data();
+    std::fill(fired, fired + scratch.fired.size(), std::uint64_t{0});
     for (std::size_t j = 0; j < live; ++j) {
-      fired[j] = static_cast<std::uint8_t>(metric[j + kGroupDelay] > 0.0);
+      fired[j / 64] |= std::uint64_t{metric[j + kGroupDelay] > 0.0} << (j % 64);
     }
-    std::fill(fired + live, fired + n, std::uint8_t{0});
     return;
   }
 

@@ -106,8 +106,8 @@ struct RangingConfig {
 };
 
 /// Outcome of one ranging sequence. Its post-accumulation 4-bit counters
-/// are in the scratch's accumulator (scratch.accumulator.samples()) until
-/// the next measure() with that scratch.
+/// are in the scratch's accumulator (scratch.accumulator.count(i)) until the
+/// next measure() with that scratch.
 struct RangingAttempt {
   std::optional<double> distance_m;  ///< estimate; nullopt = no detection
   int detection_index = -1;          ///< sample index of the detected onset
@@ -116,8 +116,9 @@ struct RangingAttempt {
 
 /// Reusable working buffers for measure(). A campaign loop keeps one per
 /// worker thread and passes it to every pair, so the per-sequence vectors
-/// (emission schedule, exchange channel, received window, 4-bit counters and
-/// their scan mask, DSP buffers) are allocated once instead of once per pair
+/// (emission schedule, exchange channel, received window, fired bitmask,
+/// 4-bit counters and their scan mask, DSP buffers) are allocated once
+/// instead of once per pair
 /// -- the buffer reuse the mote firmware's fixed RAM layout implies (3.6.2).
 /// Everything here is per-call state: what depends only on the service's
 /// config (the tone tables, the Goertzel detector's twiddles) lives in the
@@ -134,14 +135,16 @@ struct RangingScratch {
   /// Hardware-detector mode: the window's Bernoulli threshold runs (sized by
   /// ToneDetectorModel::fire_runs, a handful per window).
   std::vector<resloc::math::BernoulliRun> fire_runs;
+  /// Every mode, one chirp window: the front end's binary output as a
+  /// bitmask (bit i of fired[i / 64] set when sample i fired), the one
+  /// input of SignalAccumulator::record_chirp.
+  std::vector<std::uint64_t> fired;
   /// Sampled-audio modes, one window each: per-sample tone amplitudes,
-  /// standard normals, synthesized audio, Goertzel metric, and the binary
-  /// detector output folded into the counters.
+  /// standard normals, synthesized audio and Goertzel metric.
   std::vector<double> amplitude;
   std::vector<double> noise;
   std::vector<double> audio;
   std::vector<double> metric;
-  std::vector<std::uint8_t> fired;
   /// Goertzel mode: the running detector, copied from the service's fresh
   /// one at each window.
   std::optional<GoertzelToneDetector> goertzel;
@@ -179,7 +182,7 @@ class RangingService {
   /// (envelope -> noise -> tone mix over the scratch's window buffers), then
   /// runs the mode's detector -- the group-delay-compensated Goertzel
   /// threshold (Section 3.7) or the NCC onset picks. The binary series lands
-  /// in scratch.fired.
+  /// in the scratch.fired bitmask.
   void sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
                      RangingScratch& scratch) const;
 

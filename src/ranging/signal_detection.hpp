@@ -11,10 +11,9 @@
 // signal start is the first sample of the qualifying window.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "math/rng.hpp"
 
 namespace resloc::ranging {
 
@@ -28,46 +27,46 @@ struct DetectionParams {
 };
 
 /// Accumulates binary tone-detector series across chirps (record-signal).
+/// The 4-bit counters are stored as four bit planes, the layout of the
+/// mote's 4-bit buffer turned sideways: bit i of plane b is bit b of sample
+/// i's count, so one chirp's fired bitmask is added 64 samples per word by a
+/// ripple-carry add, and count >= T is a bit-sliced compare.
 class SignalAccumulator {
  public:
-  /// `num_samples` is the per-chirp sampling window length; RAM use is 4 bits
-  /// per sample on the mote, modeled by capping counters at 15.
+  /// `num_samples` is the per-chirp sampling window length.
   explicit SignalAccumulator(std::size_t num_samples);
 
-  /// Adds one chirp's binary detector output, a contiguous 0/1 buffer of
-  /// n == num_samples entries (the block-DSP `fired` lane): each fired
-  /// sample's counter gains one, saturating at 15, and chirps past
-  /// kMaxChirps are dropped. A branch-free accumulate the compiler can
-  /// vectorize.
-  void record_chirp_block(const std::uint8_t* fired, std::size_t n);
-
-  /// Fused Bernoulli-draw + accumulate for the block hardware-detector path:
-  /// draws the chirp's num_samples Bernoulli samples from `rng` as a fired
-  /// bitmask (Rng::fill_bernoulli_mask_block over the detector's threshold
-  /// `runs`), then adds each fired bit into its counter. It draws even once
-  /// the counters are full, so every chirp consumes the same RNG stream.
-  /// Bit-equal to per-sample rng.bernoulli(p_i) followed by
-  /// record_chirp_block, because bernoulli(p) is
-  /// uniform_bits() < bernoulli_threshold(p).
-  void record_chirp_bernoulli(resloc::math::Rng& rng,
-                              const std::vector<resloc::math::BernoulliRun>& runs);
+  /// Adds one chirp's fired bitmask -- bit i of fired[i / 64] set when
+  /// sample i fired, (size() + 63) / 64 words, bits past size() ignored --
+  /// into the counters. Chirps past kMaxChirps are dropped, so no count
+  /// exceeds 15 and the planes never overflow.
+  void record_chirp(const std::uint64_t* fired);
 
   /// Zeroes the counters (and resizes to `num_samples`) so one accumulator
   /// can be reused across a campaign's pairs without reallocating.
   void reset(std::size_t num_samples);
 
-  /// Accumulated counts, saturated at the 4-bit maximum.
-  const std::vector<std::uint8_t>& samples() const { return samples_; }
+  /// Accumulated count of sample i < size(), in [0, kMaxChirps].
+  int count(std::size_t i) const;
 
-  std::size_t size() const { return samples_.size(); }
+  /// Writes (size() + 63) / 64 words to `mask`: bit i set when sample i's
+  /// count is at least `threshold`. threshold <= 0 selects every sample,
+  /// threshold > 15 none; bits past size() are zero.
+  void at_least(int threshold, std::uint64_t* mask) const;
+
+  std::size_t size() const { return n_; }
   int chirps_recorded() const { return chirps_; }
 
   /// Hard cap from the 4-bit-per-offset buffer layout (Section 3.6.2).
   static constexpr int kMaxChirps = 15;
 
  private:
-  std::vector<std::uint8_t> samples_;
-  std::vector<std::uint64_t> fired_mask_;  ///< record_chirp_bernoulli's draws
+  static constexpr std::size_t kPlanes = 4;
+
+  /// Word w of plane b at planes_[kPlanes * w + b]: one chirp's add touches
+  /// a word's four planes together.
+  std::vector<std::uint64_t> planes_;
+  std::size_t n_ = 0;
   int chirps_ = 0;
 };
 
@@ -83,18 +82,18 @@ inline constexpr int kSilenceMaxNoisy = 2;
 /// with count >= params.threshold and whose first sample qualifies (it marks
 /// the signal start) -- each the index the paper's scan restarted at the
 /// previous result + 1 returns (tests/reference keeps that scan as the
-/// oracle). The counters are packed once into one bit per sample (count >=
-/// T); next() jumps between qualifying starts with count-trailing-zeros and
-/// counts each window with popcount.
+/// oracle). The counters are compared once into one bit per sample (count >=
+/// T, SignalAccumulator::at_least); next() jumps between qualifying starts
+/// with count-trailing-zeros and counts each window with popcount.
 class SignalScanner {
  public:
   SignalScanner() = default;
-  SignalScanner(const std::vector<std::uint8_t>& samples, const DetectionParams& params) {
-    reset(samples, params);
+  SignalScanner(const SignalAccumulator& counts, const DetectionParams& params) {
+    reset(counts, params);
   }
 
-  /// Restarts the scan over `samples`, reusing the mask's storage.
-  void reset(const std::vector<std::uint8_t>& samples, const DetectionParams& params);
+  /// Restarts the scan over `counts`, reusing the mask's storage.
+  void reset(const SignalAccumulator& counts, const DetectionParams& params);
 
   /// Next candidate start index at or after the previous result + 1
   /// (first call: at or after 0), or -1 once exhausted.

@@ -97,6 +97,20 @@ bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int inde
   return noisy <= max_noisy;
 }
 
+ranging::SignalAccumulator accumulator_from_counts(const std::vector<std::uint8_t>& counts) {
+  const std::size_t n = counts.size();
+  ranging::SignalAccumulator acc(n);
+  std::vector<std::uint64_t> fired((n + 63) / 64);
+  for (int chirp = 0; chirp < ranging::SignalAccumulator::kMaxChirps; ++chirp) {
+    std::fill(fired.begin(), fired.end(), std::uint64_t{0});
+    for (std::size_t i = 0; i < n; ++i) {
+      if (counts[i] > chirp) fired[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    acc.record_chirp(fired.data());
+  }
+  return acc;
+}
+
 namespace {
 
 /// The window's tone tables, rebuilt only when the service's tuning or
@@ -161,10 +175,10 @@ void ncc_window(const ranging::RangingConfig& config, std::size_t n,
   if (!scratch.ncc) scratch.ncc.emplace();
   const auto chirp_samples =
       static_cast<std::size_t>(std::llround(config.pattern.chirp_duration_s * fs));
-  scratch.marks.resize(n);
+  scratch.marks.resize((n + 63) / 64);
   scratch.ncc->detect_into(scratch.audio.data(), n, chirp_samples, tpl, scratch.marks.data());
   scratch.fired.assign(n, false);
-  for (std::size_t i = 0; i < n; ++i) scratch.fired[i] = scratch.marks[i] != 0;
+  for (std::size_t i = 0; i < n; ++i) scratch.fired[i] = (scratch.marks[i / 64] >> (i % 64)) & 1u;
 }
 
 }  // namespace

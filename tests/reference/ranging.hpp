@@ -64,6 +64,12 @@ int detect_signal(const std::vector<std::uint8_t>& samples, const ranging::Detec
 bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
                               int threshold, int max_noisy);
 
+/// An accumulator holding `counts` (each at most
+/// SignalAccumulator::kMaxChirps): kMaxChirps recorded chirps, sample i
+/// firing in the first counts[i] of them. Builds the scanners' inputs from
+/// byte counters.
+ranging::SignalAccumulator accumulator_from_counts(const std::vector<std::uint8_t>& counts);
+
 /// Working buffers of measure_per_sample, reused across calls with one
 /// service (a campaign worker keeps one).
 struct MeasureScratch {
@@ -84,7 +90,7 @@ struct MeasureScratch {
   std::vector<double> tone_cos;
   double tone_frequency_hz = 0.0;
   double tone_sample_rate_hz = 0.0;
-  std::vector<std::uint8_t> marks;
+  std::vector<std::uint64_t> marks;
   std::optional<ranging::MatchedFilterNcc> ncc;
 };
 

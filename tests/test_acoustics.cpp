@@ -380,8 +380,8 @@ TEST(Channel, EveryWindowHearsTheSameChirps) {
 
 // Fired-sample counts of one chirp window from both detector paths, each
 // drawn from its own Rng(seed): the shipped path (ToneDetectorModel::fire_runs
-// + SignalAccumulator::record_chirp_bernoulli, one chirp, so every counter is
-// 0 or 1) and the per-sample reference. The statistical checks below run on
+// + Rng::fill_bernoulli_mask_block + SignalAccumulator::record_chirp, one
+// chirp, so every counter is 0 or 1) and the per-sample reference. The statistical checks below run on
 // both, so a shared drift away from the modelled rates fails them.
 struct FiredCounts {
   double production = 0.0;
@@ -395,10 +395,12 @@ FiredCounts count_fired(const EnvironmentProfile& env, const ReceivedWindow& win
   DetectorScratch scratch;
   std::vector<resloc::math::BernoulliRun> runs;
   model.fire_runs(window, n, mic, scratch, runs);
-  resloc::ranging::SignalAccumulator acc(n);
+  std::vector<std::uint64_t> fired((n + 63) / 64);
   Rng production_rng(seed);
-  acc.record_chirp_bernoulli(production_rng, runs);
-  for (const std::uint8_t c : acc.samples()) counts.production += c;
+  production_rng.fill_bernoulli_mask_block(runs, n, fired.data());
+  resloc::ranging::SignalAccumulator acc(n);
+  acc.record_chirp(fired.data());
+  for (std::size_t i = 0; i < n; ++i) counts.production += acc.count(i);
 
   Rng reference_rng(seed);
   const auto out = resloc::reference::sample_window(env, 16000.0, window, n, mic, reference_rng);

@@ -431,6 +431,21 @@ acoustics::ReceivedWindow synthetic_window(Rng& rng, double window_start_s, std:
   return w;
 }
 
+/// A per-sample 0/1 series as a fired bitmask, bit i of word i / 64.
+std::vector<std::uint64_t> mask_of(const std::vector<bool>& fired) {
+  std::vector<std::uint64_t> mask((fired.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    if (fired[i]) mask[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  return mask;
+}
+
+std::vector<int> counts_of(const ranging::SignalAccumulator& acc) {
+  std::vector<int> counts(acc.size());
+  for (std::size_t i = 0; i < acc.size(); ++i) counts[i] = acc.count(i);
+  return counts;
+}
+
 TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
   const acoustics::EnvironmentProfile env = acoustics::EnvironmentProfile::grass();
   const acoustics::ToneDetectorModel detector(env);
@@ -448,11 +463,10 @@ TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
     Rng ref_rng(1000 + trial, 11);
     const std::vector<bool> ref_out =
         resloc::reference::sample_window(env, detector.sample_rate_hz(), w, n, mic, ref_rng);
-    const std::vector<std::uint8_t> ref_fired(ref_out.begin(), ref_out.end());
     ranging::SignalAccumulator ref_acc(n);
-    ref_acc.record_chirp_block(ref_fired.data(), n);
+    ref_acc.record_chirp(mask_of(ref_out).data());
 
-    // Block: threshold runs + fused mask draw/accumulate.
+    // Block: threshold runs + mask draw, then the bitmask accumulate.
     Rng blk_rng(1000 + trial, 11);
     acoustics::DetectorScratch blk_scratch;
     std::vector<resloc::math::BernoulliRun> runs;
@@ -463,23 +477,27 @@ TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
       ASSERT_LT(runs[r - 1].end, runs[r].end) << "trial=" << trial;
       ASSERT_NE(runs[r - 1].threshold, runs[r].threshold) << "unmerged runs, trial=" << trial;
     }
+    std::vector<std::uint64_t> fired((n + 63) / 64);
+    blk_rng.fill_bernoulli_mask_block(runs, n, fired.data());
     ranging::SignalAccumulator blk_acc(n);
-    blk_acc.record_chirp_bernoulli(blk_rng, runs);
+    blk_acc.record_chirp(fired.data());
 
-    ASSERT_EQ(blk_acc.samples(), ref_acc.samples()) << "trial=" << trial;
+    ASSERT_EQ(counts_of(blk_acc), counts_of(ref_acc)) << "trial=" << trial;
     ASSERT_EQ(blk_rng.uniform_bits(), ref_rng.uniform_bits()) << "trial=" << trial;
   }
 }
 
 TEST(HardwareBlock, BernoulliDrawsEvenWhenCountersFull) {
-  // The scalar path consumes RNG for every chirp past kMaxChirps; the fused
-  // block accumulate must too, or streams desynchronize at chirp 16.
+  // The scalar path consumes RNG for every chirp past kMaxChirps; the block
+  // path's mask draw + record must too, or streams desynchronize at chirp 16.
   const std::size_t n = 37;
   const std::vector<resloc::math::BernoulliRun> runs = {{n, Rng::bernoulli_threshold(0.5)}};
   Rng a(5, 1), b(5, 1);
   ranging::SignalAccumulator acc(n);
+  std::vector<std::uint64_t> fired((n + 63) / 64);
   for (int chirp = 0; chirp < ranging::SignalAccumulator::kMaxChirps + 4; ++chirp) {
-    acc.record_chirp_bernoulli(a, runs);
+    a.fill_bernoulli_mask_block(runs, n, fired.data());
+    acc.record_chirp(fired.data());
   }
   for (int chirp = 0; chirp < ranging::SignalAccumulator::kMaxChirps + 4; ++chirp) {
     for (std::size_t i = 0; i < n; ++i) b.uniform_bits();
@@ -494,19 +512,19 @@ TEST(RecordChirpBlock, CountsFiredSamplesOfTheFirstFifteenChirps) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 300));
     const double rate = trial == 0 ? 1.0 : 0.4;  // trial 0: every counter saturates at 15
     ranging::SignalAccumulator acc(n);
-    std::vector<std::uint8_t> expect(n, 0);
+    std::vector<int> expect(n, 0);
     for (int chirp = 0; chirp < 18; ++chirp) {
-      std::vector<std::uint8_t> fired(n);
+      std::vector<bool> fired(n);
       for (std::size_t i = 0; i < n; ++i) {
-        fired[i] = rng.bernoulli(rate) ? 1 : 0;
+        fired[i] = rng.bernoulli(rate);
         if (chirp < ranging::SignalAccumulator::kMaxChirps) expect[i] += fired[i];
       }
-      acc.record_chirp_block(fired.data(), n);
+      acc.record_chirp(mask_of(fired).data());
     }
-    ASSERT_EQ(acc.samples(), expect) << "trial=" << trial;
+    ASSERT_EQ(counts_of(acc), expect) << "trial=" << trial;
     ASSERT_EQ(acc.chirps_recorded(), ranging::SignalAccumulator::kMaxChirps);
     if (trial == 0) {
-      ASSERT_EQ(expect, std::vector<std::uint8_t>(n, 15));
+      ASSERT_EQ(expect, std::vector<int>(n, 15));
     }
   }
 }
@@ -574,18 +592,18 @@ TEST(MatchedFilterBlock, MarksAPlateauAtEachPickedPeakClippedAtTheWindow) {
         const bool in_chirp = i >= onset && i < onset + chirp;
         x[i] = (in_chirp ? 3.0 * tpl.sin_t[i] : 0.0) + rng.gaussian();
       }
-      std::vector<std::uint8_t> marks(n, 0xCC);
+      std::vector<std::uint64_t> marks((n + 63) / 64, 0xCCCCCCCCCCCCCCCCULL);
       filt.detect_into(x.data(), n, chirp, tpl, marks.data());
-      std::vector<std::uint8_t> expect(n, 0);
+      std::vector<bool> expect(n, false);
       for (const std::size_t peak : filt.peaks()) {
         ASSERT_LT(peak, n);
         const std::size_t end = std::min(n, peak + static_cast<std::size_t>(plateau));
         clipped += end < peak + static_cast<std::size_t>(plateau);
         std::fill(expect.begin() + static_cast<std::ptrdiff_t>(peak),
-                  expect.begin() + static_cast<std::ptrdiff_t>(end), std::uint8_t{1});
+                  expect.begin() + static_cast<std::ptrdiff_t>(end), true);
       }
       peaks += static_cast<int>(filt.peaks().size());
-      ASSERT_EQ(marks, expect) << "plateau=" << plateau << " trial=" << trial;
+      ASSERT_EQ(marks, mask_of(expect)) << "plateau=" << plateau << " trial=" << trial;
     }
     EXPECT_GT(peaks, 0) << "plateau=" << plateau;
     if (plateau > static_cast<int>(chirp)) {
@@ -611,7 +629,7 @@ TEST(SignalScanner, YieldsSameCandidatesAsRestartScan) {
     params.threshold = static_cast<int>(rng.uniform_int(0, 5));
     params.window = static_cast<int>(rng.uniform_int(1, 100));
     params.min_detections = static_cast<int>(rng.uniform_int(1, params.window));
-    ranging::SignalScanner scanner(samples, params);
+    ranging::SignalScanner scanner(resloc::reference::accumulator_from_counts(samples), params);
     int expect = resloc::reference::detect_signal(samples, params, 0);
     int guard = 0;
     for (;;) {
@@ -666,7 +684,11 @@ void expect_service_equivalence(ranging::DetectorMode mode) {
     }
     ASSERT_EQ(a.detection_index, b.detection_index) << "trial=" << trial;
     ASSERT_EQ(a.rejected_detections, b.rejected_detections) << "trial=" << trial;
-    ASSERT_EQ(ref_scratch.counts, blk_scratch.accumulator.samples()) << "trial=" << trial;
+    ASSERT_EQ(ref_scratch.counts.size(), blk_scratch.accumulator.size()) << "trial=" << trial;
+    for (std::size_t i = 0; i < ref_scratch.counts.size(); ++i) {
+      ASSERT_EQ(ref_scratch.counts[i], blk_scratch.accumulator.count(i))
+          << "trial=" << trial << " i=" << i;
+    }
     ASSERT_EQ(ref_rng.uniform_bits(), blk_rng.uniform_bits()) << "trial=" << trial;
     ASSERT_EQ(ref_rng.gaussian(), blk_rng.gaussian()) << "trial=" << trial;
   }

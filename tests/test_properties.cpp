@@ -15,6 +15,7 @@
 #include "ranging/statistical_filter.hpp"
 #include "ranging/signal_detection.hpp"
 #include "sim/deployments.hpp"
+#include "reference/ranging.hpp"
 #include "sim/measurement_gen.hpp"
 
 namespace {
@@ -120,14 +121,19 @@ TEST_P(DetectSignalStability, AppendQuietSamplesNoChange) {
         static_cast<std::uint8_t>(rng.uniform_int(2, 9));
   }
   const resloc::ranging::DetectionParams params{2, 16, 5};
-  const int detected = resloc::ranging::SignalScanner(samples, params).next();
+  const int detected =
+      resloc::ranging::SignalScanner(resloc::reference::accumulator_from_counts(samples), params)
+          .next();
   if (detected >= 0) {
     EXPECT_GE(detected, 0);
     EXPECT_GE(samples[static_cast<std::size_t>(detected)], params.threshold);
     // First sample before `detected` in a fully-quiet prefix can't qualify.
     std::vector<std::uint8_t> extended = samples;
     extended.resize(400, 0);
-    EXPECT_EQ(resloc::ranging::SignalScanner(extended, params).next(), detected);
+    EXPECT_EQ(resloc::ranging::SignalScanner(resloc::reference::accumulator_from_counts(extended),
+                                             params)
+                  .next(),
+              detected);
   }
 }
 

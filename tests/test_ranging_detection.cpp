@@ -1,20 +1,36 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include "math/constants.hpp"
+#include <cstdint>
+#include <vector>
 
 #include "acoustics/signal_synth.hpp"
+#include "math/constants.hpp"
 #include "math/rng.hpp"
 #include "ranging/dft_detector.hpp"
 #include "ranging/signal_detection.hpp"
+#include "reference/ranging.hpp"
 
 namespace {
 
 using namespace resloc::ranging;
 using resloc::math::Rng;
+using resloc::reference::accumulator_from_counts;
 
+/// Records one chirp given as one 0/1 byte per sample.
 void record(SignalAccumulator& acc, const std::vector<std::uint8_t>& fired) {
-  acc.record_chirp_block(fired.data(), fired.size());
+  std::vector<std::uint64_t> mask((fired.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    if (fired[i] != 0) mask[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  acc.record_chirp(mask.data());
+}
+
+std::vector<int> counts_of(const SignalAccumulator& acc) {
+  std::vector<int> counts(acc.size());
+  for (std::size_t i = 0; i < acc.size(); ++i) counts[i] = acc.count(i);
+  return counts;
 }
 
 TEST(SignalAccumulator, AccumulatesAcrossChirps) {
@@ -22,22 +38,57 @@ TEST(SignalAccumulator, AccumulatesAcrossChirps) {
   record(acc, {1, 0, 1, 0});
   record(acc, {1, 1, 0, 0});
   record(acc, {1, 0, 0, 1});
-  EXPECT_EQ(acc.samples(), (std::vector<std::uint8_t>{3, 1, 1, 1}));
+  EXPECT_EQ(counts_of(acc), (std::vector<int>{3, 1, 1, 1}));
   EXPECT_EQ(acc.chirps_recorded(), 3);
 }
 
 TEST(SignalAccumulator, SaturatesAtFourBits) {
   SignalAccumulator acc(1);
   for (int i = 0; i < 20; ++i) record(acc, {1});
-  EXPECT_EQ(acc.samples()[0], 15);  // 4-bit counter cap
+  EXPECT_EQ(acc.count(0), 15);  // 4-bit counter cap
   EXPECT_EQ(acc.chirps_recorded(), SignalAccumulator::kMaxChirps);
+}
+
+TEST(SignalAccumulator, BitPlanesMatchByteCounters) {
+  // Random fired masks, garbage past n included, against a per-sample byte
+  // counter that ignores chirps past the 4-bit cap.
+  Rng rng(0xB175, 3);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 2011u}) {
+    const std::size_t words = (n + 63) / 64;
+    for (int trial = 0; trial < 20; ++trial) {
+      const int chirps = static_cast<int>(rng.uniform_int(1, 19));
+      const double density = rng.uniform(0.0, 1.0);
+      SignalAccumulator acc(n);
+      std::vector<int> expect(n, 0);
+      for (int chirp = 0; chirp < chirps; ++chirp) {
+        std::vector<std::uint64_t> fired(words, 0);
+        for (std::size_t i = 0; i < 64 * words; ++i) {
+          if (!rng.bernoulli(density)) continue;
+          fired[i / 64] |= std::uint64_t{1} << (i % 64);
+          if (i < n && chirp < SignalAccumulator::kMaxChirps) ++expect[i];
+        }
+        acc.record_chirp(fired.data());
+      }
+      ASSERT_EQ(counts_of(acc), expect) << "n=" << n << " trial=" << trial;
+      ASSERT_EQ(acc.chirps_recorded(), std::min(chirps, SignalAccumulator::kMaxChirps));
+      for (int t = -1; t <= 17; ++t) {
+        std::vector<std::uint64_t> mask(words, 0xA5A5A5A5A5A5A5A5ULL);
+        acc.at_least(t, mask.data());
+        for (std::size_t i = 0; i < 64 * words; ++i) {
+          const bool bit = (mask[i / 64] >> (i % 64)) & 1u;
+          ASSERT_EQ(bit, i < n && expect[i] >= t)
+              << "n=" << n << " trial=" << trial << " t=" << t << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 /// The scanner's first candidate at or after `start_index`: the paper's
 /// detect-signal restarted there.
 int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params,
                   int start_index = 0) {
-  SignalScanner scanner(samples, params);
+  SignalScanner scanner(accumulator_from_counts(samples), params);
   int index = scanner.next();
   while (index >= 0 && index < start_index) index = scanner.next();
   return index;
@@ -46,7 +97,8 @@ int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParam
 /// The scanner's pattern verification at accumulation threshold `threshold`.
 bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
                               int threshold, int max_noisy) {
-  return SignalScanner(samples, {threshold, 1, 1}).quiet_before(index, gap, max_noisy);
+  return SignalScanner(accumulator_from_counts(samples), {threshold, 1, 1})
+      .quiet_before(index, gap, max_noisy);
 }
 
 TEST(DetectSignal, FindsWindowStart) {

@@ -192,7 +192,7 @@ TEST(RangingService, DiagnosticsExposeDetectionIndex) {
                                        resloc::acoustics::MicUnit{}, rng, scratch);
   ASSERT_TRUE(attempt.distance_m.has_value());
   EXPECT_GE(attempt.detection_index, 0);
-  EXPECT_EQ(scratch.accumulator.samples().size(), service.window_samples());
+  EXPECT_EQ(scratch.accumulator.size(), service.window_samples());
   // Detection index consistent with the returned distance.
   EXPECT_NEAR(distance_from_detection_index(attempt.detection_index, config.tdoa),
               *attempt.distance_m, 1e-9);
