@@ -2,11 +2,14 @@
 // pipelines on seeded scenarios, plus failure injection.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/alignment_protocol.hpp"
 #include "core/distributed_lss.hpp"
 #include "core/lss.hpp"
 #include "core/multilateration.hpp"
 #include "eval/metrics.hpp"
+#include "pipeline/localization_pipeline.hpp"
 #include "sim/deployments.hpp"
 #include "sim/measurement_gen.hpp"
 #include "sim/scenarios.hpp"
@@ -72,6 +75,53 @@ TEST(Integration, MultilaterationVsLssOnSparseData) {
 
   EXPECT_LT(mlat_rep.localized, mlat_rep.total_nodes);  // some nodes always fail
   EXPECT_EQ(lss_rep.localized, lss_rep.total_nodes);    // LSS localizes everyone
+}
+
+TEST(Integration, PipelineDistributedBranchMatchesDirectSolveScoredAligned) {
+  // LocalizationPipeline with Solver::kDistributedLss returns what
+  // core::localize_distributed returns on the same measurements and seed,
+  // and scores it after best-fit alignment (the root's frame is arbitrary).
+  const core::Deployment deployment = sim::offset_grid(4, 4);
+  math::Rng noise_rng(11);
+  const core::MeasurementSet measurements =
+      sim::gaussian_measurements(deployment, sim::GaussianNoiseModel{}, noise_rng);
+
+  pipeline::PipelineConfig config;
+  config.source = pipeline::MeasurementSource::kSyntheticGaussian;
+  config.solver = pipeline::Solver::kDistributedLss;
+  config.distributed.local_lss.independent_inits = 3;
+  config.distributed.local_lss.restarts.rounds = 1;
+  config.distributed.local_lss.gd.max_iterations = 1000;
+  const pipeline::LocalizationPipeline pipe(config);
+
+  math::Rng pipe_rng(21);
+  const pipeline::PipelineRun run = pipe.run_on_measurements(deployment, measurements, pipe_rng);
+  math::Rng direct_rng(21);
+  core::DistributedLssResult direct =
+      core::localize_distributed(run.measurements, /*root=*/0, config.distributed, direct_rng);
+  direct.result.positions.resize(deployment.size());
+
+  ASSERT_EQ(run.estimates.positions.size(), deployment.size());
+  for (std::size_t id = 0; id < deployment.size(); ++id) {
+    const auto& got = run.estimates.positions[id];
+    const auto& want = direct.result.positions[id];
+    ASSERT_EQ(got.has_value(), want.has_value()) << "node " << id;
+    if (got) {
+      EXPECT_EQ(got->x, want->x) << "node " << id;
+      EXPECT_EQ(got->y, want->y) << "node " << id;
+    }
+  }
+  EXPECT_TRUE(std::isnan(run.stress));  // no single global stress
+
+  const eval::LocalizationReport aligned =
+      eval::evaluate_localization(direct.result.positions, deployment.positions, true);
+  const eval::LocalizationReport unaligned =
+      eval::evaluate_localization(direct.result.positions, deployment.positions, false);
+  EXPECT_EQ(run.report.localized, deployment.size());
+  EXPECT_EQ(run.report.localized, aligned.localized);
+  EXPECT_EQ(run.report.average_error_m, aligned.average_error_m);
+  EXPECT_EQ(run.report.max_error_m, aligned.max_error_m);
+  EXPECT_LT(run.report.average_error_m, unaligned.average_error_m);
 }
 
 TEST(Integration, DistributedImprovesWithDensity) {
