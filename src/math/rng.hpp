@@ -90,8 +90,8 @@ class Rng {
 
   /// Writes exactly the next `n` uniform_bits() draws to `out` and leaves the
   /// generator in the same state n sequential calls would. Internally the raw
-  /// u32 sequence is split across 8 independent LCG lanes via the jump-by-8
-  /// affine map, so the 8 state multiplies per iteration have no dependency
+  /// u32 sequence is split across 16 independent LCG lanes via the jump-by-16
+  /// affine map, so the 16 state multiplies per group have no dependency
   /// chain between them -- the serial PCG recurrence is the block-DSP hot
   /// path's floor, and this is how it is broken without changing one output.
   void fill_uniform_bits_block(std::uint64_t* out, std::size_t n);

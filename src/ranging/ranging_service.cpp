@@ -196,11 +196,14 @@ void RangingService::sample_window(const acoustics::MicUnit& mic, resloc::math::
     scratch.goertzel->run_block(scratch.audio.data(), n, scratch.metric.data());
     constexpr std::size_t kGroupDelay = detail::kGoertzelGroupDelay;
     const std::size_t live = n > kGroupDelay ? n - kGroupDelay : 0;
-    std::uint64_t* fired = scratch.fired.data();
-    const double* metric = scratch.metric.data();
-    std::fill(fired, fired + scratch.fired.size(), std::uint64_t{0});
-    for (std::size_t j = 0; j < live; ++j) {
-      fired[j / 64] |= std::uint64_t{metric[j + kGroupDelay] > 0.0} << (j % 64);
+    for (std::size_t w = 0; w < scratch.fired.size(); ++w) {
+      // Each word's samples walk downward, so every step is one doubling
+      // add rather than a variable shift.
+      std::uint64_t bits = 0;
+      for (std::size_t j = std::min(live, 64 * w + 64); j-- > 64 * w;) {
+        bits = 2 * bits + (scratch.metric[j + kGroupDelay] > 0.0);
+      }
+      scratch.fired[w] = bits;
     }
     return;
   }

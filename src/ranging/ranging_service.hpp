@@ -118,8 +118,8 @@ struct RangingAttempt {
 /// worker thread and passes it to every pair, so the per-sequence vectors
 /// (emission schedule, exchange channel, received window, fired bitmask,
 /// 4-bit counters and their scan mask, DSP buffers) are allocated once
-/// instead of once per pair
-/// -- the buffer reuse the mote firmware's fixed RAM layout implies (3.6.2).
+/// instead of once per pair -- the buffer reuse the mote firmware's fixed
+/// RAM layout implies (3.6.2).
 /// Everything here is per-call state: what depends only on the service's
 /// config (the tone tables, the Goertzel detector's twiddles) lives in the
 /// service, so one scratch serves any service. Exclusively owned by one
