@@ -97,18 +97,28 @@ bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int inde
   return noisy <= max_noisy;
 }
 
+std::vector<std::uint64_t> fired_mask(const std::vector<bool>& fired) {
+  std::vector<std::uint64_t> mask((fired.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    if (fired[i]) mask[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  return mask;
+}
+
 ranging::SignalAccumulator accumulator_from_counts(const std::vector<std::uint8_t>& counts) {
-  const std::size_t n = counts.size();
-  ranging::SignalAccumulator acc(n);
-  std::vector<std::uint64_t> fired((n + 63) / 64);
+  ranging::SignalAccumulator acc(counts.size());
+  std::vector<bool> fired(counts.size());
   for (int chirp = 0; chirp < ranging::SignalAccumulator::kMaxChirps; ++chirp) {
-    std::fill(fired.begin(), fired.end(), std::uint64_t{0});
-    for (std::size_t i = 0; i < n; ++i) {
-      if (counts[i] > chirp) fired[i / 64] |= std::uint64_t{1} << (i % 64);
-    }
-    acc.record_chirp(fired.data());
+    for (std::size_t i = 0; i < counts.size(); ++i) fired[i] = counts[i] > chirp;
+    acc.record_chirp(fired_mask(fired).data());
   }
   return acc;
+}
+
+std::vector<std::uint8_t> counts_of(const ranging::SignalAccumulator& acc) {
+  std::vector<std::uint8_t> counts(acc.size());
+  for (std::size_t i = 0; i < acc.size(); ++i) counts[i] = static_cast<std::uint8_t>(acc.count(i));
+  return counts;
 }
 
 namespace {

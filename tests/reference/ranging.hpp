@@ -64,11 +64,17 @@ int detect_signal(const std::vector<std::uint8_t>& samples, const ranging::Detec
 bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
                               int threshold, int max_noisy);
 
+/// A per-sample binary series as a fired bitmask: bit i of word i / 64.
+std::vector<std::uint64_t> fired_mask(const std::vector<bool>& fired);
+
 /// An accumulator holding `counts` (each at most
 /// SignalAccumulator::kMaxChirps): kMaxChirps recorded chirps, sample i
 /// firing in the first counts[i] of them. Builds the scanners' inputs from
 /// byte counters.
 ranging::SignalAccumulator accumulator_from_counts(const std::vector<std::uint8_t>& counts);
+
+/// The accumulator's counts, one byte per sample.
+std::vector<std::uint8_t> counts_of(const ranging::SignalAccumulator& acc);
 
 /// Working buffers of measure_per_sample, reused across calls with one
 /// service (a campaign worker keeps one).

@@ -38,8 +38,8 @@ using resloc::math::Rng;
 namespace acoustics = resloc::acoustics;
 namespace ranging = resloc::ranging;
 
-// Sizes chosen to cross the 4-draw quad stride of fill_uniform_bits_block and
-// the Goertzel 256-step resync period, plus odd/partial-tail cases.
+// Sizes chosen to cross the 8-draw group of fill_uniform_bits_block and the
+// Goertzel 256-step resync period, plus odd/partial-tail cases.
 const std::size_t kBlockSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 36, 100, 255, 256, 257, 1163};
 
 TEST(RngBlocks, UniformBitsBlockMatchesSequential) {
@@ -431,20 +431,8 @@ acoustics::ReceivedWindow synthetic_window(Rng& rng, double window_start_s, std:
   return w;
 }
 
-/// A per-sample 0/1 series as a fired bitmask, bit i of word i / 64.
-std::vector<std::uint64_t> mask_of(const std::vector<bool>& fired) {
-  std::vector<std::uint64_t> mask((fired.size() + 63) / 64, 0);
-  for (std::size_t i = 0; i < fired.size(); ++i) {
-    if (fired[i]) mask[i / 64] |= std::uint64_t{1} << (i % 64);
-  }
-  return mask;
-}
-
-std::vector<int> counts_of(const ranging::SignalAccumulator& acc) {
-  std::vector<int> counts(acc.size());
-  for (std::size_t i = 0; i < acc.size(); ++i) counts[i] = acc.count(i);
-  return counts;
-}
+using resloc::reference::counts_of;
+using resloc::reference::fired_mask;
 
 TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
   const acoustics::EnvironmentProfile env = acoustics::EnvironmentProfile::grass();
@@ -464,7 +452,7 @@ TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
     const std::vector<bool> ref_out =
         resloc::reference::sample_window(env, detector.sample_rate_hz(), w, n, mic, ref_rng);
     ranging::SignalAccumulator ref_acc(n);
-    ref_acc.record_chirp(mask_of(ref_out).data());
+    ref_acc.record_chirp(fired_mask(ref_out).data());
 
     // Block: threshold runs + mask draw, then the bitmask accumulate.
     Rng blk_rng(1000 + trial, 11);
@@ -512,19 +500,19 @@ TEST(RecordChirpBlock, CountsFiredSamplesOfTheFirstFifteenChirps) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 300));
     const double rate = trial == 0 ? 1.0 : 0.4;  // trial 0: every counter saturates at 15
     ranging::SignalAccumulator acc(n);
-    std::vector<int> expect(n, 0);
+    std::vector<std::uint8_t> expect(n, 0);
     for (int chirp = 0; chirp < 18; ++chirp) {
       std::vector<bool> fired(n);
       for (std::size_t i = 0; i < n; ++i) {
         fired[i] = rng.bernoulli(rate);
         if (chirp < ranging::SignalAccumulator::kMaxChirps) expect[i] += fired[i];
       }
-      acc.record_chirp(mask_of(fired).data());
+      acc.record_chirp(fired_mask(fired).data());
     }
     ASSERT_EQ(counts_of(acc), expect) << "trial=" << trial;
     ASSERT_EQ(acc.chirps_recorded(), ranging::SignalAccumulator::kMaxChirps);
     if (trial == 0) {
-      ASSERT_EQ(expect, std::vector<int>(n, 15));
+      ASSERT_EQ(expect, std::vector<std::uint8_t>(n, 15));
     }
   }
 }
@@ -603,7 +591,7 @@ TEST(MatchedFilterBlock, MarksAPlateauAtEachPickedPeakClippedAtTheWindow) {
                   expect.begin() + static_cast<std::ptrdiff_t>(end), true);
       }
       peaks += static_cast<int>(filt.peaks().size());
-      ASSERT_EQ(marks, mask_of(expect)) << "plateau=" << plateau << " trial=" << trial;
+      ASSERT_EQ(marks, fired_mask(expect)) << "plateau=" << plateau << " trial=" << trial;
     }
     EXPECT_GT(peaks, 0) << "plateau=" << plateau;
     if (plateau > static_cast<int>(chirp)) {
@@ -684,11 +672,7 @@ void expect_service_equivalence(ranging::DetectorMode mode) {
     }
     ASSERT_EQ(a.detection_index, b.detection_index) << "trial=" << trial;
     ASSERT_EQ(a.rejected_detections, b.rejected_detections) << "trial=" << trial;
-    ASSERT_EQ(ref_scratch.counts.size(), blk_scratch.accumulator.size()) << "trial=" << trial;
-    for (std::size_t i = 0; i < ref_scratch.counts.size(); ++i) {
-      ASSERT_EQ(ref_scratch.counts[i], blk_scratch.accumulator.count(i))
-          << "trial=" << trial << " i=" << i;
-    }
+    ASSERT_EQ(ref_scratch.counts, counts_of(blk_scratch.accumulator)) << "trial=" << trial;
     ASSERT_EQ(ref_rng.uniform_bits(), blk_rng.uniform_bits()) << "trial=" << trial;
     ASSERT_EQ(ref_rng.gaussian(), blk_rng.gaussian()) << "trial=" << trial;
   }

@@ -17,20 +17,11 @@ namespace {
 using namespace resloc::ranging;
 using resloc::math::Rng;
 using resloc::reference::accumulator_from_counts;
+using resloc::reference::counts_of;
 
 /// Records one chirp given as one 0/1 byte per sample.
 void record(SignalAccumulator& acc, const std::vector<std::uint8_t>& fired) {
-  std::vector<std::uint64_t> mask((fired.size() + 63) / 64, 0);
-  for (std::size_t i = 0; i < fired.size(); ++i) {
-    if (fired[i] != 0) mask[i / 64] |= std::uint64_t{1} << (i % 64);
-  }
-  acc.record_chirp(mask.data());
-}
-
-std::vector<int> counts_of(const SignalAccumulator& acc) {
-  std::vector<int> counts(acc.size());
-  for (std::size_t i = 0; i < acc.size(); ++i) counts[i] = acc.count(i);
-  return counts;
+  acc.record_chirp(resloc::reference::fired_mask({fired.begin(), fired.end()}).data());
 }
 
 TEST(SignalAccumulator, AccumulatesAcrossChirps) {
@@ -38,7 +29,7 @@ TEST(SignalAccumulator, AccumulatesAcrossChirps) {
   record(acc, {1, 0, 1, 0});
   record(acc, {1, 1, 0, 0});
   record(acc, {1, 0, 0, 1});
-  EXPECT_EQ(counts_of(acc), (std::vector<int>{3, 1, 1, 1}));
+  EXPECT_EQ(counts_of(acc), (std::vector<std::uint8_t>{3, 1, 1, 1}));
   EXPECT_EQ(acc.chirps_recorded(), 3);
 }
 
@@ -59,7 +50,7 @@ TEST(SignalAccumulator, BitPlanesMatchByteCounters) {
       const int chirps = static_cast<int>(rng.uniform_int(1, 19));
       const double density = rng.uniform(0.0, 1.0);
       SignalAccumulator acc(n);
-      std::vector<int> expect(n, 0);
+      std::vector<std::uint8_t> expect(n, 0);
       for (int chirp = 0; chirp < chirps; ++chirp) {
         std::vector<std::uint64_t> fired(words, 0);
         for (std::size_t i = 0; i < 64 * words; ++i) {
