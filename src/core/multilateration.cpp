@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "math/gradient_descent.hpp"
+
 namespace resloc::core {
 
 using resloc::math::Vec2;
@@ -14,6 +16,14 @@ constexpr std::size_t kDegradedMinAnchors = 2;
 /// anchor, and the round cap.
 constexpr double kProgressiveWeight = 0.5;
 constexpr int kMaxProgressiveRounds = 10;
+/// Descent settings of every position fit: 3 rounds of up to 2000 steps,
+/// each later round restarting from the best fit perturbed by sigma 2 m.
+constexpr resloc::math::GradientDescentOptions kFitDescent{.step_size = 0.05,
+                                                          .max_iterations = 2000,
+                                                          .relative_tolerance = 1e-12,
+                                                          .gradient_tolerance = 1e-9,
+                                                          .record_trace = false};
+constexpr resloc::math::RestartOptions kFitRestarts{.rounds = 3, .perturbation_stddev = 2.0};
 
 /// Weighted range-residual objective and gradient for one node.
 resloc::math::Objective make_objective(const std::vector<AnchorObservation>& anchors) {
@@ -70,7 +80,7 @@ std::optional<Vec2> multilaterate(const std::vector<AnchorObservation>& anchors,
   const auto objective = make_objective(*used);
   const Vec2 guess = initial_guess(*used);
   const auto result = resloc::math::minimize_with_restarts(
-      objective, {guess.x, guess.y}, options.gd, options.restarts, rng);
+      objective, {guess.x, guess.y}, kFitDescent, kFitRestarts, rng);
   return Vec2{result.x[0], result.x[1]};
 }
 

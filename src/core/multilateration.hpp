@@ -13,7 +13,6 @@
 
 #include "core/intersection_check.hpp"
 #include "core/types.hpp"
-#include "math/gradient_descent.hpp"
 #include "math/rng.hpp"
 
 namespace resloc::core {
@@ -40,14 +39,6 @@ struct MultilaterationOptions {
   /// experiments use a single round with constant weight 1, so this defaults
   /// off.
   bool progressive = false;
-
-  /// Gradient-descent tuning for the position fit.
-  resloc::math::GradientDescentOptions gd{.step_size = 0.05,
-                                          .max_iterations = 2000,
-                                          .relative_tolerance = 1e-12,
-                                          .gradient_tolerance = 1e-9,
-                                          .record_trace = false};
-  resloc::math::RestartOptions restarts{.rounds = 3, .perturbation_stddev = 2.0};
 };
 
 /// Least-squares position fit against a fixed set of anchor observations.
