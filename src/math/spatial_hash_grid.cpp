@@ -31,7 +31,6 @@ void SpatialHashGrid::rebuild(const double* xs, const double* ys, std::size_t n,
   }
   count_ = n;
   entries_.resize(n);
-  cell_of_.resize(n);
   const double inv_cell = 1.0 / cell_size;
   std::uint64_t min_row = ~std::uint64_t{0};
   std::uint64_t max_row = 0;
@@ -40,7 +39,6 @@ void SpatialHashGrid::rebuild(const double* xs, const double* ys, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t row = biased_coord(ys[i], inv_cell);
     const std::uint64_t col = biased_coord(xs[i], inv_cell);
-    cell_of_[i] = (row << kCoordBits) | col;
     entries_[i] = (row << (2 * kCoordBits)) | (col << kCoordBits) | i;
     min_row = std::min(min_row, row);
     max_row = std::max(max_row, row);
@@ -64,9 +62,10 @@ void SpatialHashGrid::rebuild(const double* xs, const double* ys, std::size_t n,
     std::sort(entries_.begin(), entries_.end());
     return;
   }
+  // Before the sort, entries_[i] is point i's word.
   const auto block_index = [&](std::size_t i) {
-    return static_cast<std::size_t>(((cell_of_[i] >> kCoordBits) - min_row) * cols +
-                                    ((cell_of_[i] & kCoordMask) - min_col));
+    return static_cast<std::size_t>(((entries_[i] >> (2 * kCoordBits)) - min_row) * cols +
+                                    (((entries_[i] >> kCoordBits) & kCoordMask) - min_col));
   };
   cell_offsets_.assign(static_cast<std::size_t>(rows * cols) + 1, 0);
   for (std::size_t i = 0; i < n; ++i) ++cell_offsets_[block_index(i) + 1];
@@ -74,14 +73,6 @@ void SpatialHashGrid::rebuild(const double* xs, const double* ys, std::size_t n,
   scratch_.resize(n);
   for (std::size_t i = 0; i < n; ++i) scratch_[cell_offsets_[block_index(i)]++] = entries_[i];
   entries_.swap(scratch_);
-}
-
-std::size_t SpatialHashGrid::row_span_begin(std::int64_t r, std::int64_t col_from) const {
-  const std::int64_t col = std::max<std::int64_t>(col_from, 0);
-  const std::uint64_t probe = (static_cast<std::uint64_t>(r) << (2 * kCoordBits)) |
-                              (static_cast<std::uint64_t>(col) << kCoordBits);
-  return static_cast<std::size_t>(
-      std::lower_bound(entries_.begin(), entries_.end(), probe) - entries_.begin());
 }
 
 }  // namespace resloc::math

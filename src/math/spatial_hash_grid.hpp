@@ -44,28 +44,6 @@ class SpatialHashGrid {
 
   std::size_t point_count() const { return count_; }
 
-  /// Invokes fn(j) for every point j stored in the 3x3 block of cells centred
-  /// on point i's cell -- a superset of all points within cell_size of point
-  /// i. Includes i itself; emits each candidate exactly once, in unspecified
-  /// order.
-  template <typename Fn>
-  void for_each_neighborhood_point(std::size_t i, Fn&& fn) const {
-    const std::int64_t row = static_cast<std::int64_t>(cell_of_[i] >> kCoordBits);
-    const std::int64_t col = static_cast<std::int64_t>(cell_of_[i] & kCoordMask);
-    for (std::int64_t r = row - 1; r <= row + 1; ++r) {
-      if (r < 0 || r > kCoordMask) continue;
-      const std::size_t begin = row_span_begin(r, col - 1);
-      for (std::size_t t = begin; t < entries_.size(); ++t) {
-        const std::uint64_t e = entries_[t];
-        if (static_cast<std::int64_t>(e >> (2 * kCoordBits)) != r ||
-            static_cast<std::int64_t>((e >> kCoordBits) & kCoordMask) > col + 1) {
-          break;
-        }
-        fn(static_cast<std::size_t>(e & kCoordMask));
-      }
-    }
-  }
-
   /// Invokes fn(i, j) with i < j for every unordered pair of points sharing a
   /// 3x3 cell neighborhood -- a superset of all pairs closer than cell_size.
   /// Each pair is emitted exactly once, in spatial (not id) order; callers
@@ -132,12 +110,8 @@ class SpatialHashGrid {
     }
   }
 
-  /// First sorted position with row `r` and column >= `col_from`.
-  std::size_t row_span_begin(std::int64_t r, std::int64_t col_from) const;
-
   std::size_t count_ = 0;
   std::vector<std::uint64_t> entries_;  ///< (row << 42) | (col << 21) | id, sorted
-  std::vector<std::uint64_t> cell_of_;  ///< per point: (row << 21) | col
   std::vector<std::uint32_t> cell_offsets_;  ///< counting-sort scratch
   std::vector<std::uint64_t> scratch_;      ///< counting-sort scratch
 };

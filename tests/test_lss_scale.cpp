@@ -163,17 +163,19 @@ TEST(SpatialHashGrid, NeighborhoodIsSupersetOfRadius) {
   grid.rebuild(xs.data(), ys.data(), n, cell);
   ASSERT_EQ(grid.point_count(), n);
 
+  // Every point's in-range neighbours, from the candidate pairs.
+  std::vector<std::set<std::size_t>> seen(n);
+  grid.for_each_candidate_pair([&](std::size_t i, std::size_t j) {
+    ASSERT_LT(i, j);
+    EXPECT_TRUE(seen[i].insert(j).second) << "duplicate emission of " << i << "," << j;
+    seen[j].insert(i);
+  });
   for (std::size_t i = 0; i < n; ++i) {
-    std::set<std::size_t> seen;
-    grid.for_each_neighborhood_point(i, [&](std::size_t j) {
-      EXPECT_TRUE(seen.insert(j).second) << "duplicate emission of " << j;
-    });
-    EXPECT_TRUE(seen.count(i)) << "neighborhood must include the point itself";
     for (std::size_t j = 0; j < n; ++j) {
       const double dx = xs[i] - xs[j];
       const double dy = ys[i] - ys[j];
-      if (dx * dx + dy * dy < cell * cell) {
-        EXPECT_TRUE(seen.count(j)) << "missed in-range neighbor " << j << " of " << i;
+      if (j != i && dx * dx + dy * dy < cell * cell) {
+        EXPECT_TRUE(seen[i].count(j)) << "missed in-range neighbor " << j << " of " << i;
       }
     }
   }
@@ -218,11 +220,13 @@ TEST(SpatialHashGrid, SurvivesExtremeAndNonFiniteCoordinates) {
   SpatialHashGrid grid;
   grid.rebuild(xs.data(), ys.data(), xs.size(), 9.0);
   std::size_t pairs = 0;
-  grid.for_each_candidate_pair([&](std::size_t, std::size_t) { ++pairs; });
-  // Points 0 and 6 are 5 m apart and must be candidates regardless of the
-  // garbage around them.
   bool found = false;
-  grid.for_each_neighborhood_point(0, [&](std::size_t j) { found |= (j == 6); });
+  grid.for_each_candidate_pair([&](std::size_t i, std::size_t j) {
+    ++pairs;
+    // Points 0 and 6 are 5 m apart and must be candidates regardless of the
+    // garbage around them.
+    found |= i == 0 && j == 6;
+  });
   EXPECT_TRUE(found);
   EXPECT_GE(pairs, 1u);
 }
@@ -238,11 +242,9 @@ TEST(SpatialHashGrid, EmptyAndSingle) {
   const double x = 2.0;
   const double y = -3.0;
   grid.rebuild(&x, &y, 1, 5.0);
+  EXPECT_EQ(grid.point_count(), 1u);
   grid.for_each_candidate_pair([&](std::size_t, std::size_t) { ++emissions; });
   EXPECT_EQ(emissions, 0u);
-  std::size_t self = 0;
-  grid.for_each_neighborhood_point(0, [&](std::size_t j) { self += (j == 0); });
-  EXPECT_EQ(self, 1u);
 }
 
 // --- Finite-difference gradient checks ---
