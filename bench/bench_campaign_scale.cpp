@@ -32,10 +32,11 @@
 // staging, the one raw-sample list and its sort keys, the filter's
 // per-direction scratch), i.e. O(successful estimates), not O(n^2).
 //
-// Results are printed and written as JSON (default BENCH_campaign.json, or
-// argv[1]) so CI can archive the perf trajectory alongside BENCH_lss.json.
+// Every speedup is the median of per-rep ratios from the interleaved
+// estimator (bench::interleave). Results are printed and written as JSON
+// (default BENCH_campaign.json, or argv[1]) so CI can archive the perf
+// trajectory alongside BENCH_lss.json.
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +47,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "eval/aggregate.hpp"
 #include "math/grid_pairs.hpp"
 #include "reference/campaign.hpp"
 #include "sim/field_experiment.hpp"
@@ -67,28 +67,12 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined, GCC flags the (correct) malloc/free pairing as a
+// new/free mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-template <typename Fn>
-double best_of(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_s();
-    fn();
-    const double dt = now_s() - t0;
-    if (dt < best) best = dt;
-  }
-  return best;
-}
 
 volatile std::size_t g_sink = 0;  // keeps campaign results alive in timed loops
 
@@ -146,12 +130,8 @@ struct ScalePoint {
   std::size_t n = 0;
   std::size_t in_range_pairs = 0;
   std::size_t pair_delta = 0;
-  double front_dense_ms = 0.0;
-  double front_grid_ms = 0.0;
-  double front_speedup = 0.0;
-  double e2e_dense_s = 0.0;
-  double e2e_grid_s = 0.0;
-  double e2e_speedup = 0.0;
+  bench::Paired front;  ///< rounds=0 campaign, dense vs grid front end
+  bench::Paired e2e;    ///< full campaign, dense vs grid front end
   std::size_t raw_estimates = 0;
 };
 
@@ -166,31 +146,25 @@ ScalePoint run_scale_point(std::size_t n) {
 
   point.pair_delta = pair_set_delta(deployment, config.simulate_within_m, &point.in_range_pairs);
 
-  const auto campaign_time = [&](bool dense, int rounds, int reps) {
-    sim::FieldExperimentConfig c = config;
-    c.rounds = rounds;
-    return best_of(reps, [&] {
-      math::Rng rng(7);
-      const auto data = run_campaign(dense, deployment, c, rng);
-      g_sink = data.samples.size() + data.skipped_pairs;
-    });
+  const auto campaign_time = [&](int rounds, int reps) {
+    const auto campaign = [&, rounds](bool dense) {
+      return [&, rounds, dense] {
+        sim::FieldExperimentConfig c = config;
+        c.rounds = rounds;
+        math::Rng rng(7);
+        const auto data = run_campaign(dense, deployment, c, rng);
+        g_sink = data.samples.size() + data.skipped_pairs;
+      };
+    };
+    return bench::paired(reps, campaign(true), campaign(false));
   };
 
   // Front end alone: rounds=0 runs everything except the acoustic physics.
-  point.front_dense_ms = campaign_time(true, /*rounds=*/0, /*reps=*/5) * 1e3;
-  point.front_grid_ms = campaign_time(false, /*rounds=*/0, /*reps=*/5) * 1e3;
-  point.front_speedup = point.front_dense_ms / point.front_grid_ms;
-
+  point.front = campaign_time(/*rounds=*/0, /*reps=*/5);
   // Full campaign at survey density: the shared physics is the Amdahl floor.
-  const int reps = 2;
-  point.e2e_dense_s = campaign_time(true, config.rounds, reps);
-  point.e2e_grid_s = campaign_time(false, config.rounds, reps);
-  point.e2e_speedup = point.e2e_dense_s / point.e2e_grid_s;
-  {
-    sim::FieldExperimentConfig c = config;
-    math::Rng rng(7);
-    point.raw_estimates = sim::run_field_experiment(deployment, c, rng).samples.size();
-  }
+  point.e2e = campaign_time(config.rounds, /*reps=*/2);
+  math::Rng rng(7);
+  point.raw_estimates = sim::run_field_experiment(deployment, config, rng).samples.size();
   return point;
 }
 
@@ -205,12 +179,12 @@ bool samples_identical(const sim::FieldExperimentData& a, const sim::FieldExperi
 }
 
 struct SurveyDspPoint {
-  double scalar_1t_s = 0.0;   ///< per-sample reference path, 1 thread
-  double block_1t_s = 0.0;    ///< block kernels, 1 thread
-  double block_mt_s = 0.0;    ///< block kernels, `threads` workers
+  bench::Quartiles scalar_1t_s;  ///< per-sample reference path, 1 thread
+  bench::Quartiles block_1t_s;   ///< block kernels, 1 thread
+  bench::Quartiles block_mt_s;   ///< block kernels, `threads` workers
   std::size_t threads = 1;
-  double speedup_1t = 0.0;
-  double speedup_mt = 0.0;
+  bench::Quartiles speedup_1t;  ///< per rep, scalar_1t / block_1t
+  bench::Quartiles speedup_mt;  ///< per rep, scalar_1t / block_mt
   bool byte_identical = false;
 };
 
@@ -234,22 +208,24 @@ SurveyDspPoint run_survey_dsp_point() {
     return block ? sim::run_field_experiment(deployment, c, rng)
                  : reference::run_field_experiment_per_sample(deployment, c, rng);
   };
-  const auto time_run = [&](bool block, int threads, int reps) {
-    return best_of(reps, [&] { g_sink = run(block, threads).samples.size(); });
+  const auto timed = [&](bool block, int threads) {
+    return [&, block, threads] { g_sink = run(block, threads).samples.size(); };
   };
 
   const unsigned hw = std::thread::hardware_concurrency();
   point.threads = std::min<std::size_t>(8, hw > 0 ? hw : 1);
+  const int mt = static_cast<int>(point.threads);
 
-  point.scalar_1t_s = time_run(false, 1, 2);
-  point.block_1t_s = time_run(true, 1, 2);
-  point.block_mt_s = time_run(true, static_cast<int>(point.threads), 2);
-  point.speedup_1t = point.scalar_1t_s / point.block_1t_s;
-  point.speedup_mt = point.scalar_1t_s / point.block_mt_s;
+  const auto s = bench::interleave(2, {timed(false, 1), timed(true, 1), timed(true, mt)});
+  point.scalar_1t_s = bench::quartiles(s[0]);
+  point.block_1t_s = bench::quartiles(s[1]);
+  point.block_mt_s = bench::quartiles(s[2]);
+  point.speedup_1t = bench::ratio_quartiles(s[0], s[1]);
+  point.speedup_mt = bench::ratio_quartiles(s[0], s[2]);
 
   const sim::FieldExperimentData ref = run(false, 1);
   const sim::FieldExperimentData blk = run(true, 1);
-  const sim::FieldExperimentData blk_mt = run(true, static_cast<int>(point.threads));
+  const sim::FieldExperimentData blk_mt = run(true, mt);
   point.byte_identical = samples_identical(ref, blk) && samples_identical(ref, blk_mt);
   return point;
 }
@@ -270,11 +246,13 @@ int main(int argc, char** argv) {
       "e2e grid   e2e-speedup");
   for (const ScalePoint& p : points) {
     std::printf("  %5zu  %9zu  %6zu  %9.2f ms  %8.2f ms  %12.1fx  %8.2f s  %7.2f s  %10.2fx\n",
-                p.n, p.in_range_pairs, p.pair_delta, p.front_dense_ms, p.front_grid_ms,
-                p.front_speedup, p.e2e_dense_s, p.e2e_grid_s, p.e2e_speedup);
+                p.n, p.in_range_pairs, p.pair_delta, p.front.a_s.median * 1e3,
+                p.front.b_s.median * 1e3, p.front.ratio.median, p.e2e.a_s.median,
+                p.e2e.b_s.median, p.e2e.ratio.median);
   }
   std::puts(
-      "  (front end = rounds=0 campaign: enumeration + shadowing setup, the stage this\n"
+      "  (medians: front end over 5 interleaved reps, e2e over 2; speedups per rep;\n"
+      "   front end = rounds=0 campaign: enumeration + shadowing setup, the stage this\n"
       "   rewrite replaced; at survey density the full campaign is dominated by the\n"
       "   acoustic physics both paths share, so its e2e speedup sits near the Amdahl\n"
       "   floor of ~1x -- the honest number for dense fields)");
@@ -294,23 +272,23 @@ int main(int argc, char** argv) {
   std::size_t wide_in_range = 0;
   const std::size_t wide_delta =
       pair_set_delta(wide, wide_config.simulate_within_m, &wide_in_range);
-  const auto wide_time = [&](bool dense) {
-    return best_of(3, [&] {
+  const auto wide_campaign = [&](bool dense) {
+    return [&, dense] {
       math::Rng rng(7);
       const auto data = run_campaign(dense, wide, wide_config, rng);
       g_sink = data.samples.size() + data.skipped_pairs;
-    });
+    };
   };
-  const double wide_dense_s = wide_time(true);
-  const double wide_grid_s = wide_time(false);
-  const double wide_speedup = wide_dense_s / wide_grid_s;
+  const bench::Paired wide_time = bench::paired(3, wide_campaign(true), wide_campaign(false));
   std::printf(
       "\nwide-area e2e campaign, n = 1000 over 8.5 km square (urban baseline service,\n"
       "%zu of 499500 pairs in range, delta %zu)\n",
       wide_in_range, wide_delta);
-  std::printf("  dense front end   %8.2f ms\n", wide_dense_s * 1e3);
-  std::printf("  spatial grid      %8.2f ms\n", wide_grid_s * 1e3);
-  std::printf("  e2e speedup       %8.1fx  (single-threaded; gate >= 10x)\n", wide_speedup);
+  std::printf("  dense front end   %8.2f ms\n", wide_time.a_s.median * 1e3);
+  std::printf("  spatial grid      %8.2f ms\n", wide_time.b_s.median * 1e3);
+  std::printf("  e2e speedup       %8.1fx  (median of 3 per-rep ratios, q1-q3 %.1f-%.1fx;\n"
+              "                               single-threaded; gate >= 10x)\n",
+              wide_time.ratio.median, wide_time.ratio.q1, wide_time.ratio.q3);
 
   // --- Allocation note: steady-state allocations per measurement attempt in
   // the grid campaign's hot loop (n = 500 survey field). ---
@@ -353,69 +331,60 @@ int main(int argc, char** argv) {
   // is the same output. ---
   const SurveyDspPoint dsp = run_survey_dsp_point();
   std::printf(
-      "\nblock-DSP survey e2e, n = 1000 grass campaign (grid front end)\n"
+      "\nblock-DSP survey e2e, n = 1000 grass campaign (grid front end; medians of 2\n"
+      "interleaved reps, speedups per rep)\n"
       "  per-sample reference, 1 thread   %8.2f s\n"
       "  block kernels,        1 thread   %8.2f s  (%.2fx)\n"
       "  block kernels,      %2zu threads   %8.2f s  (%.2fx; gate >= 5x)\n"
       "  byte-identical samples across all three: %s\n",
-      dsp.scalar_1t_s, dsp.block_1t_s, dsp.speedup_1t, dsp.threads, dsp.block_mt_s,
-      dsp.speedup_mt, dsp.byte_identical ? "yes" : "NO");
+      dsp.scalar_1t_s.median, dsp.block_1t_s.median, dsp.speedup_1t.median, dsp.threads,
+      dsp.block_mt_s.median, dsp.speedup_mt.median, dsp.byte_identical ? "yes" : "NO");
 
-  // --- JSON record ---
-  const auto v = [](double x) { return resloc::eval::format_value(x); };
-  std::string json = "{\n";
-  json += "  \"bench\": \"bench_campaign_scale\",\n";
-  json += "  \"scale_points\": [";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ScalePoint& p = points[i];
-    json += (i == 0 ? "\n" : ",\n");
-    json += "    {\"n\": " + std::to_string(p.n) +
-            ", \"in_range_pairs\": " + std::to_string(p.in_range_pairs) +
-            ", \"pair_set_delta\": " + std::to_string(p.pair_delta) +
-            ", \"front_end_dense_ms\": " + v(p.front_dense_ms) +
-            ", \"front_end_grid_ms\": " + v(p.front_grid_ms) +
-            ", \"front_end_speedup\": " + v(p.front_speedup) +
-            ", \"e2e_dense_s\": " + v(p.e2e_dense_s) +
-            ", \"e2e_grid_s\": " + v(p.e2e_grid_s) +
-            ", \"e2e_speedup_amdahl_bounded\": " + v(p.e2e_speedup) +
-            ", \"raw_estimates\": " + std::to_string(p.raw_estimates) + "}";
-  }
-  json += "\n  ],\n";
-  json += "  \"wide_area_e2e\": {\"n\": 1000, \"side_m\": 8500, \"in_range_pairs\": " +
-          std::to_string(wide_in_range) +
-          ", \"pair_set_delta\": " + std::to_string(wide_delta) +
-          ", \"dense_s\": " + v(wide_dense_s) + ", \"grid_s\": " + v(wide_grid_s) +
-          ", \"e2e_speedup\": " + v(wide_speedup) + "},\n";
-  json += "  \"survey_dsp\": {\"n\": 1000, \"scalar_1t_s\": " + v(dsp.scalar_1t_s) +
-          ", \"block_1t_s\": " + v(dsp.block_1t_s) +
-          ", \"block_threads\": " + std::to_string(dsp.threads) +
-          ", \"block_mt_s\": " + v(dsp.block_mt_s) +
-          ", \"speedup_block_1t\": " + v(dsp.speedup_1t) +
-          ", \"speedup_block_mt\": " + v(dsp.speedup_mt) +
-          ", \"byte_identical\": " + (dsp.byte_identical ? "true" : "false") + "},\n";
-  json += "  \"e2e_speedup_at_1000\": " + v(wide_speedup) + ",\n";
-  json += "  \"front_end_speedup_at_1000\": " + v(points.back().front_speedup) + ",\n";
   std::size_t max_delta = wide_delta;
-  for (const ScalePoint& p : points) max_delta = std::max(max_delta, p.pair_delta);
-  json += "  \"max_pair_set_delta\": " + std::to_string(max_delta) + ",\n";
-  json += "  \"campaign_allocs_n500\": " + std::to_string(campaign_allocs) + ",\n";
-  json += "  \"campaign_allocs_per_attempt\": " + v(allocs_per_attempt) + "\n";
-  json += "}\n";
-  if (!resloc::eval::write_text_file(json_path, json)) {
-    std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
-    return 1;
+  bench::Json scale_points = bench::Json::array();
+  for (const ScalePoint& p : points) {
+    max_delta = std::max(max_delta, p.pair_delta);
+    scale_points.push(bench::Json::object()
+                          .set("n", p.n)
+                          .set("in_range_pairs", p.in_range_pairs)
+                          .set("pair_set_delta", p.pair_delta)
+                          .set("front_end_dense_ms", p.front.a_s.scaled(1e3))
+                          .set("front_end_grid_ms", p.front.b_s.scaled(1e3))
+                          .set("front_end_speedup", p.front.ratio)
+                          .set("e2e_dense_s", p.e2e.a_s)
+                          .set("e2e_grid_s", p.e2e.b_s)
+                          .set("e2e_speedup_amdahl_bounded", p.e2e.ratio)
+                          .set("raw_estimates", p.raw_estimates));
   }
-  std::printf("\nbench record: %s\n", json_path.c_str());
-
-  const bool ok = max_delta == 0 && points.back().front_speedup >= 10.0 &&
-                  wide_speedup >= 10.0 && dsp.byte_identical && dsp.speedup_mt >= 5.0;
-  if (!ok) {
-    std::fprintf(stderr,
-                 "FAIL: pair-set delta %zu (need 0), front-end speedup@1000 %.1fx, "
-                 "wide-area e2e speedup@1000 %.1fx (both need >= 10x), block-DSP "
-                 "survey speedup %.2fx (need >= 5x), byte_identical=%s\n",
-                 max_delta, points.back().front_speedup, wide_speedup, dsp.speedup_mt,
-                 dsp.byte_identical ? "true" : "false");
-  }
-  return ok ? 0 : 1;
+  const double front_speedup_at_1000 = points.back().front.ratio.median;
+  const bool written =
+      bench::record("bench_campaign_scale")
+          .set("scale_points", scale_points)
+          .set("wide_area_e2e", bench::Json::object()
+                                    .set("n", 1000)
+                                    .set("side_m", 8500)
+                                    .set("in_range_pairs", wide_in_range)
+                                    .set("pair_set_delta", wide_delta)
+                                    .set("dense_s", wide_time.a_s)
+                                    .set("grid_s", wide_time.b_s)
+                                    .set("e2e_speedup", wide_time.ratio))
+          .set("survey_dsp", bench::Json::object()
+                                 .set("n", 1000)
+                                 .set("scalar_1t_s", dsp.scalar_1t_s)
+                                 .set("block_1t_s", dsp.block_1t_s)
+                                 .set("block_threads", dsp.threads)
+                                 .set("block_mt_s", dsp.block_mt_s)
+                                 .set("speedup_block_1t", dsp.speedup_1t)
+                                 .set("speedup_block_mt", dsp.speedup_mt)
+                                 .set("byte_identical", dsp.byte_identical))
+          .set("max_pair_set_delta", max_delta)
+          .set("campaign_allocs_n500", campaign_allocs)
+          .set("campaign_allocs_per_attempt", allocs_per_attempt)
+          .write(json_path);
+  return bench::exit_code(
+      written, {{"grid and dense pair sets equal", max_delta == 0},
+                {"front-end speedup at n = 1000 >= 10x", front_speedup_at_1000 >= 10.0},
+                {"wide-area e2e speedup >= 10x", wide_time.ratio.median >= 10.0},
+                {"block-DSP survey speedup >= 5x", dsp.speedup_mt.median >= 5.0},
+                {"byte-identical survey samples", dsp.byte_identical}});
 }

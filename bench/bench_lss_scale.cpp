@@ -21,14 +21,14 @@
 //      configuration -- the end-to-end stage below records identical stress
 //      and mean error from both paths, differing only in wall time.
 //
-// Dense and production repetitions are interleaved inside each timing loop
-// and the best of each side is kept, so a load spike on a shared machine
-// hits both sides instead of skewing one ratio.
+// Dense and production repetitions go through the interleaved estimator
+// (bench::interleave): each rep times every variant, each speedup is formed
+// per rep, and the gates read the median over reps, so a load spike on a
+// shared machine hits both sides of a rep instead of skewing one ratio.
 //
 // Results are printed and written as JSON (default BENCH_lss.json, or
 // argv[1]) so CI can archive the perf trajectory alongside BENCH_ranging.json.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -37,7 +37,6 @@
 #include "bench_util.hpp"
 #include "core/dv_hop.hpp"
 #include "core/lss.hpp"
-#include "eval/aggregate.hpp"
 #include "eval/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "reference/lss.hpp"
@@ -49,20 +48,6 @@ using namespace resloc;
 
 namespace {
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Wall time of one call of `fn` (seconds).
-template <typename Fn>
-double time_once(Fn&& fn) {
-  const double t0 = now_s();
-  fn();
-  return now_s() - t0;
-}
-
 volatile double g_sink = 0.0;  // keeps the timed loops from being optimized away
 
 struct EvalCase {
@@ -70,11 +55,11 @@ struct EvalCase {
   bool folded = false;
   std::size_t edges = 0;
   std::size_t active_pairs = 0;
-  double edge_term_us = 0.0;  ///< measured-edge term alone (constraint off)
-  double dense_us = 0.0;
-  double grid_us = 0.0;  ///< production (skin-list) path
-  double speedup = 0.0;        ///< full objective evaluation
-  double stage_speedup = 0.0;  ///< soft-constraint stage alone
+  bench::Quartiles edge_term_us;  ///< measured-edge term alone (constraint off)
+  bench::Quartiles dense_us;
+  bench::Quartiles grid_us;        ///< production (skin-list) path
+  bench::Quartiles speedup;        ///< full objective evaluation, per rep
+  bench::Quartiles stage_speedup;  ///< soft-constraint stage alone, per rep
 };
 
 /// One scale point: a uniform_n field, synthetic measurements, and one of two
@@ -134,36 +119,37 @@ EvalCase run_eval_case(std::size_t n, bool folded, double& max_error_delta,
     }
   }
 
-  // Timed evaluations: enough iterations per rep to rise above timer noise;
-  // the three variants take turns within each rep and keep their best. Many
-  // short reps rather than a few long ones give the best-of a quiet window
-  // on a shared machine.
+  // Timed evaluations: enough iterations per rep to rise above timer noise,
+  // the three variants taking turns within each of many short reps.
   const int evals = n >= 1000 ? 10 : n >= 500 ? 20 : 50;
   std::vector<double> grad;
-  const auto time_eval = [&](auto&& stress_with_gradient, const core::LssOptions& eval_options) {
-    return time_once([&] {
+  const auto eval_loop = [&](auto stress_with_gradient, const core::LssOptions& eval_options) {
+    return [&, stress_with_gradient, opts = &eval_options] {
       double sum = 0.0;
       for (int e = 0; e < evals; ++e) {
-        sum += stress_with_gradient(measurements, config, eval_options, grad);
+        sum += stress_with_gradient(measurements, config, *opts, grad);
       }
       g_sink = sum;
-    });
+    };
   };
   core::LssOptions edge_only_options;  // the Amdahl floor both paths share
   edge_only_options.min_spacing_m.reset();
-  double edge_s = 1e300;
-  double dense_s = 1e300;
-  double grid_s = 1e300;
-  for (int rep = 0; rep < 21; ++rep) {
-    edge_s = std::min(edge_s, time_eval(core::lss_stress_with_gradient, edge_only_options));
-    dense_s = std::min(dense_s, time_eval(reference::lss_stress_with_gradient_dense, options));
-    grid_s = std::min(grid_s, time_eval(core::lss_stress_with_gradient, options));
+  const auto s = bench::interleave(
+      21, {eval_loop(core::lss_stress_with_gradient, edge_only_options),
+           eval_loop(reference::lss_stress_with_gradient_dense, options),
+           eval_loop(core::lss_stress_with_gradient, options)});
+  std::vector<double> dense_stage;  // per rep: full evaluation - edge term
+  std::vector<double> grid_stage;
+  for (std::size_t r = 0; r < s[0].size(); ++r) {
+    dense_stage.push_back(s[1][r] - s[0][r]);
+    grid_stage.push_back(s[2][r] - s[0][r]);
   }
-  c.edge_term_us = edge_s / evals * 1e6;
-  c.dense_us = dense_s / evals * 1e6;
-  c.grid_us = grid_s / evals * 1e6;
-  c.speedup = dense_s / grid_s;
-  c.stage_speedup = (dense_s - edge_s) / (grid_s - edge_s);
+  const double us_per_eval = 1e6 / evals;
+  c.edge_term_us = bench::quartiles(s[0]).scaled(us_per_eval);
+  c.dense_us = bench::quartiles(s[1]).scaled(us_per_eval);
+  c.grid_us = bench::quartiles(s[2]).scaled(us_per_eval);
+  c.speedup = bench::ratio_quartiles(s[1], s[2]);
+  c.stage_speedup = bench::ratio_quartiles(dense_stage, grid_stage);
   return c;
 }
 
@@ -188,21 +174,25 @@ int main(int argc, char** argv) {
 
   std::puts("one-shot objective evaluation (measured edges + soft constraint, list built fresh)");
   std::puts(
-      "      n  config      edges    active   edge us   dense us    prod us   eval-speedup   "
-      "stage-speedup");
+      "      n  config      edges    active   edge us   dense us    prod us   eval-speedup (q1-q3)"
+      "    stage-speedup (q1-q3)");
   double stage_speedup_at_500 = 0.0;
   double eval_speedup_at_1000 = 0.0;
   for (const EvalCase& c : cases) {
-    std::printf("  %5zu  %-9s %8zu  %8zu  %8.1f  %9.1f  %9.1f  %11.1fx  %13.1fx\n", c.n,
-                c.folded ? "folded" : "converged", c.edges, c.active_pairs, c.edge_term_us,
-                c.dense_us, c.grid_us, c.speedup, c.stage_speedup);
-    if (!c.folded && c.n == 500) stage_speedup_at_500 = c.stage_speedup;
-    if (!c.folded && c.n == 1000) eval_speedup_at_1000 = c.speedup;
+    std::printf(
+        "  %5zu  %-9s %8zu  %8zu  %8.1f  %9.1f  %9.1f  %6.1fx (%4.1f-%4.1f)  %6.1fx (%4.1f-%4.1f)"
+        "\n",
+        c.n, c.folded ? "folded" : "converged", c.edges, c.active_pairs, c.edge_term_us.median,
+        c.dense_us.median, c.grid_us.median, c.speedup.median, c.speedup.q1, c.speedup.q3,
+        c.stage_speedup.median, c.stage_speedup.q1, c.stage_speedup.q3);
+    if (!c.folded && c.n == 500) stage_speedup_at_500 = c.stage_speedup.median;
+    if (!c.folded && c.n == 1000) eval_speedup_at_1000 = c.speedup.median;
   }
   std::puts(
-      "  (the measured-edge term is identical in both paths; it bounds the full-eval\n"
-      "   speedup at any n -- the stage column isolates the constraint scan;\n"
-      "   gates read the converged rows, the regime most evaluations run in)");
+      "  (medians of 21 reps, speedups per rep. The measured-edge term is identical in\n"
+      "   both paths; it bounds the full-eval speedup at any n -- the stage column\n"
+      "   isolates the constraint scan; gates read the converged rows, the regime most\n"
+      "   evaluations run in)");
   std::printf("  bit-equivalence: max |delta error| = %g, max |delta grad| = %g (bound: 0)\n",
               max_error_delta, max_grad_delta);
 
@@ -260,93 +250,77 @@ int main(int argc, char** argv) {
 
   core::LssResult grid_result;
   core::LssResult dense_result;
-  double solve_grid_s = 1e300;
-  double solve_dense_s = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {  // interleaved, best of each side
-    solve_dense_s = std::min(solve_dense_s, time_once([&] { dense_result = solve(true); }));
-    solve_grid_s = std::min(solve_grid_s, time_once([&] { grid_result = solve(false); }));
-  }
-  const double grid_stress = grid_result.stress;
-  const double dense_stress = dense_result.stress;
+  const bench::Paired solve_time = bench::paired(
+      3, [&] { dense_result = solve(true); }, [&] { grid_result = solve(false); });
+  const double solve_dense_s = solve_time.a_s.median;
+  const double solve_grid_s = solve_time.b_s.median;
+  const double solve_speedup = solve_time.ratio.median;
   const double grid_error =
       eval::evaluate_localization(grid_result.positions, deployment.positions, true)
           .average_error_m;
   const double dense_error =
       eval::evaluate_localization(dense_result.positions, deployment.positions, true)
           .average_error_m;
-  const double solve_speedup = solve_dense_s / solve_grid_s;
   const double evals = static_cast<double>(std::max<std::uint64_t>(solve_evals, 1));
-  const double descent_dense_us = solve_dense_s / evals * 1e6;
-  const double descent_grid_us = solve_grid_s / evals * 1e6;
   const double rebuild_rate = static_cast<double>(solve_rebuilds) / evals;
 
   std::printf("\nend-to-end solve, campus_500 (DV-hop seed + LSS, 40 anchors)\n");
   std::printf("  dense scan        %8.2f s   stress %.3f   mean error %.3f m\n", solve_dense_s,
-              dense_stress, dense_error);
+              dense_result.stress, dense_error);
   std::printf("  skin list         %8.2f s   stress %.3f   mean error %.3f m\n", solve_grid_s,
-              grid_stress, grid_error);
-  std::printf("  speedup           %8.2fx  (same seeds; solutions are identical; gate >= 10x)\n",
-              solve_speedup);
+              grid_result.stress, grid_error);
+  std::printf(
+      "  speedup           %8.2fx  (median per-rep ratio of 3, q1-q3 %.2f-%.2fx; same seeds,\n"
+      "                              identical solutions; gate >= 10x)\n",
+      solve_speedup, solve_time.ratio.q1, solve_time.ratio.q3);
   std::printf(
       "  descent regime    %llu evaluations, %llu list rebuilds (%.4f per evaluation)\n"
       "                    %.2f us/eval dense, %.2f us/eval skin list (solve wall / LSS "
       "evaluations)\n",
       static_cast<unsigned long long>(solve_evals),
-      static_cast<unsigned long long>(solve_rebuilds), rebuild_rate, descent_dense_us,
-      descent_grid_us);
+      static_cast<unsigned long long>(solve_rebuilds), rebuild_rate, solve_dense_s / evals * 1e6,
+      solve_grid_s / evals * 1e6);
 
-  const bool solutions_match = grid_stress == dense_stress && grid_error == dense_error;
-  if (!solutions_match) {
-    std::puts("  WARNING: production and dense solves disagree -- equivalence broken");
-  }
+  const bool solutions_match =
+      grid_result.stress == dense_result.stress && grid_error == dense_error;
 
-  // --- JSON record ---
-  const auto v = [](double x) { return resloc::eval::format_value(x); };
-  std::string json = "{\n";
-  json += "  \"bench\": \"bench_lss_scale\",\n";
-  json += "  \"eval_cases\": [";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const EvalCase& c = cases[i];
-    json += (i == 0 ? "\n" : ",\n");
-    json += "    {\"n\": " + std::to_string(c.n) +
-            ", \"config\": \"" + (c.folded ? "folded" : "converged") +
-            "\", \"edges\": " + std::to_string(c.edges) +
-            ", \"active_pairs\": " + std::to_string(c.active_pairs) +
-            ", \"edge_term_us_per_eval\": " + v(c.edge_term_us) +
-            ", \"dense_us_per_eval\": " + v(c.dense_us) +
-            ", \"grid_us_per_eval\": " + v(c.grid_us) + ", \"eval_speedup\": " + v(c.speedup) +
-            ", \"constraint_stage_speedup\": " + v(c.stage_speedup) + "}";
+  bench::Json eval_cases = bench::Json::array();
+  for (const EvalCase& c : cases) {
+    eval_cases.push(bench::Json::object()
+                        .set("n", c.n)
+                        .set("config", c.folded ? "folded" : "converged")
+                        .set("edges", c.edges)
+                        .set("active_pairs", c.active_pairs)
+                        .set("edge_term_us_per_eval", c.edge_term_us)
+                        .set("dense_us_per_eval", c.dense_us)
+                        .set("grid_us_per_eval", c.grid_us)
+                        .set("eval_speedup", c.speedup)
+                        .set("constraint_stage_speedup", c.stage_speedup));
   }
-  json += "\n  ],\n";
-  json += "  \"max_abs_error_delta\": " + v(max_error_delta) + ",\n";
-  json += "  \"max_abs_gradient_delta\": " + v(max_grad_delta) + ",\n";
-  json += "  \"solve_scenario\": \"campus_500\",\n";
-  json += "  \"solve_dense_s\": " + v(solve_dense_s) + ",\n";
-  json += "  \"solve_grid_s\": " + v(solve_grid_s) + ",\n";
-  json += "  \"solve_speedup\": " + v(solve_speedup) + ",\n";
-  json += "  \"solve_gd_evaluations\": " + std::to_string(solve_evals) + ",\n";
-  json += "  \"solve_list_rebuilds\": " + std::to_string(solve_rebuilds) + ",\n";
-  json += "  \"solve_rebuilds_per_eval\": " + v(rebuild_rate) + ",\n";
-  json += "  \"descent_dense_us_per_eval\": " + v(descent_dense_us) + ",\n";
-  json += "  \"descent_grid_us_per_eval\": " + v(descent_grid_us) + ",\n";
-  json += "  \"solve_stress\": " + v(grid_stress) + ",\n";
-  json += "  \"solve_mean_error_m\": " + v(grid_error) + "\n";
-  json += "}\n";
-  if (!resloc::eval::write_text_file(json_path, json)) {
-    std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nbench record: %s\n", json_path.c_str());
+  const bool written =
+      bench::record("bench_lss_scale")
+          .set("eval_reps", 21)
+          .set("eval_cases", eval_cases)
+          .set("max_abs_error_delta", max_error_delta)
+          .set("max_abs_gradient_delta", max_grad_delta)
+          .set("solve_scenario", "campus_500")
+          .set("solve_reps", 3)
+          .set("solve_dense_s", solve_time.a_s)
+          .set("solve_grid_s", solve_time.b_s)
+          .set("solve_speedup", solve_time.ratio)
+          .set("solve_gd_evaluations", solve_evals)
+          .set("solve_list_rebuilds", solve_rebuilds)
+          .set("solve_rebuilds_per_eval", rebuild_rate)
+          .set("descent_dense_us_per_eval", solve_dense_s / evals * 1e6)
+          .set("descent_grid_us_per_eval", solve_grid_s / evals * 1e6)
+          .set("solve_stress", grid_result.stress)
+          .set("solve_mean_error_m", grid_error)
+          .write(json_path);
 
-  const bool ok = stage_speedup_at_500 >= 10.0 && eval_speedup_at_1000 >= 10.0 &&
-                  solve_speedup >= 10.0 && max_error_delta == 0.0 && max_grad_delta == 0.0 &&
-                  solutions_match;
-  if (!ok) {
-    std::fprintf(stderr,
-                 "FAIL: stage speedup@500 %.1fx / eval speedup@1000 %.1fx / solve speedup %.1fx "
-                 "(all need >= 10x), error delta %g, grad delta %g, solutions %s\n",
-                 stage_speedup_at_500, eval_speedup_at_1000, solve_speedup, max_error_delta,
-                 max_grad_delta, solutions_match ? "match" : "differ");
-  }
-  return ok ? 0 : 1;
+  return bench::exit_code(
+      written, {{"constraint-stage speedup at n = 500 >= 10x", stage_speedup_at_500 >= 10.0},
+                {"full-eval speedup at n = 1000 >= 10x", eval_speedup_at_1000 >= 10.0},
+                {"campus_500 solve speedup >= 10x", solve_speedup >= 10.0},
+                {"bit-equal error and gradient", max_error_delta == 0.0 && max_grad_delta == 0.0},
+                {"identical dense and skin-list solutions", solutions_match}});
 }

@@ -17,11 +17,11 @@
 //      Rng::fill_gaussian_block (ziggurat over the lane-split uniform block)
 //      against scalar Rng::gaussian() (Box-Muller).
 //
-// Results are printed and written as JSON (default BENCH_ranging.json, or
-// argv[1]) so CI can archive the perf trajectory. The exit code gates the
-// machine-independent ratios: Goertzel >= 5x the direct DFT within 1e-9, and
-// the block noise fill >= 3x scalar gaussian().
-#include <chrono>
+// Every speedup is the median per-rep ratio of interleaved reps
+// (bench::paired). Results are printed and written as JSON (default
+// BENCH_ranging.json, or argv[1]). The exit code gates the machine-independent
+// ratios: Goertzel >= 5x the direct DFT within 1e-9, and the block noise fill
+// >= 3x scalar gaussian().
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -29,7 +29,6 @@
 
 #include "acoustics/signal_synth.hpp"
 #include "bench_util.hpp"
-#include "eval/aggregate.hpp"
 #include "ranging/dft_detector.hpp"
 #include "math/rng.hpp"
 #include "ranging/ranging_service.hpp"
@@ -40,27 +39,35 @@ using namespace resloc;
 
 namespace {
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Best-of-`reps` wall time of `fn` (seconds). Best-of suppresses scheduler
-/// noise without needing long runs.
-template <typename Fn>
-double best_of(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_s();
-    fn();
-    const double dt = now_s() - t0;
-    if (dt < best) best = dt;
-  }
-  return best;
-}
-
 volatile double g_sink = 0.0;  // keeps the timed loops from being optimized away
+
+/// Fresh buffers per pair against one reused scratch over `pairs` measures,
+/// 9 interleaved reps; prints us/pair and the per-rep speedup under `title`.
+bench::Paired time_buffer_reuse(const char* title, const ranging::RangingService& service,
+                                int pairs) {
+  const auto loop = [&](bool reuse) {
+    return [&, reuse] {
+      math::Rng r(7);
+      ranging::RangingScratch scratch;
+      double sum = 0.0;
+      for (int i = 0; i < pairs; ++i) {
+        if (!reuse) scratch = ranging::RangingScratch{};  // frees last pair's buffers
+        sum += service.measure(5.0 + (i % 12), {}, {}, r, scratch).distance_m.value_or(0.0);
+      }
+      g_sink = sum;
+    };
+  };
+  const bench::Paired t = bench::paired(9, loop(false), loop(true));
+  const bench::Quartiles fresh = t.a_s.scaled(1e6 / pairs);
+  const bench::Quartiles reused = t.b_s.scaled(1e6 / pairs);
+  std::printf("\n%s, %d pairs\n"
+              "  fresh buffers       %8.2f us/pair  (q1-q3 %.2f-%.2f)\n"
+              "  reused scratch      %8.2f us/pair  (q1-q3 %.2f-%.2f)\n"
+              "  speedup             %8.2fx  (median per-rep ratio of 9, q1-q3 %.2f-%.2fx)\n",
+              title, pairs, fresh.median, fresh.q1, fresh.q3, reused.median, reused.q1,
+              reused.q3, t.ratio.median, t.ratio.q1, t.ratio.q3);
+  return t;
+}
 
 }  // namespace
 
@@ -80,19 +87,20 @@ int main(int argc, char** argv) {
 
   const int bin = ranging::nearest_bin(spec.tone_frequency_hz, spec.sample_rate_hz,
                                        ranging::SlidingDftFilter::kWindow);
-  const double direct_s = best_of(5, [&] {
-    reference::DirectDftFilter filter(ranging::SlidingDftFilter::kWindow, bin);
-    double sum = 0.0;
-    for (double s : wave) sum += filter.step(s);
-    g_sink = sum;
-  });
-  const double goertzel_s = best_of(5, [&] {
-    ranging::GoertzelSlidingFilter filter(ranging::SlidingDftFilter::kWindow, bin);
-    double sum = 0.0;
-    for (double s : wave) sum += filter.step(s);
-    g_sink = sum;
-  });
-  const double filter_speedup = direct_s / goertzel_s;
+  const bench::Paired filter = bench::paired(
+      5,
+      [&] {
+        reference::DirectDftFilter f(ranging::SlidingDftFilter::kWindow, bin);
+        double sum = 0.0;
+        for (double s : wave) sum += f.step(s);
+        g_sink = sum;
+      },
+      [&] {
+        ranging::GoertzelSlidingFilter f(ranging::SlidingDftFilter::kWindow, bin);
+        double sum = 0.0;
+        for (double s : wave) sum += f.step(s);
+        g_sink = sum;
+      });
 
   // Equivalence: the fast path must not drift from the direct sum.
   double max_delta = 0.0;
@@ -108,125 +116,79 @@ int main(int argc, char** argv) {
   const double per_sample_ns = 1e9 / static_cast<double>(kSamples);
   std::printf("single-bin filter, %zu samples, window %zu, bin %d\n", kSamples,
               ranging::SlidingDftFilter::kWindow, bin);
-  std::printf("  direct DFT          %8.2f ns/sample\n", direct_s * per_sample_ns);
-  std::printf("  Goertzel sliding    %8.2f ns/sample\n", goertzel_s * per_sample_ns);
-  std::printf("  speedup             %8.2fx   (target >= 5x)\n", filter_speedup);
+  std::printf("  direct DFT          %8.2f ns/sample\n", filter.a_s.median * per_sample_ns);
+  std::printf("  Goertzel sliding    %8.2f ns/sample\n", filter.b_s.median * per_sample_ns);
+  std::printf("  speedup             %8.2fx   (median per-rep ratio of 5; target >= 5x)\n",
+              filter.ratio.median);
   std::printf("  max |delta magnitude|  %.3e  (bound 1e-9)\n", max_delta);
 
   // --- Stage 2: full ranging sequences with and without buffer reuse ---
   const ranging::RangingService service(sim::grass_refined_ranging());
   constexpr int kPairs = 150;
-  const double measure_alloc_s = best_of(3, [&] {
-    math::Rng r(7);
-    double sum = 0.0;
-    for (int i = 0; i < kPairs; ++i) {
-      ranging::RangingScratch fresh;
-      const auto d = service.measure(5.0 + (i % 12), {}, {}, r, fresh).distance_m;
-      sum += d.value_or(0.0);
-    }
-    g_sink = sum;
-  });
-  const double measure_scratch_s = best_of(3, [&] {
-    math::Rng r(7);
-    ranging::RangingScratch scratch;
-    double sum = 0.0;
-    for (int i = 0; i < kPairs; ++i) {
-      const auto d = service.measure(5.0 + (i % 12), {}, {}, r, scratch).distance_m;
-      sum += d.value_or(0.0);
-    }
-    g_sink = sum;
-  });
-  const double measure_speedup = measure_alloc_s / measure_scratch_s;
-  std::printf("\nfull ranging sequence, %d pairs (grass refined service)\n", kPairs);
-  std::printf("  fresh buffers       %8.2f us/pair\n", measure_alloc_s / kPairs * 1e6);
-  std::printf("  reused scratch      %8.2f us/pair\n", measure_scratch_s / kPairs * 1e6);
-  std::printf("  speedup             %8.2fx\n", measure_speedup);
+  const bench::Paired measure =
+      time_buffer_reuse("full ranging sequence (grass refined service)", service, kPairs);
 
   // --- Stage 3: software-detector (Section 3.7) pair loop ---
   ranging::RangingConfig sw_config = sim::grass_refined_ranging();
   sw_config.detector_mode = ranging::DetectorMode::kGoertzel;
   const ranging::RangingService sw_service(sw_config);
   constexpr int kSwPairs = 40;
-  const double sw_alloc_s = best_of(3, [&] {
-    math::Rng r(7);
-    double sum = 0.0;
-    for (int i = 0; i < kSwPairs; ++i) {
-      ranging::RangingScratch fresh;
-      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r, fresh).distance_m;
-      sum += d.value_or(0.0);
-    }
-    g_sink = sum;
-  });
-  const double sw_scratch_s = best_of(3, [&] {
-    math::Rng r(7);
-    ranging::RangingScratch scratch;
-    double sum = 0.0;
-    for (int i = 0; i < kSwPairs; ++i) {
-      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r, scratch).distance_m;
-      sum += d.value_or(0.0);
-    }
-    g_sink = sum;
-  });
-  const double sw_speedup = sw_alloc_s / sw_scratch_s;
-  std::printf("\nsoftware-detector sequence, %d pairs (Goertzel)\n", kSwPairs);
-  std::printf("  fresh buffers       %8.2f us/pair\n", sw_alloc_s / kSwPairs * 1e6);
-  std::printf("  reused scratch      %8.2f us/pair\n", sw_scratch_s / kSwPairs * 1e6);
-  std::printf("  speedup             %8.2fx\n", sw_speedup);
+  const bench::Paired software =
+      time_buffer_reuse("software-detector sequence (Goertzel)", sw_service, kSwPairs);
 
   // --- Stage 4: sampled-audio noise fill (block ziggurat vs scalar) ---
   constexpr std::size_t kNoiseBlock = 1163;  // one sampled-audio chirp window
   constexpr int kNoiseBlocks = 512;
   constexpr double kNormals = static_cast<double>(kNoiseBlock) * kNoiseBlocks;
   std::vector<double> noise(kNoiseBlock);
-  const double noise_block_s = best_of(5, [&] {
-    math::Rng r(11);
-    double sum = 0.0;
-    for (int b = 0; b < kNoiseBlocks; ++b) {
-      r.fill_gaussian_block(noise.data(), kNoiseBlock);
-      sum += noise[b % kNoiseBlock];
-    }
-    g_sink = sum;
-  });
-  const double noise_scalar_s = best_of(5, [&] {
-    math::Rng r(11);
-    double sum = 0.0;
-    for (int b = 0; b < kNoiseBlocks; ++b) {
-      for (std::size_t i = 0; i < kNoiseBlock; ++i) noise[i] = r.gaussian();
-      sum += noise[b % kNoiseBlock];
-    }
-    g_sink = sum;
-  });
-  const double noise_speedup = noise_scalar_s / noise_block_s;
+  const auto noise_loop = [&](bool block) {
+    return [&, block] {
+      math::Rng r(11);
+      double sum = 0.0;
+      for (int b = 0; b < kNoiseBlocks; ++b) {
+        if (block) {
+          r.fill_gaussian_block(noise.data(), kNoiseBlock);
+        } else {
+          for (std::size_t i = 0; i < kNoiseBlock; ++i) noise[i] = r.gaussian();
+        }
+        sum += noise[b % kNoiseBlock];
+      }
+      g_sink = sum;
+    };
+  };
+  const bench::Paired noise_fill = bench::paired(5, noise_loop(false), noise_loop(true));
+  const double ns_per_normal = 1e9 / kNormals;
   std::printf("\nnoise fill, %d blocks of %zu standard normals\n", kNoiseBlocks, kNoiseBlock);
-  std::printf("  scalar gaussian()   %8.2f ns/normal\n", noise_scalar_s / kNormals * 1e9);
-  std::printf("  fill_gaussian_block %8.2f ns/normal\n", noise_block_s / kNormals * 1e9);
-  std::printf("  speedup             %8.2fx   (target >= 3x)\n", noise_speedup);
+  std::printf("  scalar gaussian()   %8.2f ns/normal\n", noise_fill.a_s.median * ns_per_normal);
+  std::printf("  fill_gaussian_block %8.2f ns/normal\n", noise_fill.b_s.median * ns_per_normal);
+  std::printf("  speedup             %8.2fx   (median per-rep ratio of 5; target >= 3x)\n",
+              noise_fill.ratio.median);
 
-  // --- JSON record ---
-  const auto v = [](double x) { return resloc::eval::format_value(x); };
-  std::string json = "{\n";
-  json += "  \"bench\": \"bench_ranging_goertzel\",\n";
-  json += "  \"filter_samples\": " + std::to_string(kSamples) + ",\n";
-  json += "  \"filter_window\": " + std::to_string(ranging::SlidingDftFilter::kWindow) + ",\n";
-  json += "  \"filter_bin\": " + std::to_string(bin) + ",\n";
-  json += "  \"direct_dft_ns_per_sample\": " + v(direct_s * per_sample_ns) + ",\n";
-  json += "  \"goertzel_ns_per_sample\": " + v(goertzel_s * per_sample_ns) + ",\n";
-  json += "  \"filter_speedup\": " + v(filter_speedup) + ",\n";
-  json += "  \"max_abs_magnitude_delta\": " + v(max_delta) + ",\n";
-  json += "  \"measure_alloc_us_per_pair\": " + v(measure_alloc_s / kPairs * 1e6) + ",\n";
-  json += "  \"measure_scratch_us_per_pair\": " + v(measure_scratch_s / kPairs * 1e6) + ",\n";
-  json += "  \"measure_speedup\": " + v(measure_speedup) + ",\n";
-  json += "  \"software_alloc_us_per_pair\": " + v(sw_alloc_s / kSwPairs * 1e6) + ",\n";
-  json += "  \"software_scratch_us_per_pair\": " + v(sw_scratch_s / kSwPairs * 1e6) + ",\n";
-  json += "  \"software_speedup\": " + v(sw_speedup) + ",\n";
-  json += "  \"noise_scalar_ns_per_normal\": " + v(noise_scalar_s / kNormals * 1e9) + ",\n";
-  json += "  \"noise_block_ns_per_normal\": " + v(noise_block_s / kNormals * 1e9) + ",\n";
-  json += "  \"noise_speedup\": " + v(noise_speedup) + "\n";
-  json += "}\n";
-  if (!resloc::eval::write_text_file(json_path, json)) {
-    std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nbench record: %s\n", json_path.c_str());
-  return filter_speedup >= 5.0 && max_delta < 1e-9 && noise_speedup >= 3.0 ? 0 : 1;
+  const double measure_us = 1e6 / kPairs;
+  const double software_us = 1e6 / kSwPairs;
+  const bool written =
+      bench::record("bench_ranging_goertzel")
+          .set("filter_samples", kSamples)
+          .set("filter_window", ranging::SlidingDftFilter::kWindow)
+          .set("filter_bin", bin)
+          .set("direct_dft_ns_per_sample", filter.a_s.scaled(per_sample_ns))
+          .set("goertzel_ns_per_sample", filter.b_s.scaled(per_sample_ns))
+          .set("filter_speedup", filter.ratio)
+          .set("max_abs_magnitude_delta", max_delta)
+          .set("measure_pairs", kPairs)
+          .set("measure_alloc_us_per_pair", measure.a_s.scaled(measure_us))
+          .set("measure_scratch_us_per_pair", measure.b_s.scaled(measure_us))
+          .set("measure_speedup", measure.ratio)
+          .set("software_pairs", kSwPairs)
+          .set("software_alloc_us_per_pair", software.a_s.scaled(software_us))
+          .set("software_scratch_us_per_pair", software.b_s.scaled(software_us))
+          .set("software_speedup", software.ratio)
+          .set("noise_scalar_ns_per_normal", noise_fill.a_s.scaled(ns_per_normal))
+          .set("noise_block_ns_per_normal", noise_fill.b_s.scaled(ns_per_normal))
+          .set("noise_speedup", noise_fill.ratio)
+          .write(json_path);
+  return bench::exit_code(
+      written, {{"Goertzel speedup >= 5x", filter.ratio.median >= 5.0},
+                {"Goertzel drift < 1e-9", max_delta < 1e-9},
+                {"block noise fill speedup >= 3x", noise_fill.ratio.median >= 3.0}});
 }
