@@ -30,6 +30,7 @@
 #include "ranging/matched_filter.hpp"
 #include "ranging/ranging_service.hpp"
 #include "ranging/signal_detection.hpp"
+#include "reference/matched_filter.hpp"
 #include "reference/ranging.hpp"
 
 namespace {
@@ -598,6 +599,90 @@ TEST(MatchedFilterBlock, MarksAPlateauAtEachPickedPeakClippedAtTheWindow) {
       EXPECT_GT(clipped, 0);
     }
   }
+}
+
+/// One NCC test window: unit noise, optionally with exact-zero stretches
+/// (lags whose window energy is 0) and a planted chirp plus an echo.
+struct NccScene {
+  std::vector<double> x;
+  std::vector<double> sin_t;
+  std::vector<double> cos_t;
+};
+
+NccScene ncc_scene(Rng& rng, std::size_t n, std::size_t chirp, bool zero_stretches,
+                   bool planted) {
+  const double step = 2.0 * resloc::math::kPi * 4300.0 / 16000.0;
+  NccScene s{std::vector<double>(n), std::vector<double>(n), std::vector<double>(n)};
+  for (std::size_t i = 0; i < n; ++i) {
+    s.sin_t[i] = std::sin(step * static_cast<double>(i));
+    s.cos_t[i] = std::cos(step * static_cast<double>(i));
+    s.x[i] = rng.gaussian();
+  }
+  if (planted) {
+    // Direct arrival at n/4 and an echo 3L/4 later, beyond the +-L/2
+    // suppression radius so it is picked as a peak of its own.
+    const std::size_t onset = n / 4;
+    const std::size_t echo = onset + 3 * chirp / 4;
+    for (std::size_t i = onset; i < std::min(n, onset + chirp); ++i) s.x[i] += 3.0 * s.sin_t[i];
+    for (std::size_t i = echo; i < std::min(n, echo + chirp); ++i) s.x[i] += 2.0 * s.cos_t[i];
+  }
+  if (zero_stretches) {
+    // Silence at the start, and one stretch longer than the chirp ending
+    // just before the window's end: whole lag windows with energy exactly 0.
+    for (std::size_t i = 0; i < std::min(n, chirp + 5); ++i) s.x[i] = 0.0;
+    const std::size_t len = chirp + chirp / 2;
+    const std::size_t hi = n > 3 ? n - 3 : 0;
+    for (std::size_t i = hi > len ? hi - len : 0; i < hi; ++i) s.x[i] = 0.0;
+  }
+  return s;
+}
+
+TEST(MatchedFilterBlock, ScanMatchesReferenceBitForBit) {
+  // Every picked peak and mark word must equal the scalar reference scan's.
+  // Besides the default threshold, each window is rescanned at thresholds on
+  // the reference's own NCC values at its dominant maxima (and one ulp
+  // above), so a last-ulp change of the statistic at any such lag moves the
+  // pick and fails the test.
+  Rng rng(41, 9);
+  int compared = 0;
+  int planted_peaks = 0;
+  int zero_lags = 0;
+  for (const std::size_t chirp : {std::size_t{128}, std::size_t{37}}) {
+    for (const std::size_t n : {chirp, chirp + 1, std::size_t{1163}, std::size_t{2000}}) {
+      for (int scene = 0; scene < 4; ++scene) {
+        const NccScene s = ncc_scene(rng, n, chirp, scene & 1, scene & 2);
+        const acoustics::ToneTemplateView tpl{s.sin_t.data(), s.cos_t.data(), n};
+        const auto expect_same = [&](double threshold) {
+          ranging::MatchedFilterNcc filt(threshold);
+          resloc::reference::ScalarNcc ref(threshold);
+          std::vector<std::uint64_t> marks((n + 63) / 64, 0xCCCCCCCCCCCCCCCCULL);
+          std::vector<std::uint64_t> ref_marks((n + 63) / 64, 0x3333333333333333ULL);
+          filt.detect_into(s.x.data(), n, chirp, tpl, marks.data());
+          ref.detect_into(s.x.data(), n, chirp, tpl, ref_marks.data());
+          ++compared;
+          EXPECT_EQ(filt.peaks(), ref.peaks())
+              << "L=" << chirp << " n=" << n << " scene=" << scene << " t=" << threshold;
+          EXPECT_EQ(marks, ref_marks)
+              << "L=" << chirp << " n=" << n << " scene=" << scene << " t=" << threshold;
+          return ref;
+        };
+        const resloc::reference::ScalarNcc at_default =
+            expect_same(ranging::MatchedFilterNcc::kDefaultThreshold);
+        if (scene & 2) planted_peaks += static_cast<int>(at_default.peaks().size());
+        const resloc::reference::ScalarNcc all_maxima = expect_same(0.0);
+        for (const double v : all_maxima.ncc()) zero_lags += v == 0.0;
+        for (const std::size_t p : all_maxima.peaks()) {
+          const double v = all_maxima.ncc()[p];
+          expect_same(v);
+          expect_same(std::nextafter(v, 2.0));
+        }
+      }
+    }
+  }
+  // The fixture must reach the planted peaks and the zero-energy lags.
+  EXPECT_GT(compared, 100);
+  EXPECT_GE(planted_peaks, 4);
+  EXPECT_GT(zero_lags, 0);
 }
 
 TEST(SignalScanner, YieldsSameCandidatesAsRestartScan) {
