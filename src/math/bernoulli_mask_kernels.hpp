@@ -1,5 +1,6 @@
-// Dispatch variants of Rng::fill_bernoulli_mask_block and
-// Rng::fill_uniform_bits_block.
+// Dispatch variants of Rng::fill_bernoulli_mask_block,
+// Rng::fill_uniform_bits_block and the ziggurat fast path of
+// Rng::fill_gaussian_block.
 //
 // Internal to the math layer: rng.cpp picks one variant per call from CPUID,
 // and the kernel tests include this header to check every variant the host
@@ -53,4 +54,18 @@ std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, const BernoulliRun*
 #endif
 
 }  // namespace bernoulli_mask
+
+namespace gaussian_fast_path {
+
+/// Every variant takes `out` holding n uniform_bits() words (as bit
+/// patterns, the state fill_gaussian_block leaves after its step 1) and
+/// turns them in place into the block's normals: steps 2-4 of the ziggurat
+/// v1 stream, the rejected words resolved in index order with sequential
+/// draws from `rng`.
+void portable(Rng& rng, double* out, std::size_t n);
+#if RESLOC_X86_SIMD
+void avx512(Rng& rng, double* out, std::size_t n);
+#endif
+
+}  // namespace gaussian_fast_path
 }  // namespace resloc::math

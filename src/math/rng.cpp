@@ -581,21 +581,94 @@ double ziggurat_slow(Rng& rng, const NormalZiggurat& z, std::uint64_t word) {
 
 }  // namespace
 
-void Rng::fill_gaussian_block(double* out, std::size_t n) {
-  // The words land in the output slots themselves and are overwritten in
-  // place by their normals, so the block needs no buffer of its own.
-  static_assert(sizeof(double) == sizeof(std::uint64_t), "in-place word slots");
+// The ziggurat fast-path variants: steps 2-4 of fill_gaussian_block over
+// words already in the output slots. The fast accept draws nothing, so each
+// variant may test a whole group of words at once as long as it resolves the
+// rejected ones in index order before the next group's.
+namespace gaussian_fast_path {
+
+void portable(Rng& rng, double* out, std::size_t n) {
   const NormalZiggurat& z = NormalZiggurat::get();
-  fill_uniform_bits_block(reinterpret_cast<std::uint64_t*>(out), n);
   for (std::size_t k = 0; k < n; ++k) {
     std::uint64_t word;
     std::memcpy(&word, out + k, sizeof word);
     const std::size_t layer = word & 0xffu;
     const double u = ziggurat_signed_unit(word);
     const double normal =
-        std::abs(u) < z.ratio[layer] ? u * z.x[layer] : ziggurat_slow(*this, z, word);
+        std::abs(u) < z.ratio[layer] ? u * z.x[layer] : ziggurat_slow(rng, z, word);
     std::memcpy(out + k, &normal, sizeof normal);
   }
+}
+
+#if RESLOC_X86_SIMD
+
+namespace {
+
+/// The rejected lanes of one group, resolved in index order in baseline
+/// code. Kept out of the AVX-512 loop on purpose: inlined there, GCC would
+/// contract the wedge's f + uniform * (f' - f) into an FMA, which rounds
+/// differently.
+__attribute__((noinline)) void resolve_rejects(Rng& rng, const NormalZiggurat& z,
+                                               double* group, unsigned rejected) {
+  for (; rejected != 0; rejected &= rejected - 1) {
+    double* const slot = group + __builtin_ctz(rejected);
+    std::uint64_t word;
+    std::memcpy(&word, slot, sizeof word);
+    *slot = ziggurat_slow(rng, z, word);
+  }
+}
+
+/// The AVX-512 variant's first `groups` groups of 8 words. Each lane runs
+/// the scalar fast path's exact operations: the 45-bit lattice integer is
+/// converted exactly (it is below 2^53) and scaled by 2^-45, ratio[layer]
+/// and x[layer] are gathered, and u * x is stored under the |u| < ratio
+/// mask; the group's other lanes still hold their words for
+/// resolve_rejects.
+__attribute__((target("avx512f,avx512dq")))
+void avx512_groups(Rng& rng, const NormalZiggurat& z, double* out, std::size_t groups) {
+  const __m512i layer_bits = _mm512_set1_epi64(0xff);
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i half = _mm512_set1_epi64(std::int64_t{1} << 45);
+  const __m512d scale = _mm512_set1_pd(0x1.0p-45);
+  for (std::size_t g = 0; g < groups; ++g) {
+    double* const group = out + 8 * g;
+    const __m512i word = _mm512_loadu_si512(group);
+    const __m512i layer = _mm512_and_si512(word, layer_bits);
+    const __m512i odd = _mm512_or_si512(_mm512_slli_epi64(_mm512_srli_epi64(word, 8), 1), one);
+    const __m512d u = _mm512_mul_pd(_mm512_cvtepi64_pd(_mm512_sub_epi64(odd, half)), scale);
+    const __m512d ratio = _mm512_i64gather_pd(layer, z.ratio, 8);
+    const __m512d x = _mm512_i64gather_pd(layer, z.x, 8);
+    const __mmask8 accept = _mm512_cmp_pd_mask(_mm512_abs_pd(u), ratio, _CMP_LT_OQ);
+    _mm512_mask_storeu_pd(group, accept, _mm512_mul_pd(u, x));
+    const unsigned rejected = ~static_cast<unsigned>(accept) & 0xffu;
+    if (rejected != 0) resolve_rejects(rng, z, group, rejected);
+  }
+}
+
+}  // namespace
+
+void avx512(Rng& rng, double* out, std::size_t n) {
+  const std::size_t whole = n - n % 8;
+  avx512_groups(rng, NormalZiggurat::get(), out, whole / 8);
+  portable(rng, out + whole, n - whole);
+}
+
+#endif  // RESLOC_X86_SIMD
+
+}  // namespace gaussian_fast_path
+
+void Rng::fill_gaussian_block(double* out, std::size_t n) {
+  // The words land in the output slots themselves and are overwritten in
+  // place by their normals, so the block needs no buffer of its own.
+  static_assert(sizeof(double) == sizeof(std::uint64_t), "in-place word slots");
+  fill_uniform_bits_block(reinterpret_cast<std::uint64_t*>(out), n);
+#if RESLOC_X86_SIMD
+  if (cpu_has_avx512_kernels()) {
+    gaussian_fast_path::avx512(*this, out, n);
+    return;
+  }
+#endif
+  gaussian_fast_path::portable(*this, out, n);
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }

@@ -32,7 +32,9 @@ double GoertzelSlidingFilter::step(double sample) {
   re_ += delta * cos_[n_];
   im_ -= delta * sin_[n_];
   energy_ += sample * sample - old * old;
-  n_ = (n_ + 1) % samples_.size();
+  // Compare-and-wrap: a modulo here is a 64-bit division on the
+  // loop-carried ring index, once per sample.
+  if (++n_ == samples_.size()) n_ = 0;
   if (++steps_since_resync_ >= kResyncPeriod) resync();
   return re_ * re_ + im_ * im_;
 }

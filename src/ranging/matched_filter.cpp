@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace resloc::ranging {
 
 MatchedFilterNcc::MatchedFilterNcc(double threshold, int peak_plateau)
@@ -23,24 +27,33 @@ bool MatchedFilterNcc::scan(const double* x, std::size_t n, std::size_t chirp_sa
                             const acoustics::ToneTemplateView& tpl) {
   peaks_.clear();
   const std::size_t L = std::max<std::size_t>(1, chirp_samples);
-  if (n < L || tpl.length < n) {
-    ncc_.clear();
-    return false;
-  }
+  if (n < L || tpl.length < n) return false;
 
   // Prefix sums of x*sin(w*k), x*cos(w*k), x^2 over the absolute sample index
   // k. The quadrature pair makes the correlation phase-free: the window
   // [i, i + L) correlates against the template at *any* starting phase with
   // magnitude sqrt(ds^2 + dc^2), so no per-offset phase rotation is needed
-  // and the whole scan is O(n) independent of L.
+  // and the whole scan is O(n) independent of L. The running sums stay in
+  // registers: the prefix vectors may alias x and the template as far as the
+  // compiler knows, so reading prefix_*[k] back would reload each chain from
+  // memory on every step.
   prefix_sin_.resize(n + 1);
   prefix_cos_.resize(n + 1);
   prefix_energy_.resize(n + 1);
-  prefix_sin_[0] = prefix_cos_[0] = prefix_energy_[0] = 0.0;
+  double* const ps = prefix_sin_.data();
+  double* const pc = prefix_cos_.data();
+  double* const pe = prefix_energy_.data();
+  double sum_sin = 0.0;
+  double sum_cos = 0.0;
+  double sum_energy = 0.0;
+  ps[0] = pc[0] = pe[0] = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    prefix_sin_[k + 1] = prefix_sin_[k] + x[k] * tpl.sin_t[k];
-    prefix_cos_[k + 1] = prefix_cos_[k] + x[k] * tpl.cos_t[k];
-    prefix_energy_[k + 1] = prefix_energy_[k] + x[k] * x[k];
+    sum_sin += x[k] * tpl.sin_t[k];
+    sum_cos += x[k] * tpl.cos_t[k];
+    sum_energy += x[k] * x[k];
+    ps[k + 1] = sum_sin;
+    pc[k + 1] = sum_cos;
+    pe[k + 1] = sum_energy;
   }
 
   // NCC[i] for the forward window [i, i + L): correlation magnitude over the
@@ -50,12 +63,30 @@ bool MatchedFilterNcc::scan(const double* x, std::size_t n, std::size_t chirp_sa
   // half-window shift.
   const std::size_t m = n - L + 1;
   ncc_.resize(m);
+  double* const ncc = ncc_.data();
   const double template_energy = static_cast<double>(L) / 2.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const double ds = prefix_sin_[i + L] - prefix_sin_[i];
-    const double dc = prefix_cos_[i + L] - prefix_cos_[i];
-    const double energy = prefix_energy_[i + L] - prefix_energy_[i];
-    ncc_[i] = energy > 0.0 ? std::sqrt((ds * ds + dc * dc) / (energy * template_energy)) : 0.0;
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  // Two lags per step: every lane op is one IEEE-exact SSE2 instruction
+  // (baseline x86-64, nothing to dispatch, no FMA to contract into), so each
+  // lane rounds exactly like the scalar loop below; lanes with !(E > 0)
+  // select +0.0 instead of the scalar branch.
+  const __m128d te = _mm_set1_pd(template_energy);
+  const __m128d zero = _mm_setzero_pd();
+  for (; i + 2 <= m; i += 2) {
+    const __m128d ds = _mm_sub_pd(_mm_loadu_pd(ps + i + L), _mm_loadu_pd(ps + i));
+    const __m128d dc = _mm_sub_pd(_mm_loadu_pd(pc + i + L), _mm_loadu_pd(pc + i));
+    const __m128d energy = _mm_sub_pd(_mm_loadu_pd(pe + i + L), _mm_loadu_pd(pe + i));
+    const __m128d power = _mm_add_pd(_mm_mul_pd(ds, ds), _mm_mul_pd(dc, dc));
+    const __m128d r = _mm_sqrt_pd(_mm_div_pd(power, _mm_mul_pd(energy, te)));
+    _mm_storeu_pd(ncc + i, _mm_and_pd(_mm_cmpgt_pd(energy, zero), r));
+  }
+#endif
+  for (; i < m; ++i) {
+    const double ds = ps[i + L] - ps[i];
+    const double dc = pc[i + L] - pc[i];
+    const double energy = pe[i + L] - pe[i];
+    ncc[i] = energy > 0.0 ? std::sqrt((ds * ds + dc * dc) / (energy * template_energy)) : 0.0;
   }
 
   // Peak picking with non-maximum suppression. NCC rises as sqrt(overlap)
@@ -68,7 +99,7 @@ bool MatchedFilterNcc::scan(const double* x, std::size_t n, std::size_t chirp_sa
   // with those). Local maxima above the threshold are rare, so the
   // neighborhood check runs on a handful of candidates, not on every offset.
   const std::size_t radius = L / 2;
-  for (std::size_t i = 0; i < m; ++i) {
+  for (i = 0; i < m; ++i) {
     if (ncc_[i] < threshold_) continue;
     if (i > 0 && ncc_[i] <= ncc_[i - 1]) continue;            // leftmost of any plateau
     if (i + 1 < m && ncc_[i] < ncc_[i + 1]) continue;         // not a local max

@@ -68,10 +68,6 @@ class MatchedFilterNcc {
   void detect_into(const double* x, std::size_t n, std::size_t chirp_samples,
                    const acoustics::ToneTemplateView& tpl, std::uint64_t* marks);
 
-  /// NCC series of the last detect_into call: ncc()[i] is the statistic for
-  /// the window [i, i + chirp_samples). Exposed for the accuracy harness.
-  const std::vector<double>& ncc() const { return ncc_; }
-
   /// Picked onset offsets of the last detect_into call (before plateau
   /// rasterization), in ascending order.
   const std::vector<std::size_t>& peaks() const { return peaks_; }
@@ -89,6 +85,8 @@ class MatchedFilterNcc {
   std::vector<double> prefix_sin_;
   std::vector<double> prefix_cos_;
   std::vector<double> prefix_energy_;
+  // NCC statistic per lag (size n - L + 1), read by the peak pick's
+  // neighbourhood test.
   std::vector<double> ncc_;
 };
 

@@ -157,7 +157,12 @@ std::vector<double> ziggurat_oracle(Rng& rng, std::size_t n, ZigguratPaths& path
   return out;
 }
 
-TEST(RngBlocks, GaussianBlockMatchesZigguratOracleAndKeepsCachedHalf) {
+using GaussianFill = void (*)(Rng&, double*, std::size_t);
+
+/// Runs one block normal fill against the oracle: every output bit, the
+/// post-call generator state, and a Box-Muller half left pending before the
+/// block, which the block must neither consume nor clear.
+void expect_gaussian_matches_oracle(GaussianFill fill) {
   // kBlockSizes for the tails and group strides, plus one long block so the
   // fixture reaches the rare tail path (~2.6e-4 of words) and its retries.
   std::vector<std::size_t> sizes(std::begin(kBlockSizes), std::end(kBlockSizes));
@@ -177,7 +182,7 @@ TEST(RngBlocks, GaussianBlockMatchesZigguratOracleAndKeepsCachedHalf) {
         ASSERT_EQ(a.gaussian(), b.gaussian());
       }
       std::vector<double> block(n, 0.0);
-      a.fill_gaussian_block(block.data(), n);
+      fill(a, block.data(), n);
       const std::vector<double> expect = ziggurat_oracle(b, n, paths);
       // n = 0 leaves data() null, which memcmp must not be handed.
       ASSERT_TRUE(n == 0 || std::memcmp(block.data(), expect.data(), n * sizeof(double)) == 0)
@@ -199,6 +204,35 @@ TEST(RngBlocks, GaussianBlockMatchesZigguratOracleAndKeepsCachedHalf) {
   EXPECT_GE(paths.wedge_rejects, 1);
   EXPECT_GE(paths.tail, 1);
   EXPECT_GE(paths.tail_rejects, 1);
+}
+
+TEST(RngBlocks, GaussianBlockMatchesZigguratOracleAndKeepsCachedHalf) {
+  expect_gaussian_matches_oracle(
+      [](Rng& rng, double* out, std::size_t n) { rng.fill_gaussian_block(out, n); });
+}
+
+/// fill_gaussian_block with the given fast-path variant in place of the
+/// dispatched one: step 1's words are drawn by fill_uniform_bits_block.
+template <GaussianFill kFastPath>
+void fill_with_fast_path(Rng& rng, double* out, std::size_t n) {
+  std::vector<std::uint64_t> words(n);
+  rng.fill_uniform_bits_block(words.data(), n);
+  if (n > 0) std::memcpy(out, words.data(), n * sizeof(double));
+  kFastPath(rng, out, n);
+}
+
+TEST(RngBlocks, GaussianFastPathPortableMatchesZigguratOracle) {
+  expect_gaussian_matches_oracle(
+      &fill_with_fast_path<&resloc::math::gaussian_fast_path::portable>);
+}
+
+TEST(RngBlocks, GaussianFastPathAvx512MatchesZigguratOracle) {
+#if RESLOC_X86_SIMD
+  if (!resloc::math::cpu_has_avx512_kernels()) GTEST_SKIP() << "host has no AVX-512";
+  expect_gaussian_matches_oracle(&fill_with_fast_path<&resloc::math::gaussian_fast_path::avx512>);
+#else
+  GTEST_SKIP() << "no x86 SIMD variants in this build";
+#endif
 }
 
 TEST(RngBlocks, BernoulliThresholdSplitsExactlyLikeUniformCompare) {
@@ -519,8 +553,9 @@ TEST(RecordChirpBlock, CountsFiredSamplesOfTheFirstFifteenChirps) {
 }
 
 TEST(GoertzelBlock, RunBlockMatchesStepAcrossResync) {
-  // n > kResyncPeriod so the in-step exact resync happens mid-block.
-  for (std::size_t n : {1u, 36u, 255u, 256u, 257u, 700u}) {
+  // n > kResyncPeriod so the in-step exact resync happens mid-block; 1163
+  // and 2000 run past four and seven resync periods.
+  for (std::size_t n : {1u, 36u, 255u, 256u, 257u, 700u, 1163u, 2000u}) {
     Rng rng(3 + n, 4);
     std::vector<double> x(n);
     for (double& v : x) v = rng.gaussian(0.0, 1.0) + 0.5 * rng.uniform();
