@@ -1,5 +1,6 @@
 #include "ranging/dft_detector.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -23,34 +24,79 @@ GoertzelSlidingFilter::GoertzelSlidingFilter(std::size_t window, int bin)
   }
 }
 
+template <typename Emit>
+void GoertzelSlidingFilter::run(const double* x, std::size_t n, Emit&& emit) {
+  double* const ring = samples_.data();
+  const double* const cos_t = cos_.data();
+  const double* const sin_t = sin_.data();
+  const std::size_t window = samples_.size();
+  std::size_t at = n_;
+  std::size_t since_resync = steps_since_resync_;
+  double re = re_;
+  double im = im_;
+  double energy = energy_;
+  const auto slide = [&](double sample) {
+    const double old = ring[at];
+    const double delta = sample - old;
+    ring[at] = sample;
+    // One complex multiply-accumulate: the new sample and the one it evicts
+    // sit a whole window apart, so they share the twiddle factor at `at`.
+    re += delta * cos_t[at];
+    im -= delta * sin_t[at];
+    energy += sample * sample - old * old;
+  };
+  for (std::size_t i = 0; i < n;) {
+    // Samples that neither wrap the ring nor complete a resync period run
+    // without either check; the one that does takes both.
+    const std::size_t plain =
+        std::min({window - 1 - at, kResyncPeriod - 1 - since_resync, n - i});
+    for (const std::size_t end = i + plain; i < end; ++i) {
+      slide(x[i]);
+      ++at;
+      emit(i, re * re + im * im, energy);
+    }
+    since_resync += plain;
+    if (i == n) break;
+    slide(x[i]);
+    if (++at == window) at = 0;
+    if (++since_resync == kResyncPeriod) {
+      resync();
+      re = re_;
+      im = im_;
+      energy = energy_;
+      since_resync = 0;
+    }
+    emit(i++, re * re + im * im, energy);
+  }
+  n_ = at;
+  steps_since_resync_ = since_resync;
+  re_ = re;
+  im_ = im;
+  energy_ = energy;
+}
+
 double GoertzelSlidingFilter::step(double sample) {
-  const double old = samples_[n_];
-  const double delta = sample - old;
-  samples_[n_] = sample;
-  // One complex multiply-accumulate: the new sample and the one it evicts sit
-  // a whole window apart, so they share the twiddle factor at index n_.
-  re_ += delta * cos_[n_];
-  im_ -= delta * sin_[n_];
-  energy_ += sample * sample - old * old;
-  // Compare-and-wrap: a modulo here is a 64-bit division on the
-  // loop-carried ring index, once per sample.
-  if (++n_ == samples_.size()) n_ = 0;
-  if (++steps_since_resync_ >= kResyncPeriod) resync();
-  return re_ * re_ + im_ * im_;
+  double power = 0.0;
+  run(&sample, 1, [&power](std::size_t, double band_power, double) { power = band_power; });
+  return power;
 }
 
 void GoertzelSlidingFilter::resync() {
   // Exact recomputation of the incremental sums; kills accumulated rounding
   // (and the energy sum's catastrophic-cancellation residue) so the filter
-  // tracks the direct sum to ~1e-12 indefinitely.
-  re_ = 0.0;
-  im_ = 0.0;
-  energy_ = 0.0;
+  // tracks the direct sum to ~1e-12 indefinitely. Summed in locals: the
+  // ring's stores could otherwise alias the members on every step.
+  double re = 0.0;
+  double im = 0.0;
+  double energy = 0.0;
   for (std::size_t i = 0; i < samples_.size(); ++i) {
-    re_ += samples_[i] * cos_[i];
-    im_ -= samples_[i] * sin_[i];
-    energy_ += samples_[i] * samples_[i];
+    re += samples_[i] * cos_[i];
+    im -= samples_[i] * sin_[i];
+    energy += samples_[i] * samples_[i];
   }
+  re_ = re;
+  im_ = im;
+  energy_ = energy;
   steps_since_resync_ = 0;
 }
 
@@ -65,17 +111,28 @@ GoertzelToneDetector::GoertzelToneDetector(double tone_frequency_hz, double samp
     : filter_(SlidingDftFilter::kWindow,
               nearest_bin(tone_frequency_hz, sample_rate_hz, SlidingDftFilter::kWindow)) {}
 
-double GoertzelToneDetector::step(double sample) {
-  const double band_power = filter_.step(sample);
-  // Same automatic noise estimate as DftToneDetector: Parseval window energy
-  // scaled by the correlation margin, plus the tiny absolute floor against
-  // cancellation residue on an all-zero window.
+namespace {
+
+/// Same automatic noise estimate as DftToneDetector: Parseval window energy
+/// scaled by the correlation margin, plus the tiny absolute floor against
+/// cancellation residue on an all-zero window.
+inline double goertzel_metric(double band_power, double window_energy) {
   constexpr double kNumericFloor = 1e-6;
-  return band_power - kToneNoiseScale * filter_.window_energy() - kNumericFloor;
+  return band_power - kToneNoiseScale * window_energy - kNumericFloor;
+}
+
+}  // namespace
+
+double GoertzelToneDetector::step(double sample) {
+  double metric = 0.0;
+  run_block(&sample, 1, &metric);
+  return metric;
 }
 
 void GoertzelToneDetector::run_block(const double* x, std::size_t n, double* metric) {
-  for (std::size_t i = 0; i < n; ++i) metric[i] = step(x[i]);
+  filter_.run(x, n, [metric](std::size_t i, double band_power, double window_energy) {
+    metric[i] = goertzel_metric(band_power, window_energy);
+  });
 }
 
 void GoertzelToneDetector::reset() { filter_.reset(); }

@@ -99,6 +99,16 @@ class GoertzelSlidingFilter {
   int bin() const { return bin_; }
 
  private:
+  friend class GoertzelToneDetector;  // run_block drives run()
+
+  /// The sliding recurrence over x[0, n): after each sample i, calls
+  /// emit(i, band power, window energy). step() is run() over one sample.
+  /// The running sums, ring index and resync count live in locals for the
+  /// whole block, so the stores `emit` makes cannot force them through
+  /// memory on every sample.
+  template <typename Emit>
+  void run(const double* x, std::size_t n, Emit&& emit);
+
   void resync();
 
   std::vector<double> samples_;  ///< ring buffer; index = absolute index mod N
@@ -127,9 +137,8 @@ class GoertzelToneDetector {
 
   /// Block entry point: metric[i] = step(x[i]) for i in [0, n) -- the same
   /// sliding recurrence, resync cadence, and rounding as n scalar calls
-  /// (it IS the scalar step, inlined into one loop over a contiguous
-  /// buffer, which removes the per-sample cross-TU call the fused
-  /// synthesize-and-filter loop paid).
+  /// (both run GoertzelSlidingFilter's one recurrence loop, here over the
+  /// whole contiguous buffer with the running sums held in registers).
   void run_block(const double* x, std::size_t n, double* metric);
 
   void reset();
