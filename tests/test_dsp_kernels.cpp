@@ -571,6 +571,75 @@ TEST(GoertzelBlock, RunBlockMatchesStepAcrossResync) {
   }
 }
 
+/// Test-local per-sample oracle of GoertzelToneDetector, written from its
+/// definition in dft_detector.hpp: a ring of the last N samples whose
+/// twiddle index is the absolute sample index mod N, one complex
+/// multiply-accumulate per sample, an exact direct-sum resync every
+/// kResyncPeriod steps, and metric = |X|^2 - kToneNoiseScale * energy
+/// - 1e-6 (the detector's numeric floor).
+std::vector<double> goertzel_oracle(const std::vector<double>& x, double tone_hz,
+                                    double rate_hz) {
+  const std::size_t window = ranging::SlidingDftFilter::kWindow;
+  const int bin = ranging::nearest_bin(tone_hz, rate_hz, window);
+  std::vector<double> ring(window, 0.0), cos_t(window), sin_t(window);
+  for (std::size_t i = 0; i < window; ++i) {
+    const double angle = 2.0 * resloc::math::kPi * static_cast<double>(bin) *
+                         static_cast<double>(i) / static_cast<double>(window);
+    cos_t[i] = std::cos(angle);
+    sin_t[i] = std::sin(angle);
+  }
+  double re = 0.0, im = 0.0, energy = 0.0;
+  std::size_t steps = 0;
+  std::vector<double> metric(x.size());
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    const std::size_t at = k % window;
+    const double old = ring[at];
+    const double delta = x[k] - old;
+    ring[at] = x[k];
+    re += delta * cos_t[at];
+    im -= delta * sin_t[at];
+    energy += x[k] * x[k] - old * old;
+    if (++steps == ranging::GoertzelSlidingFilter::kResyncPeriod) {
+      re = im = energy = 0.0;
+      for (std::size_t i = 0; i < window; ++i) {
+        re += ring[i] * cos_t[i];
+        im -= ring[i] * sin_t[i];
+        energy += ring[i] * ring[i];
+      }
+      steps = 0;
+    }
+    metric[k] = re * re + im * im - ranging::kToneNoiseScale * energy - 1e-6;
+  }
+  return metric;
+}
+
+TEST(GoertzelBlock, MatchesScalarOracleAtAnyBlockSplit) {
+  // The block recurrence runs the samples between ring wraps and resyncs
+  // without their checks; feeding the same stream in blocks that start at
+  // every phase of the ring and of the resync period must not move a bit.
+  Rng rng(29, 5);
+  const std::size_t n = 2000;
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.gaussian(0.0, 1.0) + 0.5 * rng.uniform();
+  const std::vector<double> expect = goertzel_oracle(x, 4300.0, 16000.0);
+  for (const std::size_t block : {std::size_t{1}, std::size_t{7}, std::size_t{35},
+                                  std::size_t{36}, std::size_t{37}, std::size_t{255},
+                                  std::size_t{256}, std::size_t{257}, n}) {
+    ranging::GoertzelToneDetector det(4300.0, 16000.0);
+    std::vector<double> metric(n, 0.0);
+    for (std::size_t i = 0; i < n; i += block) {
+      det.run_block(x.data() + i, std::min(block, n - i), metric.data() + i);
+    }
+    ASSERT_EQ(std::memcmp(metric.data(), expect.data(), n * sizeof(double)), 0)
+        << "block=" << block;
+  }
+  ranging::GoertzelToneDetector det(4300.0, 16000.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double m = det.step(x[i]);
+    ASSERT_EQ(std::memcmp(&m, &expect[i], sizeof(double)), 0) << "step i=" << i;
+  }
+}
+
 TEST(MixKernel, MatchesFusedFormula) {
   Rng rng(17, 6);
   const std::size_t n = 513;
