@@ -65,6 +65,11 @@ bool MatchedFilterNcc::scan(const double* x, std::size_t n, std::size_t chirp_sa
   ncc_.resize(m);
   double* const ncc = ncc_.data();
   const double template_energy = static_cast<double>(L) / 2.0;
+  // [first, last] spans every lag whose statistic is not below the
+  // threshold (NaN included), the only lags the peak pick can keep;
+  // first == m when there is none.
+  std::size_t first = m;
+  std::size_t last = 0;
   std::size_t i = 0;
 #if defined(__SSE2__)
   // Two lags per step: every lane op is one IEEE-exact SSE2 instruction
@@ -73,13 +78,20 @@ bool MatchedFilterNcc::scan(const double* x, std::size_t n, std::size_t chirp_sa
   // select +0.0 instead of the scalar branch.
   const __m128d te = _mm_set1_pd(template_energy);
   const __m128d zero = _mm_setzero_pd();
+  const __m128d threshold = _mm_set1_pd(threshold_);
   for (; i + 2 <= m; i += 2) {
     const __m128d ds = _mm_sub_pd(_mm_loadu_pd(ps + i + L), _mm_loadu_pd(ps + i));
     const __m128d dc = _mm_sub_pd(_mm_loadu_pd(pc + i + L), _mm_loadu_pd(pc + i));
     const __m128d energy = _mm_sub_pd(_mm_loadu_pd(pe + i + L), _mm_loadu_pd(pe + i));
     const __m128d power = _mm_add_pd(_mm_mul_pd(ds, ds), _mm_mul_pd(dc, dc));
     const __m128d r = _mm_sqrt_pd(_mm_div_pd(power, _mm_mul_pd(energy, te)));
-    _mm_storeu_pd(ncc + i, _mm_and_pd(_mm_cmpgt_pd(energy, zero), r));
+    const __m128d v = _mm_and_pd(_mm_cmpgt_pd(energy, zero), r);
+    _mm_storeu_pd(ncc + i, v);
+    const int reach = _mm_movemask_pd(_mm_cmpnlt_pd(v, threshold));
+    if (reach != 0) {
+      if (first == m) first = i + ((reach & 1) != 0 ? 0 : 1);
+      last = i + ((reach & 2) != 0 ? 1 : 0);
+    }
   }
 #endif
   for (; i < m; ++i) {
@@ -87,6 +99,10 @@ bool MatchedFilterNcc::scan(const double* x, std::size_t n, std::size_t chirp_sa
     const double dc = pc[i + L] - pc[i];
     const double energy = pe[i + L] - pe[i];
     ncc[i] = energy > 0.0 ? std::sqrt((ds * ds + dc * dc) / (energy * template_energy)) : 0.0;
+    if (!(ncc[i] < threshold_)) {
+      if (first == m) first = i;
+      last = i;
+    }
   }
 
   // Peak picking with non-maximum suppression. NCC rises as sqrt(overlap)
@@ -99,7 +115,7 @@ bool MatchedFilterNcc::scan(const double* x, std::size_t n, std::size_t chirp_sa
   // with those). Local maxima above the threshold are rare, so the
   // neighborhood check runs on a handful of candidates, not on every offset.
   const std::size_t radius = L / 2;
-  for (i = 0; i < m; ++i) {
+  for (i = first; i < m && i <= last; ++i) {
     if (ncc_[i] < threshold_) continue;
     if (i > 0 && ncc_[i] <= ncc_[i - 1]) continue;            // leftmost of any plateau
     if (i + 1 < m && ncc_[i] < ncc_[i + 1]) continue;         // not a local max
