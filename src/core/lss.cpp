@@ -93,6 +93,7 @@ double StressObjective::add_violation(std::vector<double>& grad, double error, s
 double StressObjective::accumulate_constraint_list(const std::vector<double>& p,
                                                    std::vector<double>& grad, double error) {
   if (list_is_stale(p)) build_list(p);
+  pair_tests_ += list_.size();
   for (const std::uint64_t pair : list_) {
     const std::size_t i = pair >> 32;
     const std::size_t j = pair & 0xffffffffu;
@@ -136,12 +137,15 @@ void StressObjective::build_list(const std::vector<double>& p) {
   grid_.rebuild(p.data(), p.data() + n_, n_, reach);
   pairs_.clear();
   pairs_.reserve(2 * n_);  // ~1-2 per node at any sane density; one allocation
-  grid_.for_each_candidate_pair([this, &p, reach_sq](std::size_t i, std::size_t j) {
+  std::uint64_t candidates = 0;
+  grid_.for_each_candidate_pair([this, &p, reach_sq, &candidates](std::size_t i, std::size_t j) {
+    ++candidates;
     const double dx = p[i] - p[j];
     const double dy = p[n_ + i] - p[n_ + j];
     if (dx * dx + dy * dy >= reach_sq) return;
     pairs_.push_back((static_cast<std::uint64_t>(i) << 32) | j);
   });
+  pair_tests_ += candidates;
 
   // Counting sort by i, then one insertion sort over the whole list: the
   // scatter leaves it grouped by ascending i, so the insertion sort only

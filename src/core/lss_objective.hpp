@@ -71,6 +71,12 @@ class StressObjective {
   /// `lss_neighbor_rebuilds`).
   std::uint64_t rebuilds() const { return rebuilds_; }
 
+  /// Pair distance tests the soft-constraint stage has made so far: every
+  /// candidate pair of every list build plus every list entry walked. The
+  /// dense scan makes n(n-1)/2 per evaluation; bench_lss_scale gates the
+  /// ratio, a count no machine state moves.
+  std::uint64_t pair_tests() const { return pair_tests_; }
+
  private:
   double accumulate_constraint_list(const std::vector<double>& p, std::vector<double>& grad,
                                     double error);
@@ -88,6 +94,7 @@ class StressObjective {
   double skin_ = 0.0;
   std::uint64_t active_pairs_ = 0;  ///< active constraint pairs this evaluation
   std::uint64_t rebuilds_ = 0;
+  std::uint64_t pair_tests_ = 0;
 
   std::vector<double> ref_;               ///< configuration the list was built at
   resloc::math::SpatialHashGrid grid_;    ///< list-build scratch
