@@ -15,9 +15,10 @@
 //      candidate tests plus walk -- because its timed ratio sits near 10x
 //      at n = 500 and moves between processes by more than the margin; the
 //      timed stage speedup is still measured and recorded. The descent
-//      regime -- one objective reused across a whole campus_500 solve, where the list is rebuilt on a small
-//      fraction of evaluations -- is gated at a >= 10x end-to-end solve
-//      speedup. Any gate missed and the bench exits nonzero.
+//      regime -- one objective reused across a whole campus_500 solve,
+//      where the list is rebuilt on a small fraction of evaluations -- is
+//      gated at a >= 10x end-to-end solve speedup. Any gate missed and the
+//      bench exits nonzero.
 //   2. Bit-equivalence. Both paths visit active pairs in identical order with
 //      identical arithmetic, so error and every gradient component must match
 //      to the last ulp (max |delta| must be exactly 0). Solution quality is
