@@ -43,31 +43,33 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Jump-ahead seed block of kRaw consecutive raw steps: s[r] is the state of
-/// raw u32 index r, and (jump_mul, jump_add) advance any state by kRaw raw
-/// steps. Jump constants by doubling: if s' = A s + C jumps L steps, then
-/// A^2 s + (A + 1) C jumps 2L.
-template <int kRaw>
-struct LaneSetup {
-  std::uint64_t s[kRaw];
-  std::uint64_t jump_mul;
-  std::uint64_t jump_add;
+/// Jump-ahead constants (Brown 1994) of kSize lanes: lane j advances a state
+/// s by raw(j) LCG steps to mul[j] * s + add[j] * inc, where mul = a^raw and
+/// add = 1 + a + ... + a^(raw - 1), all mod 2^64 -- exactly the state that
+/// many sequential steps reach, and every lane independent of the others.
+template <std::size_t kSize>
+struct JumpTable {
+  std::uint64_t mul[kSize];
+  std::uint64_t add[kSize];
+
+  std::uint64_t jump(std::size_t j, std::uint64_t state, std::uint64_t inc) const {
+    return mul[j] * state + add[j] * inc;
+  }
 };
 
-template <int kRaw>
-LaneSetup<kRaw> lane_setup(std::uint64_t state, std::uint64_t inc) {
-  static_assert((kRaw & (kRaw - 1)) == 0, "jump by doubling needs a power of two");
-  LaneSetup<kRaw> ls;
-  ls.s[0] = state;
-  for (int r = 1; r < kRaw; ++r) ls.s[r] = ls.s[r - 1] * kMultiplier + inc;
-  ls.jump_mul = kMultiplier;
-  ls.jump_add = inc;
-  for (int span = 1; span < kRaw; span *= 2) {
-    ls.jump_add *= ls.jump_mul + 1;
-    ls.jump_mul *= ls.jump_mul;
+/// The longest jump a kernel takes: one 64-sample Bernoulli group.
+constexpr std::size_t kMaxJump = 128;
+
+/// Entry r jumps r raw steps, for r in [0, kMaxJump].
+constexpr JumpTable<kMaxJump + 1> kJump = [] {
+  JumpTable<kMaxJump + 1> t{};
+  t.mul[0] = 1;
+  for (std::size_t r = 1; r <= kMaxJump; ++r) {
+    t.mul[r] = t.mul[r - 1] * kMultiplier;
+    t.add[r] = t.add[r - 1] * kMultiplier + 1;
   }
-  return ls;
-}
+  return t;
+}();
 
 /// A Bernoulli threshold split at the high-word boundary. A draw is
 /// bits = hi << 21 | lo21, with hi its first PCG32 output and lo21 the top 21
@@ -143,7 +145,7 @@ std::uint64_t draw_tail(std::uint64_t state, std::uint64_t inc, const BernoulliR
 }
 
 #if RESLOC_X86_SIMD
-/// The SIMD variants' tie path: `ties` flags the group's lanes whose high
+/// The AVX2 variant's tie path: `ties` flags the group's lanes whose high
 /// word equals t.hi, `first_states` holds each lane's first state.
 template <std::size_t kGroup>
 std::uint64_t settle_ties(std::uint64_t ties, const std::uint64_t* first_states,
@@ -167,8 +169,8 @@ inline __m256i mullo64_avx2(__m256i a, __m256i b) {
   return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
 }
 
-/// Samples per group of both SIMD Bernoulli-mask variants.
-constexpr std::size_t kSimdGroup = 16;
+/// Samples per group of the AVX2 Bernoulli-mask variant.
+constexpr std::size_t kAvx2Group = 16;
 
 /// The AVX2 Bernoulli-mask variant's first `groups` groups: four vectors of
 /// 4 lanes. The XSH-RR rotate runs in the 64-bit lanes with variable shifts
@@ -177,17 +179,16 @@ constexpr std::size_t kSimdGroup = 16;
 __attribute__((target("avx2")))
 std::uint64_t avx2_groups(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
                           std::size_t groups, std::uint64_t* mask) {
-  constexpr std::size_t kGroup = kSimdGroup;
+  constexpr std::size_t kGroup = kAvx2Group;
   constexpr int kVecs = kGroup / 4;
-  const LaneSetup<2 * kGroup> ls = lane_setup<2 * kGroup>(state, inc);
   alignas(32) std::uint64_t lanes[kGroup];
-  for (std::size_t j = 0; j < kGroup; ++j) lanes[j] = ls.s[2 * j];
+  for (std::size_t j = 0; j < kGroup; ++j) lanes[j] = kJump.jump(2 * j, state, inc);
   __m256i s[kVecs];
   for (int v = 0; v < kVecs; ++v) {
     s[v] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes + 4 * v));
   }
-  const __m256i jm = _mm256_set1_epi64x(static_cast<long long>(ls.jump_mul));
-  const __m256i ja = _mm256_set1_epi64x(static_cast<long long>(ls.jump_add));
+  const __m256i jm = _mm256_set1_epi64x(static_cast<long long>(kJump.mul[2 * kGroup]));
+  const __m256i ja = _mm256_set1_epi64x(static_cast<long long>(kJump.add[2 * kGroup] * inc));
   const __m256i mask32 = _mm256_set1_epi64x(0xffffffffLL);
   const __m256i c32 = _mm256_set1_epi64x(32);
   const __m256i c31 = _mm256_set1_epi64x(31);
@@ -228,52 +229,60 @@ std::uint64_t avx2_groups(std::uint64_t state, std::uint64_t inc, const Bernoull
   return lanes[0];
 }
 
-/// The AVX-512 Bernoulli-mask variant's first `groups` groups: two vectors
-/// of 8 lanes. XSH-RR stays in the 64-bit lanes: vprorvd rotates each low
-/// half by the low half of s >> 59 (the high halves rotate by 0 and are
-/// masked off), so no narrowing is needed.
-__attribute__((target("avx512f,avx512dq")))
-std::uint64_t avx512_groups(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
-                            std::size_t groups, std::uint64_t* mask) {
-  constexpr std::size_t kGroup = kSimdGroup;
-  constexpr int kVecs = kGroup / 8;
-  const LaneSetup<2 * kGroup> ls = lane_setup<2 * kGroup>(state, inc);
-  alignas(64) std::uint64_t lanes[kGroup];
-  for (std::size_t j = 0; j < kGroup; ++j) lanes[j] = ls.s[2 * j];
-  __m512i s[kVecs];
-  for (int v = 0; v < kVecs; ++v) s[v] = _mm512_load_si512(lanes + 8 * v);
-  const __m512i jm = _mm512_set1_epi64(static_cast<long long>(ls.jump_mul));
-  const __m512i ja = _mm512_set1_epi64(static_cast<long long>(ls.jump_add));
-  const __m512i low32 = _mm512_set1_epi64(0xffffffffLL);
-  GroupThresholds<kGroup> t;
-  for (std::size_t g = 0; g < groups;) {
-    const std::size_t last = std::min(groups, g + t.load(runs, g * kGroup));
-    __m512i th[kVecs];
-    for (int v = 0; v < kVecs; ++v) {
-      th[v] = t.uniform ? _mm512_set1_epi64(static_cast<long long>(t.hi[0]))
-                        : _mm512_load_si512(t.hi + 8 * v);
-    }
-    for (; g < last; ++g) {
-      std::uint64_t bits = 0;
-      std::uint64_t ties = 0;
-      for (int v = 0; v < kVecs; ++v) {
-        const __m512i x =
-            _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(s[v], 18), s[v]), 27);
-        const __m512i hi =
-            _mm512_and_si512(_mm512_rorv_epi32(x, _mm512_srli_epi64(s[v], 59)), low32);
-        bits |= static_cast<std::uint64_t>(_mm512_cmplt_epu64_mask(hi, th[v])) << (8 * v);
-        ties |= static_cast<std::uint64_t>(_mm512_cmpeq_epu64_mask(hi, th[v])) << (8 * v);
-      }
-      if (ties != 0) {
-        for (int v = 0; v < kVecs; ++v) _mm512_store_si512(lanes + 8 * v, s[v]);
-        bits |= settle_ties(ties, lanes, inc, t);
-      }
-      for (int v = 0; v < kVecs; ++v) s[v] = _mm512_add_epi64(_mm512_mullo_epi64(s[v], jm), ja);
-      put_bits(mask, g * kGroup, bits);
-    }
+/// The rows of kJump a vector kernel's lanes start at, in lane order so that
+/// each vector's constants load whole: lane j jumps raw(j) steps.
+template <std::size_t kLanes, typename Raw>
+constexpr JumpTable<kLanes> lane_jumps(Raw raw) {
+  JumpTable<kLanes> t{};
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    t.mul[j] = kJump.mul[raw(j)];
+    t.add[j] = kJump.add[raw(j)];
   }
-  _mm512_store_si512(lanes, s[0]);
-  return lanes[0];
+  return t;
+}
+
+/// The element lane j of the AVX-512 kernels' vector pairs carries: vector
+/// 2p holds elements 16p, 16p + 2, ..., 16p + 14 and vector 2p + 1 the odd
+/// ones between them, so a pair's 32-bit results interleave into one
+/// 16-dword vector in element order (xsh_rr_pair).
+constexpr std::size_t pair_layout(std::size_t j) {
+  return 16 * (j / 16) + 2 * (j % 8) + (j / 8) % 2;
+}
+
+/// uniform_bits::avx512's 64 lanes: element = raw output.
+constexpr JumpTable<64> kUniformLanes = lane_jumps<64>(pair_layout);
+/// bernoulli_mask::avx512's 64 lanes: element = sample, two raw steps each.
+constexpr JumpTable<64> kMaskLanes =
+    lane_jumps<64>([](std::size_t j) { return 2 * pair_layout(j); });
+
+/// XSH-RR outputs of a vector pair in one 16-dword vector: dword 2k is the
+/// output of lane k of `lo`, dword 2k + 1 that of lane k of `hi`. In a 64-bit
+/// lane, ((s >> 18) ^ s) >> 27 holds the xorshifted word in its low dword
+/// and the rotate count s >> 59 in its high one; one masked dword swap takes
+/// the words of `hi` into the odd dwords of `lo`'s, another the counts of
+/// `lo` into the even dwords of `hi`'s, and one vprorvd rotates all 16.
+__attribute__((target("avx512f"))) inline __m512i xsh_rr_pair(__m512i lo, __m512i hi) {
+  const __m512i wl = _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(lo, 18), lo), 27);
+  const __m512i wh = _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(hi, 18), hi), 27);
+  const __m512i x = _mm512_mask_shuffle_epi32(wl, 0xAAAA, wh, _MM_PERM_CDAB);
+  const __m512i rot = _mm512_mask_shuffle_epi32(wh, 0x5555, wl, _MM_PERM_CDAB);
+  return _mm512_rorv_epi32(x, rot);
+}
+
+/// 64-bit lane 0 of a state vector.
+__attribute__((target("avx512f"))) inline std::uint64_t lane0(__m512i v) {
+  return static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm512_castsi512_si128(v)));
+}
+
+/// The states of the lanes laid out by `lanes` from `state`.
+__attribute__((target("avx512f,avx512dq"))) inline void jump_lanes(
+    const JumpTable<64>& lanes, std::uint64_t state, std::uint64_t inc, __m512i* s) {
+  const __m512i vs = _mm512_set1_epi64(static_cast<long long>(state));
+  const __m512i vi = _mm512_set1_epi64(static_cast<long long>(inc));
+  for (int v = 0; v < 8; ++v) {
+    s[v] = _mm512_add_epi64(_mm512_mullo_epi64(vs, _mm512_loadu_si512(lanes.mul + 8 * v)),
+                            _mm512_mullo_epi64(vi, _mm512_loadu_si512(lanes.add + 8 * v)));
+  }
 }
 
 #endif  // RESLOC_X86_SIMD
@@ -291,58 +300,52 @@ namespace uniform_bits {
 /// dependency becomes 16 independent chains.
 std::uint64_t portable(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
                        std::size_t groups) {
-  LaneSetup<16> ls = lane_setup<16>(state, inc);
+  std::uint64_t s[16];
+  for (std::size_t r = 0; r < 16; ++r) s[r] = kJump.jump(r, state, inc);
+  const std::uint64_t jump_add = kJump.add[16] * inc;
   for (std::size_t g = 0; g < groups; ++g) {
     std::uint32_t o[16];
     for (int r = 0; r < 16; ++r) {
-      o[r] = pcg_output(ls.s[r]);
-      ls.s[r] = ls.s[r] * ls.jump_mul + ls.jump_add;
+      o[r] = pcg_output(s[r]);
+      s[r] = s[r] * kJump.mul[16] + jump_add;
     }
     for (int j = 0; j < 8; ++j) {
       out[8 * g + j] =
           ((static_cast<std::uint64_t>(o[2 * j]) << 32) | o[2 * j + 1]) >> 11;
     }
   }
-  return ls.s[0];  // lane 0 holds raw index 16 * groups = the sequential state
+  return s[0];  // lane 0 holds raw index 16 * groups = the sequential state
 }
 
 #if RESLOC_X86_SIMD
 
-/// AVX-512 variant: two vectors of 8 LCG lanes. XSH-RR maps directly onto
-/// the ISA -- 64-bit lane multiply (vpmullq), truncating narrow
-/// (vpmovqd), and the per-lane 32-bit variable rotate is a single vprorvd.
-__attribute__((target("avx512f,avx512dq,avx512vl")))
+/// AVX-512 variant: four vector pairs of 8 LCG lanes (raw outputs 0..63 of
+/// an iteration, laid out by pair_layout), so eight independent vpmullq
+/// chains fill 32 words per iteration. Word k of pair p is
+/// (o[16p + 2k] << 32 | o[16p + 2k + 1]) >> 11: xsh_rr_pair with the odd
+/// vector low puts exactly that in 64-bit lane k before the shift. A last
+/// partial iteration stores only its whole groups and returns the first
+/// state of the group after them.
+__attribute__((target("avx512f,avx512dq")))
 std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
                      std::size_t groups) {
-  const LaneSetup<16> ls = lane_setup<16>(state, inc);
-  __m512i s0 = _mm512_loadu_si512(ls.s);
-  __m512i s1 = _mm512_loadu_si512(ls.s + 8);
-  const __m512i jm = _mm512_set1_epi64(static_cast<long long>(ls.jump_mul));
-  const __m512i ja = _mm512_set1_epi64(static_cast<long long>(ls.jump_add));
-  for (std::size_t g = 0; g < groups; ++g) {
-    const __m512i x0 =
-        _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(s0, 18), s0), 27);
-    const __m512i x1 =
-        _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(s1, 18), s1), 27);
-    const __m256i o0 = _mm256_rorv_epi32(_mm512_cvtepi64_epi32(x0),
-                                         _mm512_cvtepi64_epi32(_mm512_srli_epi64(s0, 59)));
-    const __m256i o1 = _mm256_rorv_epi32(_mm512_cvtepi64_epi32(x1),
-                                         _mm512_cvtepi64_epi32(_mm512_srli_epi64(s1, 59)));
-    // out[j] = ((u64)o[2j] << 32 | o[2j+1]) >> 11: in the little-endian u64
-    // view adjacent u32 lanes sit swapped, so one 32-bit element swap plus a
-    // 64-bit shift produces four outputs per vector.
-    const __m256i p0 =
-        _mm256_srli_epi64(_mm256_shuffle_epi32(o0, _MM_SHUFFLE(2, 3, 0, 1)), 11);
-    const __m256i p1 =
-        _mm256_srli_epi64(_mm256_shuffle_epi32(o1, _MM_SHUFFLE(2, 3, 0, 1)), 11);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * g), p0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * g + 4), p1);
-    s0 = _mm512_add_epi64(_mm512_mullo_epi64(s0, jm), ja);
-    s1 = _mm512_add_epi64(_mm512_mullo_epi64(s1, jm), ja);
+  constexpr std::size_t kPairs = 4;
+  __m512i s[2 * kPairs];
+  jump_lanes(kUniformLanes, state, inc, s);
+  const __m512i jm = _mm512_set1_epi64(static_cast<long long>(kJump.mul[16 * kPairs]));
+  const __m512i ja = _mm512_set1_epi64(static_cast<long long>(kJump.add[16 * kPairs] * inc));
+  for (std::size_t g = 0; g < groups; g += kPairs) {
+    const std::size_t pairs = std::min(kPairs, groups - g);
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      if (p < pairs) {
+        _mm512_storeu_si512(out + 8 * (g + p),
+                            _mm512_srli_epi64(xsh_rr_pair(s[2 * p + 1], s[2 * p]), 11));
+      }
+    }
+    if (groups - g <= kPairs) return kJump.jump(16 * pairs, lane0(s[0]), inc);
+    for (__m512i& v : s) v = _mm512_add_epi64(_mm512_mullo_epi64(v, jm), ja);
   }
-  std::uint64_t tail[8];
-  _mm512_storeu_si512(tail, s0);
-  return tail[0];
+  return state;  // no groups
 }
 
 /// AVX2 variant: four vectors of 4 LCG lanes, grouped even/odd by raw index
@@ -352,17 +355,16 @@ std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
 __attribute__((target("avx2")))
 std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
                    std::size_t groups) {
-  const LaneSetup<16> ls = lane_setup<16>(state, inc);
   alignas(32) std::uint64_t lanes[16];
-  for (int r = 0; r < 16; ++r) {
-    lanes[8 * (r / 8) + 4 * (r % 2) + (r % 8) / 2] = ls.s[r];
+  for (std::size_t r = 0; r < 16; ++r) {
+    lanes[8 * (r / 8) + 4 * (r % 2) + (r % 8) / 2] = kJump.jump(r, state, inc);
   }
   __m256i v[4];
   for (int k = 0; k < 4; ++k) {
     v[k] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes + 4 * k));
   }
-  const __m256i jm = _mm256_set1_epi64x(static_cast<long long>(ls.jump_mul));
-  const __m256i ja = _mm256_set1_epi64x(static_cast<long long>(ls.jump_add));
+  const __m256i jm = _mm256_set1_epi64x(static_cast<long long>(kJump.mul[16]));
+  const __m256i ja = _mm256_set1_epi64x(static_cast<long long>(kJump.add[16] * inc));
   const __m256i mask32 = _mm256_set1_epi64x(0xffffffffLL);
   const __m256i c32 = _mm256_set1_epi64x(32);
   const __m256i c31 = _mm256_set1_epi64x(31);
@@ -395,19 +397,20 @@ std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
 
 }  // namespace uniform_bits
 
-// The Bernoulli mask variants. Lane j of a kGroup-sample group carries the
-// first state of sample j's draw, raw index 2j, and jumps 2 * kGroup raw
-// steps per group: only the draws' high words are computed in bulk, so half
-// the multiplies and output permutations of fill_uniform_bits_block. The
-// tail past the last whole group is drawn one sample at a time.
+// The Bernoulli mask variants. Each lane of a kGroup-sample group carries
+// the first state of one sample's draw (sample j: raw index 2j) and jumps
+// 2 * kGroup raw steps per group: only the draws' high words are computed in
+// bulk, so half the multiplies and output permutations of
+// fill_uniform_bits_block. The portable and AVX2 variants draw the tail past
+// their last whole group one sample at a time; the AVX-512 one has none.
 namespace bernoulli_mask {
 
 std::uint64_t portable(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
                        std::size_t n, std::uint64_t* mask) {
   constexpr std::size_t kGroup = 8;
-  const LaneSetup<2 * kGroup> ls = lane_setup<2 * kGroup>(state, inc);
   std::uint64_t s[kGroup];
-  for (std::size_t j = 0; j < kGroup; ++j) s[j] = ls.s[2 * j];
+  for (std::size_t j = 0; j < kGroup; ++j) s[j] = kJump.jump(2 * j, state, inc);
+  const std::uint64_t jump_add = kJump.add[2 * kGroup] * inc;
   GroupThresholds<kGroup> t;
   const std::size_t groups = n / kGroup;
   for (std::size_t g = 0; g < groups;) {
@@ -419,7 +422,7 @@ std::uint64_t portable(std::uint64_t state, std::uint64_t inc, const BernoulliRu
         const std::uint64_t th = t.hi_at(j);
         const bool fires = hi < th || (hi == th && tie_fires(s[j], inc, t.lo_at(j)));
         bits |= static_cast<std::uint64_t>(fires) << j;
-        s[j] = s[j] * ls.jump_mul + ls.jump_add;
+        s[j] = s[j] * kJump.mul[2 * kGroup] + jump_add;
       }
       put_bits(mask, g * kGroup, bits);
     }
@@ -429,20 +432,83 @@ std::uint64_t portable(std::uint64_t state, std::uint64_t inc, const BernoulliRu
 
 #if RESLOC_X86_SIMD
 
-// The SIMD variants draw their whole groups in a target-attributed function
+// The AVX2 variant draws its whole groups in a target-attributed function
 // and the scalar tail here, in baseline code: GCC ends the targeted function
 // with vzeroupper, so neither the tail nor the caller's SSE code runs with
 // dirty upper vector state.
 std::uint64_t avx2(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
                    std::size_t n, std::uint64_t* mask) {
-  state = avx2_groups(state, inc, runs, n / kSimdGroup, mask);
-  return draw_tail(state, inc, runs, n - n % kSimdGroup, n, mask);
+  state = avx2_groups(state, inc, runs, n / kAvx2Group, mask);
+  return draw_tail(state, inc, runs, n - n % kAvx2Group, n, mask);
 }
 
+/// AVX-512 variant: 64-sample groups, one mask word each, over eight vectors
+/// of 8 lanes laid out by pair_layout (vector 2b the even samples of the
+/// group's 16-sample block b, vector 2b + 1 the odd ones), so eight
+/// independent vpmullq chains advance per group. xsh_rr_pair gives a block's
+/// 16 high words in sample order, so its compare masks are the mask word's
+/// 16 bits as they stand. A group inside one run compares against that
+/// run's t.hi broadcast; a group that straddles run edges starts from the
+/// covering run's and blends each later run's in from that run's first lane.
+/// Ties (~2^-32) walk the runs for their t.lo. The last, partial group runs
+/// whole with its bits cut at n, and the state returned is the first state
+/// of sample n's lane, so no sample is drawn on its own.
+__attribute__((target("avx512f,avx512dq")))
 std::uint64_t avx512(std::uint64_t state, std::uint64_t inc, const BernoulliRun* runs,
                      std::size_t n, std::uint64_t* mask) {
-  state = avx512_groups(state, inc, runs, n / kSimdGroup, mask);
-  return draw_tail(state, inc, runs, n - n % kSimdGroup, n, mask);
+  constexpr std::size_t kGroup = 64;
+  constexpr int kBlocks = kGroup / 16;
+  __m512i s[2 * kBlocks];
+  jump_lanes(kMaskLanes, state, inc, s);
+  const __m512i jm = _mm512_set1_epi64(static_cast<long long>(kJump.mul[2 * kGroup]));
+  const __m512i ja = _mm512_set1_epi64(static_cast<long long>(kJump.add[2 * kGroup] * inc));
+  __m512i th[kBlocks];           // t.hi of each block's 16 samples
+  const BernoulliRun* run = runs;  // the run covering the group's first sample
+  std::size_t shared_until = 0;  // the groups before this sample share th
+  for (std::size_t first = 0; first < n; first += kGroup) {
+    if (first >= shared_until) {
+      while (run->end <= first) ++run;
+      const __m512i covering =
+          _mm512_set1_epi32(static_cast<int>(split_threshold(run->threshold).hi));
+      for (__m512i& t : th) t = covering;
+      if (run->end >= first + kGroup) {
+        shared_until = first + (run->end - first) / kGroup * kGroup;
+      } else {
+        shared_until = first + kGroup;
+        for (const BernoulliRun* r = run; r->end < std::min(first + kGroup, n); ++r) {
+          const std::uint64_t from = ~std::uint64_t{0} << (r->end - first);
+          const __m512i next =
+              _mm512_set1_epi32(static_cast<int>(split_threshold(r[1].threshold).hi));
+          for (int b = 0; b < kBlocks; ++b) {
+            th[b] = _mm512_mask_mov_epi32(th[b], static_cast<__mmask16>(from >> (16 * b)), next);
+          }
+        }
+      }
+    }
+    std::uint64_t bits = 0;
+    std::uint64_t ties = 0;
+    for (int b = 0; b < kBlocks; ++b) {
+      const __m512i hi = xsh_rr_pair(s[2 * b], s[2 * b + 1]);
+      bits |= static_cast<std::uint64_t>(_mm512_cmplt_epu32_mask(hi, th[b])) << (16 * b);
+      ties |= static_cast<std::uint64_t>(_mm512_cmpeq_epu32_mask(hi, th[b])) << (16 * b);
+    }
+    const std::size_t left = n - first;
+    const std::uint64_t valid =
+        left >= kGroup ? ~std::uint64_t{0} : (std::uint64_t{1} << left) - 1;
+    for (ties &= valid; ties != 0; ties &= ties - 1) {
+      const auto j = static_cast<std::size_t>(__builtin_ctzll(ties));
+      const BernoulliRun* r = run;
+      while (r->end <= first + j) ++r;
+      const std::uint64_t first_state = kJump.jump(2 * j, lane0(s[0]), inc);
+      if (tie_fires(first_state, inc, split_threshold(r->threshold).lo)) {
+        bits |= std::uint64_t{1} << j;
+      }
+    }
+    mask[first / kGroup] = bits & valid;
+    if (left <= kGroup) return kJump.jump(2 * left, lane0(s[0]), inc);
+    for (__m512i& v : s) v = _mm512_add_epi64(_mm512_mullo_epi64(v, jm), ja);
+  }
+  return state;  // n == 0
 }
 
 #endif  // RESLOC_X86_SIMD
@@ -482,7 +548,7 @@ double Rng::uniform() {
 }
 
 void Rng::fill_uniform_bits_block(std::uint64_t* out, std::size_t n) {
-  // 16 jump-ahead lanes restructure the serial multiply chain into
+  // Jump-ahead lanes restructure the serial multiply chain into
   // independent streams the SIMD variants map onto vector lanes. Output
   // values AND the final generator state are identical to n sequential
   // uniform_bits() calls -- the lanes only change evaluation order.

@@ -90,10 +90,11 @@ class Rng {
 
   /// Writes exactly the next `n` uniform_bits() draws to `out` and leaves the
   /// generator in the same state n sequential calls would. Internally the raw
-  /// u32 sequence is split across 16 independent LCG lanes via the jump-by-16
-  /// affine map, so the 16 state multiplies per group have no dependency
-  /// chain between them -- the serial PCG recurrence is the block-DSP hot
-  /// path's floor, and this is how it is broken without changing one output.
+  /// u32 sequence is split across independent LCG lanes (16, or 64 in the
+  /// AVX-512 kernel) by exact jump-ahead, so the state multiplies of a group
+  /// have no dependency chain between them -- the serial PCG recurrence is
+  /// the block-DSP hot path's floor, and this is how it is broken without
+  /// changing one output.
   void fill_uniform_bits_block(std::uint64_t* out, std::size_t n);
 
   /// Draws n Bernoulli samples into a bitmask: bit i of mask[i / 64] is

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <iterator>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "acoustics/channel.hpp"
@@ -39,18 +40,26 @@ using resloc::math::Rng;
 namespace acoustics = resloc::acoustics;
 namespace ranging = resloc::ranging;
 
-// Sizes chosen to cross the 8-draw group of fill_uniform_bits_block and the
+// Sizes chosen to cross the 8-draw group of fill_uniform_bits_block, every
+// residue of its 8-word group count mod 4 (the AVX-512 variant's 4-group
+// iteration: 16, 24 and 40 words end one with 2, 3 and 1 groups), and the
 // Goertzel 256-step resync period, plus odd/partial-tail cases.
-const std::size_t kBlockSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 36, 100, 255, 256, 257, 1163};
+const std::size_t kBlockSizes[] = {0,  1,  2,   3,   4,   5,   7,   8,   9,   16,
+                                   24, 31, 36, 40, 100, 255, 256, 257, 1163};
 
 TEST(RngBlocks, UniformBitsBlockMatchesSequential) {
+  constexpr std::uint64_t kGuard = 0x5A5A5A5A5A5A5A5AULL;
   for (std::size_t n : kBlockSizes) {
     Rng a(0x1234u + n, 7);
     Rng b(0x1234u + n, 7);
-    std::vector<std::uint64_t> block(n, 0);
+    // A whole 32-word iteration of guard words past the block.
+    std::vector<std::uint64_t> block(n + 32, kGuard);
     a.fill_uniform_bits_block(block.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(block[i], b.uniform_bits()) << "n=" << n << " i=" << i;
+    }
+    for (std::size_t i = n; i < n + 32; ++i) {
+      ASSERT_EQ(block[i], kGuard) << "wrote past the block, n=" << n << " i=" << i;
     }
     // Post-call state: the next draws must agree too.
     for (int i = 0; i < 8; ++i) ASSERT_EQ(a.uniform_bits(), b.uniform_bits());
@@ -310,24 +319,66 @@ std::vector<BernoulliRun> oracle_runs(Rng& gen, const std::vector<std::uint64_t>
   return runs;
 }
 
+/// Tallies of the forced hi-word ties the mask checks below settled.
+struct TieTally {
+  std::size_t fired = 0;
+  std::size_t missed = 0;
+};
+
+/// Fills an n-sample mask from `a` through `fill` and checks it against
+/// sequential uniform_bits() < threshold: every mask word, the word past the
+/// mask left untouched, and the generator's state after the block.
+void expect_mask_matches(MaskFill fill, Rng a, const std::vector<BernoulliRun>& runs,
+                         std::size_t n, TieTally& ties, const std::string& label) {
+  constexpr std::uint64_t kGuard = 0xA5A5A5A5A5A5A5A5ULL;
+  Rng peek = a;
+  const std::size_t mask_words = (n + 63) / 64;
+  std::vector<std::uint64_t> expect(mask_words, 0);
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t word = peek.uniform_bits();
+    while (runs[run].end <= i) ++run;
+    const std::uint64_t t = runs[run].threshold;
+    const bool fires = word < t;
+    if (t < kAlwaysFires && (word >> 21) == (t >> 21)) ++(fires ? ties.fired : ties.missed);
+    if (fires) expect[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  std::vector<std::uint64_t> mask(mask_words + 1, kGuard);
+  fill(a, runs, n, mask.data());
+  for (std::size_t w = 0; w < mask_words; ++w) {
+    ASSERT_EQ(mask[w], expect[w]) << label << " n=" << n << " word=" << w;
+  }
+  ASSERT_EQ(mask[mask_words], kGuard) << label << " wrote past the mask, n=" << n;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(a.uniform_bits(), peek.uniform_bits()) << label << " final state, n=" << n;
+  }
+}
+
+/// The n draws a block from `rng` would make.
+std::vector<std::uint64_t> upcoming_words(Rng rng, std::size_t n) {
+  std::vector<std::uint64_t> words(n);
+  for (std::uint64_t& w : words) w = rng.uniform_bits();
+  return words;
+}
+
 /// Drives `fill` against sequential uniform_bits() < threshold over random
 /// run lists, a one-run-per-sample all-ties list, and sizes on both sides of
-/// every lane-group width; also checks the words past the mask stay
-/// untouched and the generator ends in the same state.
+/// every lane-group width (8, 16, 64) and of the hardware detector's
+/// 1164-sample window; then over a run edge at every offset of one 64-sample
+/// group and groups with three and more edges, each edge set once between
+/// never/always-firing runs (so a threshold one lane off flips a bit) and
+/// once between forced ties on both sides of it (so the tie's run walk
+/// must land on the right run).
 void expect_mask_matches_sequential(MaskFill fill) {
-  const std::size_t sizes[] = {1, 7, 8, 9, 15, 16, 17, 31, 33, 64, 65, 1994};
-  constexpr std::uint64_t kGuard = 0xA5A5A5A5A5A5A5A5ULL;
+  const std::size_t sizes[] = {1,  7,   8,   9,   15,  16,  17,   31,  33,
+                               63, 64,  65,  127, 128, 129, 1164, 1994};
   Rng gen(0xB17, 3);
-  std::size_t ties_fired = 0;
-  std::size_t ties_missed = 0;
+  TieTally ties;
   std::size_t samples = 0;
   for (int trial = 0; trial < 120; ++trial) {
     for (std::size_t n : sizes) {
-      Rng a(0x5EED + static_cast<std::uint64_t>(trial), 1 + n);
-      Rng peek = a;
-      std::vector<std::uint64_t> words(n);
-      for (std::uint64_t& w : words) w = peek.uniform_bits();
-
+      const Rng a(0x5EED + static_cast<std::uint64_t>(trial), 1 + n);
+      const std::vector<std::uint64_t> words = upcoming_words(a, n);
       std::vector<BernoulliRun> runs;
       if (trial % 4 == 3) {
         // Every sample its own run, each a forced tie: the tie path on every
@@ -339,34 +390,53 @@ void expect_mask_matches_sequential(MaskFill fill) {
       } else {
         runs = oracle_runs(gen, words);
       }
-
-      const std::size_t mask_words = (n + 63) / 64;
-      std::vector<std::uint64_t> expect(mask_words, 0);
-      std::size_t run = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        while (runs[run].end <= i) ++run;
-        const std::uint64_t t = runs[run].threshold;
-        const bool fires = words[i] < t;
-        if (t < kAlwaysFires && (words[i] >> 21) == (t >> 21)) ++(fires ? ties_fired : ties_missed);
-        if (fires) expect[i / 64] |= std::uint64_t{1} << (i % 64);
-      }
       samples += n;
-
-      std::vector<std::uint64_t> mask(mask_words + 1, kGuard);
-      fill(a, runs, n, mask.data());
-      for (std::size_t w = 0; w < mask_words; ++w) {
-        ASSERT_EQ(mask[w], expect[w]) << "trial=" << trial << " n=" << n << " word=" << w;
-      }
-      ASSERT_EQ(mask[mask_words], kGuard) << "wrote past the mask, n=" << n;
-      for (int i = 0; i < 4; ++i) {
-        ASSERT_EQ(a.uniform_bits(), peek.uniform_bits()) << "trial=" << trial << " n=" << n;
-      }
+      expect_mask_matches(fill, a, runs, n, ties, "trial=" + std::to_string(trial));
     }
   }
   // Ties are ~2^-32 events on their own; the fixture must force plenty,
   // settled both ways.
-  EXPECT_GE(ties_fired, samples / 32);
-  EXPECT_GE(ties_missed, samples / 32);
+  EXPECT_GE(ties.fired, samples / 32);
+  EXPECT_GE(ties.missed, samples / 32);
+
+  // Edges inside the second group of a 3.3-group block.
+  constexpr std::size_t kEdgeN = 3 * 64 + 21;
+  const auto tie_at = [&](const std::vector<std::uint64_t>& words, std::size_t i) {
+    return tie_threshold(words[i], static_cast<std::uint64_t>(gen.uniform_int(0, (1 << 21) - 1)));
+  };
+  for (std::size_t offset = 1; offset < 64; ++offset) {
+    const std::size_t edge = 64 + offset;
+    const Rng a(0xED6E + offset, 11);
+    const std::vector<std::uint64_t> words = upcoming_words(a, kEdgeN);
+    const std::string label = "edge at group offset " + std::to_string(offset);
+    expect_mask_matches(fill, a, {{edge, 0}, {kEdgeN, kAlwaysFires}}, kEdgeN, ties, label);
+    expect_mask_matches(fill, a, {{edge, kAlwaysFires}, {kEdgeN, 0}}, kEdgeN, ties, label);
+    expect_mask_matches(fill, a,
+                        {{edge, tie_at(words, edge - 1)}, {kEdgeN, tie_at(words, edge)}},
+                        kEdgeN, ties, label + " (ties)");
+  }
+  // Three and more edges in one group, runs of one sample among them.
+  const std::vector<std::vector<std::size_t>> edge_sets = {
+      {64 + 5, 64 + 20, 64 + 21},
+      {64 + 1, 64 + 2, 64 + 3, 64 + 40, 64 + 63},
+      {3, 64 + 16, 64 + 17, 64 + 32, 64 + 48, 3 * 64 + 1}};
+  for (std::size_t k = 0; k < edge_sets.size(); ++k) {
+    const Rng a(0x3ED6E + k, 13);
+    const std::vector<std::uint64_t> words = upcoming_words(a, kEdgeN);
+    std::vector<BernoulliRun> alternating;
+    std::vector<BernoulliRun> tied;
+    std::size_t start = 0;
+    for (std::size_t end : edge_sets[k]) {
+      alternating.push_back({end, alternating.size() % 2 ? kAlwaysFires : 0});
+      tied.push_back({end, tie_at(words, start)});
+      start = end;
+    }
+    alternating.push_back({kEdgeN, alternating.size() % 2 ? kAlwaysFires : 0});
+    tied.push_back({kEdgeN, tie_at(words, start)});
+    const std::string label = "edge set " + std::to_string(k);
+    expect_mask_matches(fill, a, alternating, kEdgeN, ties, label);
+    expect_mask_matches(fill, a, tied, kEdgeN, ties, label + " (ties)");
+  }
 }
 
 TEST(RngBlocks, BernoulliMaskMatchesSequentialCompare) {
