@@ -1,11 +1,13 @@
 // Goertzel fast path vs the naive direct DFT: the hot-path numbers behind the
 // acoustic sweep axis.
 //
-// Four stages of the per-pair ranging cost are timed:
+// Five stages of the per-pair ranging cost are timed:
 //   1. single-bin tone filtering: the test-only reference::DirectDftFilter
 //      (O(window) per sample, the cost a naive per-chirp-per-pair DFT pays)
-//      against GoertzelSlidingFilter (O(1) per sample), including a max
-//      |delta magnitude| equivalence check;
+//      against the Goertzel sliding recurrence (O(1) per sample) as the
+//      software-detector path runs it, GoertzelToneDetector::run_block over
+//      2,000-sample windows, plus a max |delta magnitude| equivalence check
+//      of GoertzelSlidingFilter, the same recurrence one sample at a time;
 //   2. the full RangingService::measure() pair loop: fresh buffers per pair
 //      against one reused RangingScratch. On the hardware-detector path the
 //      interval model dominates and reuse is roughly cost-neutral (the JSON
@@ -15,13 +17,17 @@
 //      and the Goertzel detector copy (the tone tables live in the service);
 //   4. the sampled-audio noise fill: ns per standard normal from
 //      Rng::fill_gaussian_block (ziggurat over the lane-split uniform block)
-//      against scalar Rng::gaussian() (Box-Muller).
+//      against scalar Rng::gaussian() (Box-Muller);
+//   5. the hardware detector's Bernoulli mask: ns per sample from the
+//      dispatched Rng::fill_bernoulli_mask_block against the portable
+//      variant, on acoustic_scale-shaped windows (1,164 samples, 3 runs).
 //
 // Every speedup is the median per-rep ratio of interleaved reps
 // (bench::paired). Results are printed and written as JSON (default
 // BENCH_ranging.json, or argv[1]). The exit code gates the machine-independent
 // ratios: Goertzel >= 5x the direct DFT within 1e-9, and the block noise fill
 // >= 3x scalar gaussian().
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -30,6 +36,7 @@
 #include "acoustics/signal_synth.hpp"
 #include "bench_util.hpp"
 #include "ranging/dft_detector.hpp"
+#include "math/bernoulli_mask_kernels.hpp"
 #include "math/rng.hpp"
 #include "ranging/ranging_service.hpp"
 #include "reference/dft.hpp"
@@ -87,6 +94,8 @@ int main(int argc, char** argv) {
 
   const int bin = ranging::nearest_bin(spec.tone_frequency_hz, spec.sample_rate_hz,
                                        ranging::SlidingDftFilter::kWindow);
+  constexpr std::size_t kGoertzelWindow = 2000;
+  std::vector<double> metric(kGoertzelWindow);
   const bench::Paired filter = bench::paired(
       5,
       [&] {
@@ -96,9 +105,16 @@ int main(int argc, char** argv) {
         g_sink = sum;
       },
       [&] {
-        ranging::GoertzelSlidingFilter f(ranging::SlidingDftFilter::kWindow, bin);
+        // Each window starts from a reset detector, as each chirp window of
+        // the service starts from a fresh copy of its detector.
+        ranging::GoertzelToneDetector detector(spec.tone_frequency_hz, spec.sample_rate_hz);
         double sum = 0.0;
-        for (double s : wave) sum += f.step(s);
+        for (std::size_t first = 0; first < kSamples; first += kGoertzelWindow) {
+          const std::size_t n = std::min(kGoertzelWindow, kSamples - first);
+          detector.reset();
+          detector.run_block(wave.data() + first, n, metric.data());
+          sum += metric[n - 1];
+        }
         g_sink = sum;
       });
 
@@ -117,7 +133,8 @@ int main(int argc, char** argv) {
   std::printf("single-bin filter, %zu samples, window %zu, bin %d\n", kSamples,
               ranging::SlidingDftFilter::kWindow, bin);
   std::printf("  direct DFT          %8.2f ns/sample\n", filter.a_s.median * per_sample_ns);
-  std::printf("  Goertzel sliding    %8.2f ns/sample\n", filter.b_s.median * per_sample_ns);
+  std::printf("  Goertzel run_block  %8.2f ns/sample  (%zu-sample windows)\n",
+              filter.b_s.median * per_sample_ns, kGoertzelWindow);
   std::printf("  speedup             %8.2fx   (median per-rep ratio of 5; target >= 5x)\n",
               filter.ratio.median);
   std::printf("  max |delta magnitude|  %.3e  (bound 1e-9)\n", max_delta);
@@ -164,6 +181,43 @@ int main(int argc, char** argv) {
   std::printf("  speedup             %8.2fx   (median per-rep ratio of 5; target >= 3x)\n",
               noise_fill.ratio.median);
 
+  // --- Stage 5: hardware-detector Bernoulli mask (dispatched vs portable) ---
+  // An acoustic_scale chirp window: base false-positive rate around one
+  // tone interval.
+  constexpr std::size_t kMaskWindow = 1164;
+  constexpr int kMaskWindows = 2048;
+  const std::vector<math::BernoulliRun> runs = {
+      {410, math::Rng::bernoulli_threshold(0.012)},
+      {790, math::Rng::bernoulli_threshold(0.93)},
+      {kMaskWindow, math::Rng::bernoulli_threshold(0.012)}};
+  std::vector<std::uint64_t> mask((kMaskWindow + 63) / 64);
+  const auto mask_loop = [&](bool dispatched) {
+    return [&, dispatched] {
+      math::Rng r(13);
+      std::uint64_t& state = math::RngState::state(r);
+      const std::uint64_t inc = math::RngState::inc(r);
+      std::uint64_t fired = 0;
+      for (int w = 0; w < kMaskWindows; ++w) {
+        if (dispatched) {
+          r.fill_bernoulli_mask_block(runs, kMaskWindow, mask.data());
+        } else {
+          state = math::bernoulli_mask::portable(state, inc, runs.data(), kMaskWindow,
+                                                 mask.data());
+        }
+        fired += mask[static_cast<std::size_t>(w) % mask.size()];
+      }
+      g_sink = static_cast<double>(fired);
+    };
+  };
+  const bench::Paired bernoulli = bench::paired(9, mask_loop(false), mask_loop(true));
+  const double ns_per_mask_sample = 1e9 / (static_cast<double>(kMaskWindow) * kMaskWindows);
+  std::printf("\nBernoulli mask, %d windows of %zu samples in %zu runs\n", kMaskWindows,
+              kMaskWindow, runs.size());
+  std::printf("  portable            %8.3f ns/sample\n", bernoulli.a_s.median * ns_per_mask_sample);
+  std::printf("  dispatched          %8.3f ns/sample\n", bernoulli.b_s.median * ns_per_mask_sample);
+  std::printf("  speedup             %8.2fx   (median per-rep ratio of 9)\n",
+              bernoulli.ratio.median);
+
   const double measure_us = 1e6 / kPairs;
   const double software_us = 1e6 / kSwPairs;
   const bool written =
@@ -171,6 +225,7 @@ int main(int argc, char** argv) {
           .set("filter_samples", kSamples)
           .set("filter_window", ranging::SlidingDftFilter::kWindow)
           .set("filter_bin", bin)
+          .set("goertzel_window_samples", kGoertzelWindow)
           .set("direct_dft_ns_per_sample", filter.a_s.scaled(per_sample_ns))
           .set("goertzel_ns_per_sample", filter.b_s.scaled(per_sample_ns))
           .set("filter_speedup", filter.ratio)
@@ -186,6 +241,11 @@ int main(int argc, char** argv) {
           .set("noise_scalar_ns_per_normal", noise_fill.a_s.scaled(ns_per_normal))
           .set("noise_block_ns_per_normal", noise_fill.b_s.scaled(ns_per_normal))
           .set("noise_speedup", noise_fill.ratio)
+          .set("bernoulli_mask_window_samples", kMaskWindow)
+          .set("bernoulli_mask_runs", runs.size())
+          .set("bernoulli_mask_portable_ns_per_sample", bernoulli.a_s.scaled(ns_per_mask_sample))
+          .set("bernoulli_mask_ns_per_sample", bernoulli.b_s.scaled(ns_per_mask_sample))
+          .set("bernoulli_mask_speedup", bernoulli.ratio)
           .write(json_path);
   return bench::exit_code(
       written, {{"Goertzel speedup >= 5x", filter.ratio.median >= 5.0},

@@ -3,9 +3,10 @@
 // Rng::fill_gaussian_block.
 //
 // Internal to the math layer: rng.cpp picks one variant per call from CPUID,
-// and the kernel tests include this header to check every variant the host
-// can run against the sequential definition. Everything else calls the Rng
-// members. The avx2 and avx512 variants require cpu_has_avx2_kernels() and
+// the kernel tests include this header to check every variant the host can
+// run against the sequential definition, and bench_ranging_goertzel to time
+// the dispatched Bernoulli mask against the portable one. Everything else
+// calls the Rng members. The avx2 and avx512 variants require cpu_has_avx2_kernels() and
 // cpu_has_avx512_kernels().
 #pragma once
 
