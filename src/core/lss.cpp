@@ -8,6 +8,10 @@
 #include "core/lss_objective.hpp"
 #include "obs/telemetry.hpp"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace resloc::core {
 
 using resloc::math::Vec2;
@@ -15,6 +19,67 @@ using resloc::math::Vec2;
 namespace {
 
 constexpr double kMinSeparation = 1e-9;  // guards the 1/dcomp gradient factor
+
+/// One stress term w (dcomp - target)^2 of a pair at offset (dx, dy),
+/// d_sq = dx^2 + dy^2: its error and its gradient at the pair's first node
+/// (the second node gets the negation).
+struct Term {
+  double error;
+  double gx;
+  double gy;
+};
+
+Term term(double dx, double dy, double d_sq, double target, double weight) {
+  const double dcomp = std::max(std::sqrt(d_sq), kMinSeparation);
+  const double residual = dcomp - target;
+  const double scale = 2.0 * weight * residual / dcomp;
+  return {weight * residual * residual, scale * dx, scale * dy};
+}
+
+/// Adds one term for the pair (i, j) to `error` and `grad` (n nodes).
+double apply(std::vector<double>& grad, std::size_t n, double error, std::size_t i,
+             std::size_t j, const Term& t) {
+  grad[i] += t.gx;
+  grad[j] -= t.gx;
+  grad[n + i] += t.gy;
+  grad[n + j] -= t.gy;
+  return error + t.error;
+}
+
+#if defined(__SSE2__)
+/// term() for two pairs at once, one per lane. Every lane op is one
+/// IEEE-exact SSE2 instruction in term()'s order (baseline x86-64, nothing
+/// to dispatch, no FMA to contract into), so each lane rounds exactly like
+/// term(): max(kmin, s) returns s when s is NaN, as std::max(s, kmin) does,
+/// and 2w is exact. The divider is the bound -- one sqrtsd and one divsd per
+/// scalar term, while sqrtpd and divpd do two for about the same cost.
+struct TermPair {
+  __m128d error;
+  __m128d gx;
+  __m128d gy;
+};
+
+TermPair term_pair(__m128d dx, __m128d dy, __m128d d_sq, __m128d target, __m128d weight) {
+  const __m128d dcomp = _mm_max_pd(_mm_set1_pd(kMinSeparation), _mm_sqrt_pd(d_sq));
+  const __m128d residual = _mm_sub_pd(dcomp, target);
+  const __m128d scale =
+      _mm_div_pd(_mm_mul_pd(_mm_mul_pd(_mm_set1_pd(2.0), weight), residual), dcomp);
+  return {_mm_mul_pd(_mm_mul_pd(weight, residual), residual), _mm_mul_pd(scale, dx),
+          _mm_mul_pd(scale, dy)};
+}
+
+/// Lane 0 (`high` false) or lane 1 of a TermPair as a Term.
+Term lane(const TermPair& t, bool high) {
+  if (!high) return {_mm_cvtsd_f64(t.error), _mm_cvtsd_f64(t.gx), _mm_cvtsd_f64(t.gy)};
+  return {_mm_cvtsd_f64(_mm_unpackhi_pd(t.error, t.error)),
+          _mm_cvtsd_f64(_mm_unpackhi_pd(t.gx, t.gx)), _mm_cvtsd_f64(_mm_unpackhi_pd(t.gy, t.gy))};
+}
+
+/// (p[b], p[a]) as one vector: lane 0 holds p[a].
+__m128d gather(const double* p, std::size_t a, std::size_t b) {
+  return _mm_loadh_pd(_mm_load_sd(p + a), p + b);
+}
+#endif
 
 }  // namespace
 
@@ -36,18 +101,32 @@ double StressObjective::operator()(const std::vector<double>& p, std::vector<dou
   for (double& g : grad) g = 0.0;
   double error = 0.0;
 
-  // Measured-edge term: w_ij (dcomp - d_ij)^2.
-  for (const DistanceEdge& e : measurements_.edges()) {
-    const double dx = p[e.i] - p[e.j];
-    const double dy = p[n_ + e.i] - p[n_ + e.j];
-    const double dcomp = std::max(std::sqrt(dx * dx + dy * dy), kMinSeparation);
-    const double residual = dcomp - e.distance_m;
-    error += e.weight * residual * residual;
-    const double scale = 2.0 * e.weight * residual / dcomp;
-    grad[e.i] += scale * dx;
-    grad[e.j] -= scale * dx;
-    grad[n_ + e.i] += scale * dy;
-    grad[n_ + e.j] -= scale * dy;
+  // Measured-edge term: w_ij (dcomp - d_ij)^2. Two edges per step, their
+  // terms added lane 0 then lane 1, so every gradient entry and the error
+  // see the scalar loop's additions in the scalar loop's order.
+  const std::vector<DistanceEdge>& edges = measurements_.edges();
+  const double* const x = p.data();
+  const double* const y = p.data() + n_;
+  std::size_t k = 0;
+#if defined(__SSE2__)
+  for (; k + 2 <= edges.size(); k += 2) {
+    const DistanceEdge& a = edges[k];
+    const DistanceEdge& b = edges[k + 1];
+    const __m128d dx = _mm_sub_pd(gather(x, a.i, b.i), gather(x, a.j, b.j));
+    const __m128d dy = _mm_sub_pd(gather(y, a.i, b.i), gather(y, a.j, b.j));
+    const __m128d d_sq = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
+    const TermPair t = term_pair(dx, dy, d_sq, _mm_set_pd(b.distance_m, a.distance_m),
+                                 _mm_set_pd(b.weight, a.weight));
+    error = apply(grad, n_, error, a.i, a.j, lane(t, false));
+    error = apply(grad, n_, error, b.i, b.j, lane(t, true));
+  }
+#endif
+  for (; k < edges.size(); ++k) {
+    const DistanceEdge& e = edges[k];
+    const double dx = x[e.i] - x[e.j];
+    const double dy = y[e.i] - y[e.j];
+    error = apply(grad, n_, error, e.i, e.j,
+                  term(dx, dy, dx * dx + dy * dy, e.distance_m, e.weight));
   }
 
   // Soft minimum-spacing constraint over *unmeasured* pairs placed closer
@@ -67,41 +146,56 @@ double StressObjective::operator()(const std::vector<double>& p, std::vector<dou
   return error;
 }
 
-/// One active pair's contribution, given the pair's already-computed offset.
-/// The dense reference scan applies the same arithmetic -- the
-/// bit-equivalence guarantee reduces to visiting the same active pairs in the
-/// same order.
-double StressObjective::add_violation(std::vector<double>& grad, double error, std::size_t i,
-                                      std::size_t j, double dx, double dy, double d_sq) {
-  ++active_pairs_;
-  const double dcomp = std::max(std::sqrt(d_sq), kMinSeparation);
-  const double residual = dcomp - dmin_;
-  const double wd = options_.constraint_weight;
-  error += wd * residual * residual;
-  const double scale = 2.0 * wd * residual / dcomp;
-  grad[i] += scale * dx;
-  grad[j] -= scale * dx;
-  grad[n_ + i] += scale * dy;
-  grad[n_ + j] -= scale * dy;
-  return error;
-}
-
-/// Walks the skin list with the dense scan's per-pair test.
+/// Walks the skin list with the dense scan's per-pair test and arithmetic
+/// (the reference applies the same term in the same pair order, so the
+/// bit-equivalence guarantee reduces to visiting the same active pairs).
 /// Measured pairs never enter the list, so the walk needs no exemption
 /// lookup; pairs the list holds but that sit at or beyond d_min are skipped
-/// by the same `d_sq >= dmin_sq` test the dense scan applies.
+/// by the same `d_sq >= dmin_sq` test the dense scan applies -- negated, so a
+/// NaN d_sq stays active as it does there.
 double StressObjective::accumulate_constraint_list(const std::vector<double>& p,
                                                    std::vector<double>& grad, double error) {
   if (list_is_stale(p)) build_list(p);
   pair_tests_ += list_.size();
-  for (const std::uint64_t pair : list_) {
-    const std::size_t i = pair >> 32;
-    const std::size_t j = pair & 0xffffffffu;
-    const double dx = p[i] - p[j];
-    const double dy = p[n_ + i] - p[n_ + j];
+  const double* const x = p.data();
+  const double* const y = p.data() + n_;
+  const double wd = options_.constraint_weight;
+  std::size_t k = 0;
+#if defined(__SSE2__)
+  // Two entries per step; a step with no active lane costs no division.
+  const __m128d dmin_sq = _mm_set1_pd(dmin_sq_);
+  const __m128d dmin = _mm_set1_pd(dmin_);
+  const __m128d weight = _mm_set1_pd(wd);
+  for (; k + 2 <= list_.size(); k += 2) {
+    const std::size_t i0 = list_[k] >> 32;
+    const std::size_t j0 = list_[k] & 0xffffffffu;
+    const std::size_t i1 = list_[k + 1] >> 32;
+    const std::size_t j1 = list_[k + 1] & 0xffffffffu;
+    const __m128d dx = _mm_sub_pd(gather(x, i0, i1), gather(x, j0, j1));
+    const __m128d dy = _mm_sub_pd(gather(y, i0, i1), gather(y, j0, j1));
+    const __m128d d_sq = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
+    const int active = _mm_movemask_pd(_mm_cmpnge_pd(d_sq, dmin_sq));
+    if (active == 0) continue;
+    const TermPair t = term_pair(dx, dy, d_sq, dmin, weight);
+    if ((active & 1) != 0) {
+      ++active_pairs_;
+      error = apply(grad, n_, error, i0, j0, lane(t, false));
+    }
+    if ((active & 2) != 0) {
+      ++active_pairs_;
+      error = apply(grad, n_, error, i1, j1, lane(t, true));
+    }
+  }
+#endif
+  for (; k < list_.size(); ++k) {
+    const std::size_t i = list_[k] >> 32;
+    const std::size_t j = list_[k] & 0xffffffffu;
+    const double dx = x[i] - x[j];
+    const double dy = y[i] - y[j];
     const double d_sq = dx * dx + dy * dy;
     if (d_sq >= dmin_sq_) continue;
-    error = add_violation(grad, error, i, j, dx, dy, d_sq);
+    ++active_pairs_;
+    error = apply(grad, n_, error, i, j, term(dx, dy, d_sq, dmin_, wd));
   }
   return error;
 }

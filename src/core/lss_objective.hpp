@@ -82,8 +82,6 @@ class StressObjective {
                                     double error);
   bool list_is_stale(const std::vector<double>& p) const;
   void build_list(const std::vector<double>& p);
-  double add_violation(std::vector<double>& grad, double error, std::size_t i, std::size_t j,
-                       double dx, double dy, double d_sq);
 
   const MeasurementSet& measurements_;
   const LssOptions options_;

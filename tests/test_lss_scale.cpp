@@ -12,7 +12,10 @@
 //   - one long-lived objective reusing its skin list across a sequence of
 //     configurations is memcmp-identical to a fresh one-shot evaluation and
 //     to the dense scan at every step, and whole solves stay bit-equal to
-//     the dense scan.
+//     the dense scan,
+//   - the two-lane SSE2 stress kernel (two edges, or two skin-list entries,
+//     per vector) is memcmp-identical to the one-pair-at-a-time reference at
+//     every tail length, lane pairing and non-finite input.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -630,6 +633,163 @@ TEST(LssSkinList, DvHopSeededCampus500SolvesIdenticallyToDense) {
   ASSERT_EQ(a.positions.size(), b.positions.size());
   EXPECT_EQ(std::memcmp(a.positions.data(), b.positions.data(), a.positions.size() * sizeof(Vec2)),
             0);
+}
+
+// --- The two-lane stress kernel against the dense reference ---
+//
+// The production objective evaluates two measured edges, and two skin-list
+// entries, per SSE2 vector and adds lane 0's term before lane 1's. The dense
+// reference evaluates one pair at a time, so memcmp equality pins the lane
+// arithmetic, the lane order and the scalar tail.
+
+/// `count` edges over n nodes with non-unit weights, drawn from every
+/// unordered pair in random order (`shuffled`: the two lanes of a step
+/// rarely share a node) or in (i asc, j asc) order (they mostly share their
+/// first node, so lane order decides the order of additions there).
+MeasurementSet edge_set(std::size_t n, std::size_t count, bool shuffled, Rng& rng) {
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId i = 0; i + 1 < n; ++i) {
+    for (NodeId j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
+  }
+  if (shuffled) rng.shuffle(pairs);
+  MeasurementSet meas(n);
+  for (std::size_t k = 0; k < count && k < pairs.size(); ++k) {
+    meas.add(pairs[k].first, pairs[k].second, rng.uniform(0.5, 40.0), rng.uniform(0.1, 3.7));
+  }
+  return meas;
+}
+
+std::vector<double> random_config(std::size_t n, double box, Rng& rng) {
+  std::vector<double> p(2 * n);
+  for (double& v : p) v = rng.uniform(0.0, box);
+  return p;
+}
+
+LssOptions edge_term_only() {
+  LssOptions options;
+  options.min_spacing_m.reset();
+  return options;
+}
+
+TEST(LssTwoLaneKernel, EdgeCountsAroundTheLaneWidthMatchDense) {
+  Rng rng(0x7A9E);
+  const std::size_t n = 60;
+  for (const std::size_t count : {0u, 1u, 2u, 3u, 4u, 5u, 1001u}) {
+    for (const bool shuffled : {false, true}) {
+      const MeasurementSet meas = edge_set(n, count, shuffled, rng);
+      ASSERT_EQ(meas.edge_count(), count);
+      const std::vector<double> p = random_config(n, 30.0, rng);
+      const std::string what =
+          std::to_string(count) + (shuffled ? " shuffled edges" : " sorted edges");
+      for (const LssOptions& options : {edge_term_only(), LssOptions{}}) {
+        expect_identical(evaluate_fresh(meas, options, p), evaluate_dense(meas, options, p),
+                         what + (options.min_spacing_m ? " with constraint" : ""));
+      }
+    }
+  }
+}
+
+TEST(LssTwoLaneKernel, CoincidentNodesHitTheSeparationClampLikeDense) {
+  // Nodes 0-3 share one point, so the edges among them have dcomp at the
+  // 1e-9 clamp in either lane; the others are spread.
+  Rng rng(0xC01D);
+  MeasurementSet meas = edge_set(9, 36, true, rng);
+  std::vector<double> p = random_config(9, 20.0, rng);
+  for (std::size_t i = 1; i < 4; ++i) {
+    p[i] = p[0];
+    p[9 + i] = p[9];
+  }
+  for (const LssOptions& options : {edge_term_only(), LssOptions{}}) {
+    expect_identical(evaluate_fresh(meas, options, p), evaluate_dense(meas, options, p),
+                     options.min_spacing_m ? "with constraint" : "edge term");
+  }
+}
+
+TEST(LssTwoLaneKernel, NonFiniteCoordinatesPropagateLikeDense) {
+  // NaN must survive the separation clamp (max(kmin, NaN) is NaN, as
+  // std::max(NaN, kmin) is), and inf - inf must produce the same NaN in a
+  // lane as in a scalar term.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(0xBAD);
+  const std::size_t n = 12;
+  const MeasurementSet meas = edge_set(n, 41, true, rng);
+  const std::vector<double> base = random_config(n, 25.0, rng);
+  for (const double bad : {nan, inf, -inf}) {
+    for (std::size_t node = 0; node < n; node += 5) {
+      std::vector<double> p = base;
+      p[node] = bad;
+      expect_identical(evaluate_fresh(meas, edge_term_only(), p),
+                       evaluate_dense(meas, edge_term_only(), p),
+                       "x of node " + std::to_string(node) + " = " + std::to_string(bad));
+      p[n + node + 1] = bad;  // and a y elsewhere: inf - inf in some lanes
+      expect_identical(evaluate_fresh(meas, edge_term_only(), p),
+                       evaluate_dense(meas, edge_term_only(), p),
+                       "and y of node " + std::to_string(node + 1));
+    }
+  }
+}
+
+TEST(LssTwoLaneKernel, OddSkinListWithMixedLanesMatchesDense) {
+  // A zigzag row of unmeasured nodes whose neighbours alternate between
+  // inside d_min (active) and inside the skin only (listed, inactive), in
+  // the pattern a i i a a a i i a: nine list entries, so the walk sees lane
+  // pairs (a, i), (i, a), (a, a), (i, i) and then an active scalar tail.
+  LssOptions options;
+  const double dmin = *options.min_spacing_m;
+  const bool active[] = {true, false, false, true, true, true, false, false, true};
+  const std::size_t n = std::size(active) + 1;
+  std::vector<double> p(2 * n, 0.0);
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    p[k + 1] = p[k] + (active[k] ? 0.8 : 1.04) * dmin;
+    p[n + k + 1] = (k % 2 == 0) ? 0.3 : 0.0;
+  }
+  const MeasurementSet meas(n);
+  StressObjective objective(meas, options, {});
+  const Evaluation first = evaluate(objective, p);
+  const std::uint64_t after_build = objective.pair_tests();
+  const Evaluation second = evaluate(objective, p);  // reuses the list
+  EXPECT_EQ(objective.rebuilds(), 1u);
+  EXPECT_EQ(objective.pair_tests() - after_build, std::size(active)) << "list length";
+  EXPECT_EQ(first.active_pairs, 5u);
+  expect_identical(first, evaluate_dense(meas, options, p), "built");
+  expect_identical(second, evaluate_dense(meas, options, p), "reused");
+}
+
+TEST(LssTwoLaneKernel, NanPairsInTheSkinListStayActiveLikeDense) {
+  // The grid clamps a NaN coordinate and one at -1e12 into the same
+  // boundary cell, so the list holds all ten pairs of these five nodes, the
+  // four NaN ones among them. The dense scan's `d_sq >= dmin_sq` skip is
+  // false for NaN, so a NaN pair is active in every lane as it is there.
+  const std::size_t n = 5;
+  std::vector<double> p(2 * n, 0.0);
+  for (std::size_t i = 0; i < 4; ++i) p[i] = -1e12 + 2.0 * static_cast<double>(i);
+  p[4] = std::numeric_limits<double>::quiet_NaN();
+  p[n + 4] = 1.0;
+  const MeasurementSet meas(n);
+  const LssOptions options;
+  const Evaluation got = evaluate_fresh(meas, options, p);
+  EXPECT_EQ(got.active_pairs, 10u);
+  EXPECT_TRUE(std::isnan(got.error));
+  expect_identical(got, evaluate_dense(meas, options, p), "NaN node");
+}
+
+TEST(LssTwoLaneKernel, FixedNodesMatchDense) {
+  Rng rng(0xF1ED);
+  const std::size_t n = 30;
+  const MeasurementSet meas = edge_set(n, 97, true, rng);
+  const std::vector<double> p = random_config(n, 15.0, rng);  // busy constraint set
+  const std::vector<NodeId> fixed{0, 7, 8, 29};
+  const LssOptions options;
+  StressObjective production(meas, options, fixed);
+  DenseStressObjective dense(meas, options, fixed);
+  const Evaluation got = evaluate(production, p);
+  EXPECT_GT(got.active_pairs, 0u);
+  for (const NodeId i : fixed) {
+    EXPECT_EQ(got.grad[i], 0.0);
+    EXPECT_EQ(got.grad[n + i], 0.0);
+  }
+  expect_identical(got, evaluate(dense, p), "fixed nodes");
 }
 
 }  // namespace
