@@ -131,8 +131,7 @@ class GoertzelToneDetector {
                                 double sample_rate_hz = 16000.0);
 
   /// Feeds one sample; returns the noise-subtracted detection metric
-  /// (positive indicates a tone). The test-only per-sample reference
-  /// measure (tests/reference) drives this sample by sample.
+  /// (positive indicates a tone).
   double step(double sample);
 
   /// Block entry point: metric[i] = step(x[i]) for i in [0, n) -- the same

@@ -72,6 +72,10 @@ class MatchedFilterNcc {
   /// rasterization), in ascending order.
   const std::vector<std::size_t>& peaks() const { return peaks_; }
 
+  /// NCC series of the last detect_into call whose window held a whole
+  /// template: ncc()[i] is the statistic for the window [i, i + L).
+  const std::vector<double>& ncc() const { return ncc_; }
+
  private:
   /// Fills ncc_ and peaks_ for one window; returns false when the window is
   /// shorter than the template (no scan possible).

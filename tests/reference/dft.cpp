@@ -32,4 +32,39 @@ double DirectDftFilter::step(double sample) {
   return direct_bin_power(samples_.data(), samples_.size(), bin_);
 }
 
+GoertzelOracle::GoertzelOracle(double tone_frequency_hz, double sample_rate_hz) {
+  const std::size_t window = ranging::SlidingDftFilter::kWindow;
+  const int bin = ranging::nearest_bin(tone_frequency_hz, sample_rate_hz, window);
+  ring_.assign(window, 0.0);
+  cos_.resize(window);
+  sin_.resize(window);
+  for (std::size_t i = 0; i < window; ++i) {
+    const double angle = 2.0 * math::kPi * static_cast<double>(bin) * static_cast<double>(i) /
+                         static_cast<double>(window);
+    cos_[i] = std::cos(angle);
+    sin_[i] = std::sin(angle);
+  }
+}
+
+double GoertzelOracle::step(double sample) {
+  const std::size_t window = ring_.size();
+  const std::size_t at = k_++ % window;
+  const double old = ring_[at];
+  const double delta = sample - old;
+  ring_[at] = sample;
+  re_ += delta * cos_[at];
+  im_ -= delta * sin_[at];
+  energy_ += sample * sample - old * old;
+  if (++steps_ == ranging::GoertzelSlidingFilter::kResyncPeriod) {
+    re_ = im_ = energy_ = 0.0;
+    for (std::size_t i = 0; i < window; ++i) {
+      re_ += ring_[i] * cos_[i];
+      im_ -= ring_[i] * sin_[i];
+      energy_ += ring_[i] * ring_[i];
+    }
+    steps_ = 0;
+  }
+  return re_ * re_ + im_ * im_ - ranging::kToneNoiseScale * energy_ - 1e-6;
+}
+
 }  // namespace resloc::reference

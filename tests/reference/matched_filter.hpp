@@ -21,7 +21,8 @@ namespace resloc::reference {
 /// ranging::MatchedFilterNcc.
 class ScalarNcc {
  public:
-  explicit ScalarNcc(double threshold = ranging::MatchedFilterNcc::kDefaultThreshold,
+  ScalarNcc() = default;
+  explicit ScalarNcc(double threshold,
                      int peak_plateau = ranging::MatchedFilterNcc::kDefaultPeakPlateau);
 
   /// MatchedFilterNcc::detect_into, computed by the scalar scan.
@@ -39,8 +40,8 @@ class ScalarNcc {
   bool scan(const double* x, std::size_t n, std::size_t chirp_samples,
             const acoustics::ToneTemplateView& tpl);
 
-  double threshold_;
-  int peak_plateau_;
+  double threshold_ = ranging::MatchedFilterNcc::kDefaultThreshold;
+  int peak_plateau_ = ranging::MatchedFilterNcc::kDefaultPeakPlateau;
   std::vector<std::size_t> peaks_;
   std::vector<double> prefix_sin_;
   std::vector<double> prefix_cos_;

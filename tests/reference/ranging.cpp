@@ -7,10 +7,10 @@
 #include "acoustics/propagation.hpp"
 #include "acoustics/tone_detector.hpp"
 #include "math/constants.hpp"
-#include "ranging/dft_detector.hpp"
 #include "ranging/signal_detection.hpp"
 #include "ranging/tdoa.hpp"
 #include "ranging/window_model.hpp"
+#include "reference/dft.hpp"
 
 namespace resloc::reference {
 
@@ -145,8 +145,9 @@ void build_tone_tables(const ranging::RangingConfig& config, std::size_t n,
 }
 
 /// Goertzel front end: synthesizes each sample (tone envelope on the tone
-/// table plus scaled noise) and steps the detector on it in one loop; the
-/// binary series is the sign of the metric, shifted left by the group delay.
+/// table plus scaled noise) and steps the oracle detector on it in one loop;
+/// the binary series is the sign of the metric, shifted left by the group
+/// delay.
 void goertzel_window(const ranging::RangingConfig& config, std::size_t n,
                      const acoustics::MicUnit& mic, math::Rng& rng, MeasureScratch& scratch) {
   const double fs = config.tdoa.sample_rate_hz;
@@ -155,19 +156,21 @@ void goertzel_window(const ranging::RangingConfig& config, std::size_t n,
   scratch.noise.resize(n);
   rng.fill_gaussian_block(scratch.noise.data(), n);
 
-  ranging::GoertzelToneDetector detector(config.pattern.tone_frequency_hz, fs);
+  GoertzelOracle detector(config.pattern.tone_frequency_hz, fs);
   scratch.fired.assign(n, false);
+  scratch.metric.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double sigma = scratch.burst[i] != 0 ? rd::kBurstNoiseSigma : 1.0;
     const double sample = scratch.amplitude[i] * scratch.tone_sin[i] + sigma * scratch.noise[i];
-    const bool fired = detector.step(sample) > 0.0;
+    scratch.metric[i] = detector.step(sample);
+    const bool fired = scratch.metric[i] > 0.0;
     if (fired && i >= rd::kGoertzelGroupDelay) scratch.fired[i - rd::kGoertzelGroupDelay] = true;
   }
 }
 
 /// Matched-filter front end: synthesizes the window's audio sample by sample
-/// (same draws and arithmetic as the Goertzel loop) and marks the NCC
-/// scanner's picked onsets.
+/// (same draws and arithmetic as the Goertzel loop) and marks the scalar NCC
+/// scan's picked onsets.
 void ncc_window(const ranging::RangingConfig& config, std::size_t n,
                 const acoustics::MicUnit& mic, math::Rng& rng, MeasureScratch& scratch) {
   const double fs = config.tdoa.sample_rate_hz;
@@ -182,11 +185,10 @@ void ncc_window(const ranging::RangingConfig& config, std::size_t n,
     scratch.audio[i] = scratch.amplitude[i] * tpl.sin_t[i] + sigma * scratch.noise[i];
   }
 
-  if (!scratch.ncc) scratch.ncc.emplace();
   const auto chirp_samples =
       static_cast<std::size_t>(std::llround(config.pattern.chirp_duration_s * fs));
   scratch.marks.resize((n + 63) / 64);
-  scratch.ncc->detect_into(scratch.audio.data(), n, chirp_samples, tpl, scratch.marks.data());
+  scratch.ncc.detect_into(scratch.audio.data(), n, chirp_samples, tpl, scratch.marks.data());
   scratch.fired.assign(n, false);
   for (std::size_t i = 0; i < n; ++i) scratch.fired[i] = (scratch.marks[i / 64] >> (i % 64)) & 1u;
 }

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "acoustics/channel.hpp"
@@ -19,8 +18,8 @@
 #include "acoustics/signal_synth.hpp"
 #include "acoustics/units.hpp"
 #include "math/rng.hpp"
-#include "ranging/matched_filter.hpp"
 #include "ranging/ranging_service.hpp"
+#include "reference/matched_filter.hpp"
 
 namespace resloc::reference {
 
@@ -89,6 +88,7 @@ struct MeasureScratch {
   std::vector<std::uint8_t> burst;
   std::vector<double> noise;
   std::vector<double> audio;
+  std::vector<double> metric;  ///< Goertzel mode: the last window's per-sample metric
   /// sin/cos(2*pi*f/fs*i) over the window, built here rather than read from
   /// the service so the oracle stays independent of the production tables;
   /// keyed by what they were built for.
@@ -97,14 +97,16 @@ struct MeasureScratch {
   double tone_frequency_hz = 0.0;
   double tone_sample_rate_hz = 0.0;
   std::vector<std::uint64_t> marks;
-  std::optional<ranging::MatchedFilterNcc> ncc;
+  ScalarNcc ncc;
 };
 
 /// service.measure() with every chirp window run sample by sample: the
 /// per-sample hardware detector above, or a fused synthesize-and-filter loop
-/// stepping the Goertzel detector, or a per-sample synthesis loop feeding the
-/// NCC scanner; a per-sample 4-bit accumulate into scratch.counts; and a
-/// restart-based detect_signal scan over the pattern check's rejections.
+/// stepping GoertzelOracle, or a per-sample synthesis loop feeding the
+/// scalar NCC scan (ScalarNcc); a per-sample 4-bit accumulate into
+/// scratch.counts; and a restart-based detect_signal scan over the pattern
+/// check's rejections. No production detector kernel runs here, so a change
+/// to one shows up as a difference.
 ranging::RangingAttempt measure_per_sample(const ranging::RangingService& service,
                                            double true_distance_m,
                                            const acoustics::SpeakerUnit& speaker,

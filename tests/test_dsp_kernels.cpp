@@ -31,6 +31,7 @@
 #include "ranging/matched_filter.hpp"
 #include "ranging/ranging_service.hpp"
 #include "ranging/signal_detection.hpp"
+#include "reference/dft.hpp"
 #include "reference/matched_filter.hpp"
 #include "reference/ranging.hpp"
 
@@ -641,45 +642,12 @@ TEST(GoertzelBlock, RunBlockMatchesStepAcrossResync) {
   }
 }
 
-/// Test-local per-sample oracle of GoertzelToneDetector, written from its
-/// definition in dft_detector.hpp: a ring of the last N samples whose
-/// twiddle index is the absolute sample index mod N, one complex
-/// multiply-accumulate per sample, an exact direct-sum resync every
-/// kResyncPeriod steps, and metric = |X|^2 - kToneNoiseScale * energy
-/// - 1e-6 (the detector's numeric floor).
+/// reference::GoertzelOracle over a whole series.
 std::vector<double> goertzel_oracle(const std::vector<double>& x, double tone_hz,
                                     double rate_hz) {
-  const std::size_t window = ranging::SlidingDftFilter::kWindow;
-  const int bin = ranging::nearest_bin(tone_hz, rate_hz, window);
-  std::vector<double> ring(window, 0.0), cos_t(window), sin_t(window);
-  for (std::size_t i = 0; i < window; ++i) {
-    const double angle = 2.0 * resloc::math::kPi * static_cast<double>(bin) *
-                         static_cast<double>(i) / static_cast<double>(window);
-    cos_t[i] = std::cos(angle);
-    sin_t[i] = std::sin(angle);
-  }
-  double re = 0.0, im = 0.0, energy = 0.0;
-  std::size_t steps = 0;
+  resloc::reference::GoertzelOracle oracle(tone_hz, rate_hz);
   std::vector<double> metric(x.size());
-  for (std::size_t k = 0; k < x.size(); ++k) {
-    const std::size_t at = k % window;
-    const double old = ring[at];
-    const double delta = x[k] - old;
-    ring[at] = x[k];
-    re += delta * cos_t[at];
-    im -= delta * sin_t[at];
-    energy += x[k] * x[k] - old * old;
-    if (++steps == ranging::GoertzelSlidingFilter::kResyncPeriod) {
-      re = im = energy = 0.0;
-      for (std::size_t i = 0; i < window; ++i) {
-        re += ring[i] * cos_t[i];
-        im -= ring[i] * sin_t[i];
-        energy += ring[i] * ring[i];
-      }
-      steps = 0;
-    }
-    metric[k] = re * re + im * im - ranging::kToneNoiseScale * energy - 1e-6;
-  }
+  for (std::size_t k = 0; k < x.size(); ++k) metric[k] = oracle.step(x[k]);
   return metric;
 }
 
@@ -899,8 +867,10 @@ TEST(SignalScanner, YieldsSameCandidatesAsRestartScan) {
 }
 
 /// End-to-end: RangingService and the per-sample reference measure must
-/// agree on every diagnostic field and leave the generator in the identical
-/// state, for all three detector front ends.
+/// agree on every diagnostic field, on the last window's detector series
+/// and on the generator's final state, for all three detector front ends.
+/// The reference runs its own detectors (GoertzelOracle, ScalarNcc), never
+/// the production kernels.
 void expect_service_equivalence(ranging::DetectorMode mode) {
   ranging::RangingConfig cfg;
   cfg.detector_mode = mode;
@@ -934,6 +904,21 @@ void expect_service_equivalence(ranging::DetectorMode mode) {
     ASSERT_EQ(ref_scratch.counts, counts_of(blk_scratch.accumulator)) << "trial=" << trial;
     ASSERT_EQ(ref_rng.uniform_bits(), blk_rng.uniform_bits()) << "trial=" << trial;
     ASSERT_EQ(ref_rng.gaussian(), blk_rng.gaussian()) << "trial=" << trial;
+    // The last window's continuous detector output, so that a change to a
+    // detector kernel fails here even where it moves no detection.
+    const auto expect_same_series = [&](const std::vector<double>& ref,
+                                        const std::vector<double>& blk, const char* what) {
+      ASSERT_EQ(ref.size(), blk.size()) << what << " trial=" << trial;
+      EXPECT_EQ(std::memcmp(ref.data(), blk.data(), ref.size() * sizeof(double)), 0)
+          << what << " trial=" << trial;
+    };
+    if (mode == ranging::DetectorMode::kGoertzel) {
+      expect_same_series(ref_scratch.metric, blk_scratch.metric, "Goertzel metric");
+    }
+    if (mode == ranging::DetectorMode::kMatchedFilter) {
+      ASSERT_TRUE(blk_scratch.ncc.has_value());
+      expect_same_series(ref_scratch.ncc.ncc(), blk_scratch.ncc->ncc(), "NCC series");
+    }
   }
 }
 
