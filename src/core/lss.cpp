@@ -151,8 +151,10 @@ double StressObjective::operator()(const std::vector<double>& p, std::vector<dou
 /// bit-equivalence guarantee reduces to visiting the same active pairs).
 /// Measured pairs never enter the list, so the walk needs no exemption
 /// lookup; pairs the list holds but that sit at or beyond d_min are skipped
-/// by the same `d_sq >= dmin_sq` test the dense scan applies -- negated, so a
-/// NaN d_sq stays active as it does there.
+/// by the same `d_sq >= dmin_sq` test the dense scan applies, so a NaN d_sq
+/// stays active as it does there. One entry at a time: the list is empty on
+/// converged configurations, and a two-lane form of this walk ran at most
+/// ~5% faster per entry on folded ones, so it was not kept.
 double StressObjective::accumulate_constraint_list(const std::vector<double>& p,
                                                    std::vector<double>& grad, double error) {
   if (list_is_stale(p)) build_list(p);
@@ -160,36 +162,9 @@ double StressObjective::accumulate_constraint_list(const std::vector<double>& p,
   const double* const x = p.data();
   const double* const y = p.data() + n_;
   const double wd = options_.constraint_weight;
-  std::size_t k = 0;
-#if defined(__SSE2__)
-  // Two entries per step; a step with no active lane costs no division.
-  const __m128d dmin_sq = _mm_set1_pd(dmin_sq_);
-  const __m128d dmin = _mm_set1_pd(dmin_);
-  const __m128d weight = _mm_set1_pd(wd);
-  for (; k + 2 <= list_.size(); k += 2) {
-    const std::size_t i0 = list_[k] >> 32;
-    const std::size_t j0 = list_[k] & 0xffffffffu;
-    const std::size_t i1 = list_[k + 1] >> 32;
-    const std::size_t j1 = list_[k + 1] & 0xffffffffu;
-    const __m128d dx = _mm_sub_pd(gather(x, i0, i1), gather(x, j0, j1));
-    const __m128d dy = _mm_sub_pd(gather(y, i0, i1), gather(y, j0, j1));
-    const __m128d d_sq = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-    const int active = _mm_movemask_pd(_mm_cmpnge_pd(d_sq, dmin_sq));
-    if (active == 0) continue;
-    const TermPair t = term_pair(dx, dy, d_sq, dmin, weight);
-    if ((active & 1) != 0) {
-      ++active_pairs_;
-      error = apply(grad, n_, error, i0, j0, lane(t, false));
-    }
-    if ((active & 2) != 0) {
-      ++active_pairs_;
-      error = apply(grad, n_, error, i1, j1, lane(t, true));
-    }
-  }
-#endif
-  for (; k < list_.size(); ++k) {
-    const std::size_t i = list_[k] >> 32;
-    const std::size_t j = list_[k] & 0xffffffffu;
+  for (const std::uint64_t pair : list_) {
+    const std::size_t i = pair >> 32;
+    const std::size_t j = pair & 0xffffffffu;
     const double dx = x[i] - x[j];
     const double dy = y[i] - y[j];
     const double d_sq = dx * dx + dy * dy;

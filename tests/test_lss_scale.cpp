@@ -13,9 +13,10 @@
 //     configurations is memcmp-identical to a fresh one-shot evaluation and
 //     to the dense scan at every step, and whole solves stay bit-equal to
 //     the dense scan,
-//   - the two-lane SSE2 stress kernel (two edges, or two skin-list entries,
-//     per vector) is memcmp-identical to the one-pair-at-a-time reference at
-//     every tail length, lane pairing and non-finite input.
+//   - the two-lane SSE2 edge kernel (two measured edges per vector) is
+//     memcmp-identical to the one-edge-at-a-time reference at every tail
+//     length, lane pairing and non-finite input, and the skin-list walk is
+//     too on lists mixing active and inactive entries and NaN pairs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -637,10 +638,11 @@ TEST(LssSkinList, DvHopSeededCampus500SolvesIdenticallyToDense) {
 
 // --- The two-lane stress kernel against the dense reference ---
 //
-// The production objective evaluates two measured edges, and two skin-list
-// entries, per SSE2 vector and adds lane 0's term before lane 1's. The dense
-// reference evaluates one pair at a time, so memcmp equality pins the lane
-// arithmetic, the lane order and the scalar tail.
+// The production objective evaluates two measured edges per SSE2 vector and
+// adds lane 0's term before lane 1's. The dense reference evaluates one edge
+// at a time, so memcmp equality pins the lane arithmetic, the lane order and
+// the scalar tail. The skin-list walk shares the scalar term with that tail;
+// its cases below check it on the entries the edge cases cannot reach.
 
 /// `count` edges over n nodes with non-unit weights, drawn from every
 /// unordered pair in random order (`shuffled`: the two lanes of a step
@@ -730,11 +732,11 @@ TEST(LssTwoLaneKernel, NonFiniteCoordinatesPropagateLikeDense) {
   }
 }
 
-TEST(LssTwoLaneKernel, OddSkinListWithMixedLanesMatchesDense) {
+TEST(LssSkinList, MixedActiveAndInactiveEntriesMatchDense) {
   // A zigzag row of unmeasured nodes whose neighbours alternate between
   // inside d_min (active) and inside the skin only (listed, inactive), in
-  // the pattern a i i a a a i i a: nine list entries, so the walk sees lane
-  // pairs (a, i), (i, a), (a, a), (i, i) and then an active scalar tail.
+  // the pattern a i i a a a i i a: nine list entries, every active entry
+  // next to an inactive one and to another active one somewhere.
   LssOptions options;
   const double dmin = *options.min_spacing_m;
   const bool active[] = {true, false, false, true, true, true, false, false, true};
@@ -756,11 +758,11 @@ TEST(LssTwoLaneKernel, OddSkinListWithMixedLanesMatchesDense) {
   expect_identical(second, evaluate_dense(meas, options, p), "reused");
 }
 
-TEST(LssTwoLaneKernel, NanPairsInTheSkinListStayActiveLikeDense) {
+TEST(LssSkinList, NanPairsStayActiveLikeDense) {
   // The grid clamps a NaN coordinate and one at -1e12 into the same
   // boundary cell, so the list holds all ten pairs of these five nodes, the
   // four NaN ones among them. The dense scan's `d_sq >= dmin_sq` skip is
-  // false for NaN, so a NaN pair is active in every lane as it is there.
+  // false for NaN, so a NaN pair is active in the walk as it is there.
   const std::size_t n = 5;
   std::vector<double> p(2 * n, 0.0);
   for (std::size_t i = 0; i < 4; ++i) p[i] = -1e12 + 2.0 * static_cast<double>(i);
