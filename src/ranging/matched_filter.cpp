@@ -27,7 +27,10 @@ bool MatchedFilterNcc::scan(const double* x, std::size_t n, std::size_t chirp_sa
                             const acoustics::ToneTemplateView& tpl) {
   peaks_.clear();
   const std::size_t L = std::max<std::size_t>(1, chirp_samples);
-  if (n < L || tpl.length < n) return false;
+  if (n < L || tpl.length < n) {
+    ncc_.clear();
+    return false;
+  }
 
   // Prefix sums of x*sin(w*k), x*cos(w*k), x^2 over the absolute sample index
   // k. The quadrature pair makes the correlation phase-free: the window

@@ -72,8 +72,11 @@ class MatchedFilterNcc {
   /// rasterization), in ascending order.
   const std::vector<std::size_t>& peaks() const { return peaks_; }
 
-  /// NCC series of the last detect_into call whose window held a whole
-  /// template: ncc()[i] is the statistic for the window [i, i + L).
+  /// NCC series of the last detect_into call: ncc()[i] is the statistic for
+  /// the window [i, i + L); empty when that window was shorter than the
+  /// template. Read by the service equivalence test, which compares it with
+  /// the scalar reference's series, so a kernel change that moves no pick
+  /// still shows.
   const std::vector<double>& ncc() const { return ncc_; }
 
  private:
